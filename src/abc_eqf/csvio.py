@@ -2,7 +2,8 @@
 
 All files carry a mandatory header row, UTF-8, '.' decimal separator and
 floats printed with 17 significant digits so replay is bit-exact.
-Timestamps must be sorted; readers reject unsorted input.
+Timestamps must be sorted; readers reject unsorted input, and repeated gyro
+timestamps too (each gyro interval is a propagation step).
 """
 
 from __future__ import annotations
@@ -63,10 +64,12 @@ def _read_table(path: Path, required: list[str]) -> tuple[list[str], list[list[f
     return header, rows
 
 
-def _check_sorted(path: Path, t: np.ndarray) -> None:
-    if t.size > 1 and np.any(np.diff(t) < 0.0):
-        bad = int(np.argmax(np.diff(t) < 0.0)) + 3  # +2 header/1-base, +1 second row
-        raise ParseError(path, bad, "timestamps are not sorted")
+def _check_sorted(path: Path, t: np.ndarray, strict: bool = False) -> None:
+    bad = np.diff(t) <= 0.0 if strict else np.diff(t) < 0.0
+    if np.any(bad):
+        row = int(np.argmax(bad)) + 3  # +2 header/1-base, +1 second row
+        order = "strictly increasing" if strict else "non-decreasing"
+        raise ParseError(path, row, f"timestamps are not sorted ({order} required)")
 
 
 GYRO_HEADER = ["t", "wx", "wy", "wz"]
@@ -80,7 +83,7 @@ def write_gyro(path: Path, t: np.ndarray, omega: np.ndarray) -> None:
 def read_gyro(path: Path) -> tuple[np.ndarray, np.ndarray]:
     _, rows = _read_table(path, GYRO_HEADER)
     data = np.asarray(rows, dtype=float).reshape(-1, 4)
-    _check_sorted(path, data[:, 0])
+    _check_sorted(path, data[:, 0], strict=True)
     return data[:, 0], data[:, 1:4]
 
 

@@ -27,9 +27,10 @@ RESIDUAL_LITERAL = "literal"
 MD_ANALYTIC = "analytic"
 MD_FIRST_ORDER = "first-order"
 
-# Sigma is re-orthonormalized indirectly: every rotation inside the filter
-# state is re-projected to SO(3) after each update and every REPROJECT_EVERY
-# propagation steps.
+# Every rotation inside the filter state is re-projected to SO(3) every
+# REPROJECT_EVERY propagation steps.  In between, each step and update
+# composes a factor with an exponential, which is a rotation to rounding, so
+# the drift stays at rounding level.  The IEKF shares this schedule.
 REPROJECT_EVERY = 1000
 
 S_CONDITION_LIMIT = 1e12
@@ -447,6 +448,33 @@ def _measured_sensors(meas: list[DirectionMeasurement],
     return used, refs
 
 
+def _kalman_step(sigma: np.ndarray, h: np.ndarray, noise_cov: np.ndarray, t: float,
+                 joseph: bool) -> tuple[np.ndarray, np.ndarray] | None:
+    """Gain and symmetrized updated covariance for output matrix h.
+
+    Returns None, with a warning, when the innovation covariance S is
+    non-finite, not positive definite or has cond(S) > S_CONDITION_LIMIT.  S
+    is symmetric, so cond(S) is the ratio of its extreme eigenvalues; the
+    finite check comes first, as eigvalsh does not report NaN.
+    """
+    sht = sigma @ h.T
+    s_mat = h @ sht + noise_cov
+    cond = math.nan
+    if np.isfinite(s_mat).all():
+        eig = np.linalg.eigvalsh(s_mat)
+        cond = eig[-1] / eig[0] if eig[0] > 0.0 else math.inf
+    if not cond <= S_CONDITION_LIMIT:
+        logger.warning("update at t=%.6f skipped: S condition number %.3e", t, cond)
+        return None
+    gain = np.linalg.solve(s_mat, sht.T).T
+    if joseph:
+        ikh = np.eye(sigma.shape[0]) - gain @ h
+        sigma = ikh @ sigma @ ikh.T + gain @ noise_cov @ gain.T
+    else:
+        sigma = sigma - gain @ h @ sigma
+    return gain, 0.5 * (sigma + sigma.T)
+
+
 def eqf_update(fs: FilterState, meas: list[DirectionMeasurement],
                sensors: list[SensorModel], residual_mode: str = RESIDUAL_SUBTRACT,
                joseph: bool = False, slack: float = 0.05) -> FilterState:
@@ -459,8 +487,9 @@ def eqf_update(fs: FilterState, meas: list[DirectionMeasurement],
     arithmetic of the exponential chart at the identity origin: the nav part
     is exp of (r_att, -r_bias), calibration i is exp of (r_cal_i + r_att).
 
-    An ill-conditioned innovation covariance (condition number beyond 1e12)
-    skips the update with a warning instead of corrupting the state.
+    An innovation covariance S that is non-finite, not positive definite or
+    ill-conditioned (condition number beyond 1e12) skips the update with a
+    warning instead of corrupting the state; the input state is returned.
     """
     if not meas:
         return fs
@@ -469,7 +498,6 @@ def eqf_update(fs: FilterState, meas: list[DirectionMeasurement],
             raise ValueError(f"measurement at t={m.t} is ahead of the filter time {fs.t}")
     x = fs.xhat
     n = x.n
-    dim = 6 + 3 * n
     used, refs = _measured_sensors(meas, sensors)
 
     c0 = compute_C0(used, refs, n)
@@ -477,14 +505,10 @@ def eqf_update(fs: FilterState, meas: list[DirectionMeasurement],
     sig_y = np.repeat([s.sigma_y ** 2 for s in used], 3)
     noise_cov = d0 @ np.diag(sig_y) @ d0.T
 
-    sct = fs.sigma @ c0.T
-    s_mat = c0 @ sct + noise_cov
-    cond = np.linalg.cond(s_mat)
-    if not np.isfinite(cond) or cond > S_CONDITION_LIMIT:
-        logger.warning("update at t=%.6f skipped: S condition number %.3e", fs.t, cond)
+    step = _kalman_step(fs.sigma, c0, noise_cov, fs.t, joseph)
+    if step is None:
         return fs
-
-    gain = np.linalg.solve(s_mat, sct.T).T
+    gain, sigma = step
 
     r_raw = np.empty(3 * len(meas))
     for k, (m, sensor) in enumerate(zip(meas, used)):
@@ -501,13 +525,4 @@ def eqf_update(fs: FilterState, meas: list[DirectionMeasurement],
     a_new = rot_e @ x.A
     avec_new = rot_e @ x.a + vec_e
     b_new = [exp_so3(r[6 + 3 * i: 9 + 3 * i] + r[0:3]) @ b for i, b in enumerate(x.B)]
-
-    if joseph:
-        ikc = np.eye(dim) - gain @ c0
-        sigma = ikc @ fs.sigma @ ikc.T + gain @ noise_cov @ gain.T
-    else:
-        sigma = fs.sigma - gain @ c0 @ fs.sigma
-    sigma = 0.5 * (sigma + sigma.T)
-
-    xhat = _reproject(GroupElement(a_new, avec_new, b_new))
-    return FilterState(xhat, sigma, fs.t, fs.steps)
+    return FilterState(GroupElement(a_new, avec_new, b_new), sigma, fs.t, fs.steps)

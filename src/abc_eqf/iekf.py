@@ -9,27 +9,23 @@ nilpotent (F^2 = 0).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .eqf import (
-    S_CONDITION_LIMIT,
+    REPROJECT_EVERY,
     BadDimensionError,
     DirectionMeasurement,
     NoiseConfig,
     NonPositiveDtError,
     SensorModel,
+    _kalman_step,
     _measured_sensors,
     sigma_u,
 )
 from .lie import exp_so3, project_to_so3, wedge
 from .symmetry import SystemState
-
-logger = logging.getLogger(__name__)
-
-REPROJECT_EVERY = 1000
 
 
 @dataclass
@@ -98,10 +94,10 @@ def iekf_propagate(s: IekfState, omega: np.ndarray, dt: float,
 
     r_new = xi.R @ exp_so3((omega - xi.b) * dt)
     steps = s.steps + 1
+    cal = [c.copy() for c in xi.C]
     if steps % REPROJECT_EVERY == 0:
-        r_new = project_to_so3(r_new)
-    xi_new = SystemState(r_new, xi.b.copy(), [c.copy() for c in xi.C])
-    return IekfState(xi_new, sigma, s.t + dt, steps)
+        r_new, cal = project_to_so3(r_new), [project_to_so3(c) for c in cal]
+    return IekfState(SystemState(r_new, xi.b.copy(), cal), sigma, s.t + dt, steps)
 
 
 def iekf_update(s: IekfState, meas: list[DirectionMeasurement],
@@ -112,7 +108,8 @@ def iekf_update(s: IekfState, meas: list[DirectionMeasurement],
     Output matrix rows: [d^ 0 d^ Rhat] for a calibrated sensor (the extra
     Rhat in the calibration column comes from the right-invariant error
     convention), [d^ 0 0] for an uncalibrated one.  The residual of sensor i
-    is Rhat Chat_i y - d (calibrated) or Rhat y - d.
+    is Rhat Chat_i y - d (calibrated) or Rhat y - d.  The update is skipped
+    by the same rule on S as the equivariant update.
     """
     if not meas:
         return s
@@ -142,25 +139,13 @@ def iekf_update(s: IekfState, meas: list[DirectionMeasurement],
 
     sig_y = np.repeat([sns.sigma_y ** 2 for sns in used], 3)
     noise_cov = d_adapt @ np.diag(sig_y) @ d_adapt.T
-    sht = s.sigma @ h.T
-    s_mat = h @ sht + noise_cov
-    cond = np.linalg.cond(s_mat)
-    if not np.isfinite(cond) or cond > S_CONDITION_LIMIT:
-        logger.warning("update at t=%.6f skipped: S condition number %.3e", s.t, cond)
+    step = _kalman_step(s.sigma, h, noise_cov, s.t, joseph)
+    if step is None:
         return s
-
-    gain = np.linalg.solve(s_mat, sht.T).T
+    gain, sigma = step
     delta = gain @ r_raw
 
-    r_new = project_to_so3(exp_so3(delta[0:3]) @ xi.R)
+    r_new = exp_so3(delta[0:3]) @ xi.R
     b_new = xi.b + delta[3:6]
-    c_new = [project_to_so3(exp_so3(delta[6 + 3 * i: 9 + 3 * i]) @ c)
-             for i, c in enumerate(xi.C)]
-
-    if joseph:
-        ikh = np.eye(dim) - gain @ h
-        sigma = ikh @ s.sigma @ ikh.T + gain @ noise_cov @ gain.T
-    else:
-        sigma = s.sigma - gain @ h @ s.sigma
-    sigma = 0.5 * (sigma + sigma.T)
+    c_new = [exp_so3(delta[6 + 3 * i: 9 + 3 * i]) @ c for i, c in enumerate(xi.C)]
     return IekfState(SystemState(r_new, b_new, c_new), sigma, s.t, s.steps)

@@ -3,7 +3,8 @@ discretization runtime study.
 
 The measurement loop propagates on every gyro sample and applies direction
 measurements sequentially at their own timestamps; measurements that share a
-timestamp (within 1e-6 s) are applied as one stacked update.  Monte-Carlo
+timestamp (within 1e-6 s) are applied as one stacked update, and
+measurements later than the last gyro sample are ignored.  Monte-Carlo
 runs execute on a process pool (worker count from the ABC_EQF_THREADS
 environment variable when set) with per-run seeds derived as base seed + run
 index, so results do not depend on the pool size.
@@ -137,7 +138,11 @@ class FilterRun:
 def drive_filter(kind: str, gyro_t: np.ndarray, gyro_omega: np.ndarray,
                  measurements: list[DirectionMeasurement], cfg: RunConfig,
                  truth: GroundTruth | None = None) -> FilterRun:
-    """Replay one gyro + measurement log through one filter."""
+    """Replay one gyro + measurement log through one filter.
+
+    Measurements later than the last gyro sample are ignored: no estimate is
+    recorded after them.
+    """
     sensors = build_sensors(cfg)
     driver = _EqfDriver(cfg, sensors) if kind == "eqf" else _IekfDriver(cfg, sensors)
 
@@ -177,13 +182,6 @@ def drive_filter(kind: str, gyro_t: np.ndarray, gyro_omega: np.ndarray,
         if nees is not None:
             eps = log_so3(r_true[k] @ xi.R.T)
             nees[k] = eps @ np.linalg.solve(sigma[0:3, 0:3], eps)
-    while mi < m_total:
-        group = [measurements[mi]]
-        mi += 1
-        while mi < m_total and measurements[mi].t - group[0].t <= STACK_TIME_TOL:
-            group.append(measurements[mi])
-            mi += 1
-        driver.update(group)
     wall = time.perf_counter() - t_start
 
     est = EstimateSeries(gyro_t.copy(), est_r, est_b, est_c, sig_diag, nees)

@@ -111,11 +111,6 @@ def adjoint(x: GroupElement, u: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(rot, vec, [b @ c for b, c in zip(x.B, u.cal)])
 
 
-def group_error(x: GroupElement, xhat: GroupElement) -> GroupElement:
-    """E = X Xhat^{-1} (used in derivations and tests only)."""
-    return group_mul(x, group_inv(xhat))
-
-
 def action_phi(x: GroupElement, xi: SystemState) -> SystemState:
     """Right action on the state space: (R A, A^T (b - a), A^T C_i B_i)."""
     _check_same_n(x.n, xi.n)

@@ -167,6 +167,32 @@ def test_cli_exit_codes(tmp_path, config_file):
     assert proc.returncode == 1
 
 
+def test_cli_run_duplicate_gyro_time_is_data_error(tmp_path, config_file, capsys):
+    logs = tmp_path / "logs"
+    assert main(["simulate", "--config", str(config_file), "--out", str(logs)]) == 0
+    lines = (logs / "gyro.csv").read_text().splitlines()
+    lines.insert(101, lines[100])            # repeat data row 100 (file row 101)
+    (logs / "gyro.csv").write_text("\n".join(lines) + "\n")
+    assert main(["run", "--config", str(config_file), "--logs", str(logs),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "gyro.csv:102" in capsys.readouterr().err
+
+
+def test_cli_run_ignores_measurements_after_last_gyro(tmp_path, config_file):
+    logs = tmp_path / "logs"
+    assert main(["simulate", "--config", str(config_file), "--out", str(logs)]) == 0
+    assert main(["run", "--config", str(config_file), "--logs", str(logs),
+                 "--out", str(tmp_path / "a")]) == 0
+    t_end = float((logs / "gyro.csv").read_text().splitlines()[-1].split(",")[0])
+    with open(logs / "dir_mag.csv", "a", encoding="utf-8") as fh:
+        fh.write(f"{t_end + 1.0!r},1.0,0.0,0.0\n")
+    assert main(["run", "--config", str(config_file), "--logs", str(logs),
+                 "--out", str(tmp_path / "b")]) == 0
+    for kind in ("eqf", "iekf"):
+        a = (tmp_path / "a" / f"est_{kind}.csv").read_bytes()
+        assert (tmp_path / "b" / f"est_{kind}.csv").read_bytes() == a
+
+
 def test_cli_montecarlo_and_compare(tmp_path, config_file):
     out = tmp_path / "mc"
     assert main(["montecarlo", "--config", str(config_file), "--runs", "2",

@@ -41,6 +41,12 @@ def test_gyro_unsorted_rejected(tmp_path):
         csvio.read_gyro(path)
 
 
+def test_directions_repeated_time_accepted(tmp_path):
+    path = tmp_path / "dir_mag.csv"
+    path.write_text("t,yx,yy,yz\n0.01,1,0,0\n0.01,0,1,0\n")
+    assert [m.t for m in csvio.read_directions(path, "mag")] == [0.01, 0.01]
+
+
 def test_directions_round_trip_fixed_reference(tmp_path, rng):
     meas = [DirectionMeasurement(k * 0.01, "mag", rng.normal(size=3))
             for k in range(20)]

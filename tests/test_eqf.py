@@ -22,7 +22,7 @@ from abc_eqf.eqf import (
     sigma_u,
     validate_layout,
 )
-from abc_eqf.lie import exp_so3, wedge
+from abc_eqf.lie import exp_so3, is_rotation, wedge
 from abc_eqf.symmetry import (
     AlgebraElement,
     action_phi,
@@ -447,6 +447,61 @@ def test_update_singular_s_skipped(rng, caplog):
                          sensors)
     assert "skipped" in caplog.text
     assert out is fs
+
+
+def _two_direction_update(sigma_y_second):
+    """Zero prior covariance: S = D diag(1, sigma_y_second^2) D^T, so
+    cond(S) = 1 / sigma_y_second^2 and S is non-singular."""
+    sensors = [SensorModel("u", False, 1.0, np.array([0.0, 0.0, 1.0])),
+               SensorModel("v", False, sigma_y_second, np.array([1.0, 0.0, 0.0]))]
+    validate_layout(sensors)
+    fs = eqf_init(0, sensors, NOISE, np.zeros((6, 6)))
+    meas = [DirectionMeasurement(0.0, "u", np.array([0.0, 0.0, 1.0])),
+            DirectionMeasurement(0.0, "v", np.array([1.0, 0.0, 0.0]))]
+    return fs, eqf_update(fs, meas, sensors)
+
+
+def test_update_near_singular_s_skipped(caplog):
+    with caplog.at_level("WARNING"):
+        fs, out = _two_direction_update(1e-7)        # cond(S) = 1e14
+    assert "skipped" in caplog.text
+    assert out is fs
+
+
+def test_update_applied_below_condition_limit(caplog):
+    with caplog.at_level("WARNING"):
+        fs, out = _two_direction_update(1e-5)        # cond(S) = 1e10
+    assert "skipped" not in caplog.text
+    assert out is not fs
+
+
+def test_update_non_finite_s_skipped(caplog):
+    sensors = make_sensors(0, 1)
+    sigma = np.eye(6)
+    sigma[0, 0] = np.nan
+    fs = FilterState(group_identity(0), sigma, 0.0)
+    with caplog.at_level("WARNING"):
+        out = eqf_update(fs, [DirectionMeasurement(0.0, "s0", np.array([0.0, 1.0, 0.0]))],
+                         sensors)
+    assert "skipped" in caplog.text
+    assert out is fs
+
+
+def test_back_to_back_updates_stay_on_so3(rng):
+    """Updates do not re-project; composing with exponentials keeps every
+    factor a rotation to rounding over many updates without propagation."""
+    n = 2
+    sensors = make_sensors(n, 3, rng)
+    sigma = 0.1 * np.eye(6 + 3 * n)
+    fs = eqf_init(n, sensors, NOISE, sigma)
+    for _ in range(5000):
+        meas = [DirectionMeasurement(0.0, s.sensor_id, _noisy_unit(rng, s.reference, 0.3))
+                for s in sensors]
+        # keep the covariance fixed so that every update moves the state
+        fs = FilterState(eqf_update(fs, meas, sensors).xhat, sigma, 0.0)
+    assert is_rotation(fs.xhat.A, tol=1e-9)
+    for b in fs.xhat.B:
+        assert is_rotation(b, tol=1e-9)
 
 
 def test_update_rejects_future_measurement(rng):

@@ -12,7 +12,7 @@ from abc_eqf.eqf import (
     validate_layout,
 )
 from abc_eqf.iekf import IekfState, iekf_init, iekf_propagate, iekf_update
-from abc_eqf.lie import exp_so3
+from abc_eqf.lie import exp_so3, is_rotation
 from abc_eqf.symmetry import identity_state, output_h
 
 from conftest import random_state
@@ -154,6 +154,61 @@ def test_update_singular_s_skipped(rng, caplog):
                           sensors)
     assert "skipped" in caplog.text
     assert out is s
+
+
+def _two_direction_update(sigma_y_second):
+    """Zero prior covariance: S = D diag(1, sigma_y_second^2) D^T, so
+    cond(S) = 1 / sigma_y_second^2 and S is non-singular."""
+    sensors = [SensorModel("u", False, 1.0, np.array([0.0, 0.0, 1.0])),
+               SensorModel("v", False, sigma_y_second, np.array([1.0, 0.0, 0.0]))]
+    validate_layout(sensors)
+    s = IekfState(identity_state(0), np.zeros((6, 6)), 0.0)
+    meas = [DirectionMeasurement(0.0, "u", np.array([0.0, 0.0, 1.0])),
+            DirectionMeasurement(0.0, "v", np.array([1.0, 0.0, 0.0]))]
+    return s, iekf_update(s, meas, sensors)
+
+
+def test_update_near_singular_s_skipped(caplog):
+    with caplog.at_level("WARNING"):
+        s, out = _two_direction_update(1e-7)         # cond(S) = 1e14
+    assert "skipped" in caplog.text
+    assert out is s
+
+
+def test_update_applied_below_condition_limit(caplog):
+    with caplog.at_level("WARNING"):
+        s, out = _two_direction_update(1e-5)         # cond(S) = 1e10
+    assert "skipped" not in caplog.text
+    assert out is not s
+
+
+def test_update_non_finite_s_skipped(caplog):
+    sensors = [SensorModel("u", False, 0.1, np.array([1.0, 0.0, 0.0]))]
+    validate_layout(sensors)
+    sigma = np.eye(6)
+    sigma[0, 0] = np.nan
+    s = IekfState(identity_state(0), sigma, 0.0)
+    with caplog.at_level("WARNING"):
+        out = iekf_update(s, [DirectionMeasurement(0.0, "u", np.array([0.0, 1.0, 0.0]))],
+                          sensors)
+    assert "skipped" in caplog.text
+    assert out is s
+
+
+def test_back_to_back_updates_stay_on_so3(rng):
+    """Updates do not re-project; composing with exponentials keeps every
+    rotation a rotation to rounding over many updates without propagation."""
+    sensors = make_sensors(2, 3, rng)
+    sigma = 0.1 * np.eye(12)
+    s = IekfState(identity_state(2), sigma, 0.0)
+    for _ in range(5000):
+        meas = [DirectionMeasurement(0.0, m.sensor_id, _noisy_unit(rng, m.reference, 0.3))
+                for m in sensors]
+        # keep the covariance fixed so that every update moves the state
+        s = IekfState(iekf_update(s, meas, sensors).xi, sigma, 0.0)
+    assert is_rotation(s.xi.R, tol=1e-9)
+    for c in s.xi.C:
+        assert is_rotation(c, tol=1e-9)
 
 
 def test_covariance_symmetry_psd_long_run(rng):
