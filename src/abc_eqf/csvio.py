@@ -3,12 +3,15 @@
 All files carry a mandatory header row, UTF-8, '.' decimal separator and
 floats printed with 17 significant digits so replay is bit-exact.
 Timestamps must be sorted; readers reject unsorted input, and repeated gyro
-timestamps too (each gyro interval is a propagation step).
+timestamps too (each gyro interval is a propagation step).  Readers also
+reject non-finite values, and direction rows whose measured or reference
+direction is all zeros.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -58,9 +61,13 @@ def _read_table(path: Path, required: list[str]) -> tuple[list[str], list[list[f
             if len(raw) != len(header):
                 raise ParseError(path, i, f"expected {len(header)} fields, got {len(raw)}")
             try:
-                rows.append([float(v) for v in raw])
+                values = [float(v) for v in raw]
             except ValueError as exc:
                 raise ParseError(path, i, str(exc)) from exc
+            for col, v in zip(header, values):
+                if not math.isfinite(v):
+                    raise ParseError(path, i, f"non-finite value {v!r} in column {col!r}")
+            rows.append(values)
     return header, rows
 
 
@@ -115,6 +122,11 @@ def read_directions(path: Path, sensor_id: str) -> list[DirectionMeasurement]:
     data = np.asarray(rows, dtype=float)
     if data.size:
         _check_sorted(path, data[:, 0])
+        zero = ~np.any(data[:, 1:4], axis=1)
+        if time_varying:
+            zero |= ~np.any(data[:, 4:7], axis=1)
+        if np.any(zero):
+            raise ParseError(path, int(np.argmax(zero)) + 2, "all-zero direction")
     out = []
     for row in data:
         ref = row[4:7].copy() if time_varying else None

@@ -121,6 +121,12 @@ def eqf_init(n: int, sensors: list[SensorModel], noise: NoiseConfig,
     """Filter at the group identity with the given initial covariance."""
     if validate_layout(sensors) != n:
         raise BadDimensionError("sensor layout does not provide n calibration states")
+    return FilterState(group_identity(n), _check_sigma0(sigma0, n).copy(), t0)
+
+
+def _check_sigma0(sigma0: np.ndarray, n: int) -> np.ndarray:
+    """sigma0 as a float array, checked to be a symmetric PSD (6+3n)x(6+3n)
+    matrix; shared by the EqF and IEKF initializations."""
     dim = 6 + 3 * n
     sigma0 = np.asarray(sigma0, dtype=float)
     if sigma0.shape != (dim, dim):
@@ -129,7 +135,7 @@ def eqf_init(n: int, sensors: list[SensorModel], noise: NoiseConfig,
         raise BadDimensionError("sigma0 must be symmetric")
     if np.min(np.linalg.eigvalsh(sigma0)) < -1e-9 * max(np.trace(sigma0), 1.0):
         raise BadDimensionError("sigma0 must be positive semi-definite")
-    return FilterState(group_identity(n), sigma0.copy(), t0)
+    return sigma0
 
 
 def compute_A0(omega0: np.ndarray, n: int) -> np.ndarray:
@@ -165,45 +171,19 @@ def compute_C0(sensors: list[SensorModel], refs: np.ndarray, n: int) -> np.ndarr
     return c
 
 
-def _phi_blocks(omega0: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    w = wedge(omega0)
-    w2 = w @ w
-    theta = float(np.linalg.norm(omega0)) * dt
-    if theta < _PHI_SERIES_ANGLE:
-        phi12 = -dt * (np.eye(3) + (dt / 2.0) * w + (dt * dt / 6.0) * w2)
-        phi22 = np.eye(3) + dt * w + (dt * dt / 2.0) * w2
-    else:
-        norm = theta / dt
-        psi1 = (1.0 - np.cos(theta)) / (norm * norm)
-        psi2 = (theta - np.sin(theta)) / (norm ** 3)
-        psi3 = np.sin(theta) / norm
-        phi12 = -(dt * np.eye(3) + psi1 * w + psi2 * w2)
-        phi22 = np.eye(3) + psi3 * w + psi1 * w2
-    return phi12, phi22
-
-
 def compute_phi(omega0: np.ndarray, dt: float, n: int) -> np.ndarray:
-    """Closed-form state transition matrix exp(A0 dt).
+    """Closed-form state transition matrix exp(A0 dt), from :func:`phi_and_md`.
 
     Exact trigonometric coefficients; below ||omega0|| dt = 1e-4 the
     polynomial small-angle limit is used instead.
     """
-    if dt <= 0.0:
-        raise NonPositiveDtError("dt must be positive")
-    phi12, phi22 = _phi_blocks(omega0, dt)
-    dim = 6 + 3 * n
-    phi = np.eye(dim)
-    phi[0:3, 3:6] = phi12
-    phi[3:6, 3:6] = phi22
-    for i in range(n):
-        j = 6 + 3 * i
-        phi[j:j + 3, j:j + 3] = phi22
-    return phi
+    return phi_and_md(omega0, dt, NoiseConfig(0.0, 0.0, 0.0), n)[0]
 
 
 def compute_Md(omega0: np.ndarray, dt: float, noise: NoiseConfig, n: int,
                mode: str = MD_ANALYTIC) -> np.ndarray:
-    """Discrete process noise: the integral of Phi(s) M_c Phi(s)^T over the step.
+    """Discrete process noise: the integral of Phi(s) M_c Phi(s)^T over the
+    step, from :func:`phi_and_md`.
 
     The analytic mode evaluates the integral in closed form (the rotation
     blocks of Phi are orthogonal, so the bias and calibration blocks are
@@ -213,47 +193,7 @@ def compute_Md(omega0: np.ndarray, dt: float, noise: NoiseConfig, n: int,
     by the rotation block-diagonal (see :func:`eqf_B0`) is an exact identity,
     so the densities enter the closed form directly.
     """
-    if dt <= 0.0:
-        raise NonPositiveDtError("dt must be positive")
-    dim = 6 + 3 * n
-    sw2 = noise.sigma_w ** 2
-    st2 = noise.sigma_bw ** 2
-    sk2 = noise.sigma_kappa ** 2
-
-    md = np.zeros((dim, dim))
-    if mode == MD_FIRST_ORDER:
-        np.fill_diagonal(md[0:3, 0:3], sw2 * dt)
-        np.fill_diagonal(md[3:6, 3:6], st2 * dt)
-        for i in range(n):
-            j = 6 + 3 * i
-            np.fill_diagonal(md[j:j + 3, j:j + 3], sk2 * dt)
-        return md
-    if mode != MD_ANALYTIC:
-        raise ValueError(f"unknown md mode: {mode!r}")
-
-    w = wedge(omega0)
-    w2 = w @ w
-    theta = float(np.linalg.norm(omega0)) * dt
-    if theta < _MD_SERIES_ANGLE:
-        t2 = theta * theta
-        c11 = dt ** 5 * (1.0 / 60.0 - t2 / 2520.0 + t2 * t2 / 181440.0)
-        c12a = dt ** 3 * (1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0)
-        c12b = dt ** 4 * (1.0 / 24.0 - t2 / 720.0 + t2 * t2 / 40320.0)
-    else:
-        norm = theta / dt
-        c11 = (theta ** 3 / 3.0 + 2.0 * np.sin(theta) - 2.0 * theta) / norm ** 5
-        c12a = (theta - np.sin(theta)) / norm ** 3
-        c12b = (theta * theta / 2.0 + np.cos(theta) - 1.0) / norm ** 4
-
-    md[0:3, 0:3] = (sw2 * dt + st2 * dt ** 3 / 3.0) * np.eye(3) + st2 * c11 * w2
-    m12 = st2 * (-(dt * dt / 2.0) * np.eye(3) + c12a * w - c12b * w2)
-    md[0:3, 3:6] = m12
-    md[3:6, 0:3] = m12.T
-    np.fill_diagonal(md[3:6, 3:6], st2 * dt)
-    for i in range(n):
-        j = 6 + 3 * i
-        np.fill_diagonal(md[j:j + 3, j:j + 3], sk2 * dt)
-    return md
+    return phi_and_md(omega0, dt, noise, n, mode)[1]
 
 
 _IDX_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -277,11 +217,11 @@ def _block_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def phi_and_md(omega0: np.ndarray, dt: float, noise: NoiseConfig, n: int,
                md_mode: str = MD_ANALYTIC) -> tuple[np.ndarray, np.ndarray]:
-    """Fused construction of the transition matrix and discrete noise.
+    """Transition matrix exp(A0 dt) and discrete process noise of one step.
 
-    Same formulas as compute_phi / compute_Md, sharing the skew powers and
-    trig evaluations and writing the blocks in place; this is the hot path of
-    the propagation loop.
+    The only implementation of both formulas: the two share the skew powers
+    and trig evaluations, and the blocks are written in place, as this is the
+    hot path of the propagation loop.
     """
     if dt <= 0.0:
         raise NonPositiveDtError("dt must be positive")

@@ -15,11 +15,11 @@ import numpy as np
 
 from .eqf import (
     REPROJECT_EVERY,
-    BadDimensionError,
     DirectionMeasurement,
     NoiseConfig,
     NonPositiveDtError,
     SensorModel,
+    _check_sigma0,
     _kalman_step,
     _measured_sensors,
     sigma_u,
@@ -42,15 +42,7 @@ def iekf_init(xi0: SystemState, sigma0: np.ndarray, adapt: bool = True,
               t0: float = 0.0) -> IekfState:
     """Initialize the filter; optionally conjugate sigma0 by the block
     rotation built from the initialization estimate."""
-    n = xi0.n
-    dim = 6 + 3 * n
-    sigma0 = np.asarray(sigma0, dtype=float)
-    if sigma0.shape != (dim, dim):
-        raise BadDimensionError(f"sigma0 must be {dim}x{dim}")
-    if np.max(np.abs(sigma0 - sigma0.T)) > 1e-9:
-        raise BadDimensionError("sigma0 must be symmetric")
-    if np.min(np.linalg.eigvalsh(sigma0)) < -1e-9 * max(np.trace(sigma0), 1.0):
-        raise BadDimensionError("sigma0 must be positive semi-definite")
+    sigma0 = _check_sigma0(sigma0, xi0.n)
     if adapt:
         pi0 = _init_adaptation(xi0)
         sigma0 = pi0 @ sigma0 @ pi0.T

@@ -63,19 +63,28 @@ def exp_so3(v: np.ndarray) -> np.ndarray:
 def log_so3(r: np.ndarray) -> np.ndarray:
     """Vee of the principal logarithm of a rotation matrix, norm <= pi.
 
-    At angle pi the logarithm is two-valued; the sign is fixed so that the
-    first nonzero axis component is positive.
+    r may be one (3, 3) rotation or a stack (..., 3, 3); the result has
+    shape (..., 3).  At angle pi the logarithm is two-valued; the sign is
+    fixed so that the first nonzero axis component is positive.
     """
-    skew = 0.5 * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    s = float(np.linalg.norm(skew))                      # sin(angle)
-    c = 0.5 * (np.trace(r) - 1.0)                        # cos(angle)
-    angle = float(np.arctan2(s, c))
+    r = np.asarray(r, dtype=float)
+    skew = 0.5 * np.stack([r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0],
+                           r[..., 1, 0] - r[..., 0, 1]], axis=-1)
+    s = np.linalg.norm(skew, axis=-1)                    # sin(angle)
+    c = 0.5 * (np.trace(r, axis1=-2, axis2=-1) - 1.0)    # cos(angle)
+    angle = np.arctan2(s, c)
+    # Below the Taylor angle the skew part is the logarithm; away from pi it
+    # is scaled by angle / sin(angle).  s >= sin(1e-8) on the scaled entries.
+    scale = np.where(angle < _LOG_TAYLOR_ANGLE, 1.0,
+                     angle / np.maximum(s, np.finfo(float).tiny))
+    out = skew * scale[..., None]
+    for i in map(tuple, np.argwhere(angle >= _LOG_PI_ANGLE)):
+        out[i] = _log_near_pi(r[i], skew[i], s[i], c[i], angle[i])
+    return out
 
-    if angle < _LOG_TAYLOR_ANGLE:
-        return skew
-    if angle < _LOG_PI_ANGLE:
-        return skew * (angle / s)
 
+def _log_near_pi(r: np.ndarray, skew: np.ndarray, s: float, c: float,
+                 angle: float) -> np.ndarray:
     # Near pi: sin(angle) cancels, extract the axis from the symmetric part.
     # R = I + sin(t) K + (1-cos(t)) K^2 with K = wedge(axis), so
     # axis axis^T = I + (sym(R) - I)/(1 - cos(t)).

@@ -41,6 +41,7 @@ class ErrorSeries:
     att_deg: np.ndarray
     bias: np.ndarray
     cal_deg: np.ndarray            # (K, n)
+    att_vec: np.ndarray | None = None    # (K, 3), log(R_true Rhat^T)
 
 
 @dataclass
@@ -70,15 +71,13 @@ def interpolate_truth(truth: GroundTruth, t: np.ndarray, tol: float | None = Non
 
     idx = np.searchsorted(tt, t, side="right") - 1
     idx = np.clip(idx, 0, tt.size - 2 if tt.size > 1 else 0)
-    r_out = np.empty((t.size, 3, 3))
-    b_out = np.empty((t.size, 3))
-    for k, (tk, i) in enumerate(zip(t, idx)):
-        if tt.size == 1 or abs(tk - tt[i]) < 1e-12:
-            r_out[k] = truth.R[i]
-            b_out[k] = truth.bias[i]
-            continue
-        span = tt[i + 1] - tt[i]
-        s = np.clip((tk - tt[i]) / span, 0.0, 1.0)
+    r_out = truth.R[idx]
+    b_out = truth.bias[idx]
+    if tt.size == 1:
+        return r_out, b_out
+    for k in np.flatnonzero(np.abs(t - tt[idx]) >= 1e-12):
+        i = idx[k]
+        s = np.clip((t[k] - tt[i]) / (tt[i + 1] - tt[i]), 0.0, 1.0)
         r_out[k] = truth.R[i] @ exp_so3(s * log_so3(truth.R[i].T @ truth.R[i + 1]))
         b_out[k] = (1.0 - s) * truth.bias[i] + s * truth.bias[i + 1]
     return r_out, b_out
@@ -87,16 +86,12 @@ def interpolate_truth(truth: GroundTruth, t: np.ndarray, tol: float | None = Non
 def error_series(truth: GroundTruth, est: EstimateSeries) -> ErrorSeries:
     """Attitude / bias / calibration error norms at the estimate timestamps."""
     r_true, b_true = interpolate_truth(truth, est.t)
-    k = est.t.size
-    n = est.C.shape[1]
-    att = np.empty(k)
-    cal = np.empty((k, n))
-    for i in range(k):
-        att[i] = rotation_angle_deg(r_true[i], est.R[i])
-        for j in range(n):
-            cal[i, j] = rotation_angle_deg(truth.cal[j], est.C[i, j])
-    bias = np.linalg.norm(b_true - est.b, axis=1)
-    return ErrorSeries(est.t.copy(), att, bias, cal)
+    att_vec = log_so3(r_true @ np.swapaxes(est.R, -1, -2))
+    cal_true = np.asarray(truth.cal, dtype=float).reshape(-1, 3, 3)
+    cal_vec = log_so3(cal_true @ np.swapaxes(est.C, -1, -2))
+    return ErrorSeries(est.t.copy(), np.degrees(np.linalg.norm(att_vec, axis=-1)),
+                       np.linalg.norm(b_true - est.b, axis=1),
+                       np.degrees(np.linalg.norm(cal_vec, axis=-1)), att_vec)
 
 
 def rmse(values: np.ndarray, t: np.ndarray, window: tuple[float, float]) -> float:

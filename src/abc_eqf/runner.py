@@ -4,18 +4,25 @@ discretization runtime study.
 The measurement loop propagates on every gyro sample and applies direction
 measurements sequentially at their own timestamps; measurements that share a
 timestamp (within 1e-6 s) are applied as one stacked update, and
-measurements later than the last gyro sample are ignored.  Monte-Carlo
-runs execute on a process pool (worker count from the ABC_EQF_THREADS
-environment variable when set) with per-run seeds derived as base seed + run
-index, so results do not depend on the pool size.
+measurements later than the last gyro sample are ignored.  The loop only
+filters and records estimates; the evaluation against truth (interpolation,
+error series, attitude NEES) runs after it, so `FilterRun.wall_s`, the
+`wall_s` column of per-run reports and the runtime row of comparison tables
+cover filtering only.
+
+Monte-Carlo runs execute on a process pool (worker count from the
+ABC_EQF_THREADS environment variable when set) with per-run seeds derived as
+base seed + run index, so results do not depend on the pool size.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -37,19 +44,18 @@ from .eqf import (
     sigma_u,
     validate_layout,
 )
-from .iekf import IekfState, iekf_init, iekf_propagate, iekf_update
-from .lie import log_so3, wedge
+from .iekf import iekf_init, iekf_propagate, iekf_update
+from .lie import wedge
 from .metrics import (
     EstimateSeries,
     RmseReport,
     error_series,
-    interpolate_truth,
     mc_aggregate,
     report_from_series,
     window_mean,
 )
 from .sim import GroundTruth, SimData, simulate_run
-from .symmetry import GroupElement, SystemState, identity_state, state_from_group
+from .symmetry import GroupElement, identity_state, state_from_group
 
 STACK_TIME_TOL = 1e-6
 
@@ -73,50 +79,26 @@ def initial_sigma(cfg: RunConfig) -> np.ndarray:
     return np.diag([att] * 3 + [cfg.sigma0_bias ** 2] * 3 + [cal] * 3 * cfg.n_cal)
 
 
-class _EqfDriver:
-    name = "eqf"
+def _filter_callables(kind: str, cfg: RunConfig, sensors: list[SensorModel]):
+    """Initial state and the propagate, update and estimate callables of one
+    filter, bound to the config.
 
-    def __init__(self, cfg: RunConfig, sensors: list[SensorModel]):
-        self.sensors = sensors
-        self.noise = noise_config(cfg)
-        self.residual_mode = cfg.residual_mode
-        self.md_mode = cfg.md_mode
-        self.state: FilterState = eqf_init(cfg.n_cal, sensors, self.noise, initial_sigma(cfg))
-
-    def propagate(self, omega: np.ndarray, dt: float) -> None:
-        self.state = eqf_propagate(self.state, omega, dt, self.noise, self.md_mode)
-
-    def update(self, group: list[DirectionMeasurement]) -> None:
-        self.state = eqf_update(self.state, group, self.sensors, self.residual_mode)
-
-    def estimate(self) -> SystemState:
-        return state_from_group(self.state.xhat)
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return self.state.sigma
-
-
-class _IekfDriver:
-    name = "iekf"
-
-    def __init__(self, cfg: RunConfig, sensors: list[SensorModel]):
-        self.sensors = sensors
-        self.noise = noise_config(cfg)
-        self.state: IekfState = iekf_init(identity_state(cfg.n_cal), initial_sigma(cfg))
-
-    def propagate(self, omega: np.ndarray, dt: float) -> None:
-        self.state = iekf_propagate(self.state, omega, dt, self.noise)
-
-    def update(self, group: list[DirectionMeasurement]) -> None:
-        self.state = iekf_update(self.state, group, self.sensors)
-
-    def estimate(self) -> SystemState:
-        return self.state.xi
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return self.state.sigma
+    Built per call and through module globals, so that functions patched on
+    this module (by a tracer, say) are the ones that run.
+    """
+    noise = noise_config(cfg)
+    sigma0 = initial_sigma(cfg)
+    if kind == "eqf":
+        return (eqf_init(cfg.n_cal, sensors, noise, sigma0),
+                partial(eqf_propagate, noise=noise, md_mode=cfg.md_mode),
+                partial(eqf_update, sensors=sensors, residual_mode=cfg.residual_mode),
+                lambda state: state_from_group(state.xhat))
+    if kind == "iekf":
+        return (iekf_init(identity_state(cfg.n_cal), sigma0),
+                partial(iekf_propagate, noise=noise),
+                partial(iekf_update, sensors=sensors),
+                attrgetter("xi"))
+    raise ValueError(f"unknown filter kind: {kind!r}")
 
 
 @dataclass
@@ -143,51 +125,46 @@ def drive_filter(kind: str, gyro_t: np.ndarray, gyro_omega: np.ndarray,
     Measurements later than the last gyro sample are ignored: no estimate is
     recorded after them.
     """
-    sensors = build_sensors(cfg)
-    driver = _EqfDriver(cfg, sensors) if kind == "eqf" else _IekfDriver(cfg, sensors)
+    state, propagate, update, estimate = _filter_callables(kind, cfg, build_sensors(cfg))
 
     k_total = gyro_t.size
     n = cfg.n_cal
-    dim = 6 + 3 * n
     est_r = np.empty((k_total, 3, 3))
     est_b = np.empty((k_total, 3))
     est_c = np.empty((k_total, n, 3, 3))
-    sig_diag = np.empty((k_total, dim))
-    r_true = b_true = None
-    nees = None
-    if truth is not None:
-        r_true, b_true = interpolate_truth(truth, gyro_t)
-        nees = np.empty(k_total)
+    sig_diag = np.empty((k_total, 6 + 3 * n))
+    sig_att = np.empty((k_total, 3, 3))
 
     mi = 0
     m_total = len(measurements)
     t_start = time.perf_counter()
     for k in range(k_total):
         if k > 0:
-            driver.propagate(gyro_omega[k], gyro_t[k] - gyro_t[k - 1])
+            state = propagate(state, gyro_omega[k], gyro_t[k] - gyro_t[k - 1])
         while mi < m_total and measurements[mi].t <= gyro_t[k] + 1e-12:
             group = [measurements[mi]]
             mi += 1
             while mi < m_total and measurements[mi].t - group[0].t <= STACK_TIME_TOL:
                 group.append(measurements[mi])
                 mi += 1
-            driver.update(group)
-        xi = driver.estimate()
+            state = update(state, group)
+        xi = estimate(state)
         est_r[k] = xi.R
         est_b[k] = xi.b
         for j in range(n):
             est_c[k, j] = xi.C[j]
-        sigma = driver.sigma
+        sigma = state.sigma
         sig_diag[k] = np.diag(sigma)
-        if nees is not None:
-            eps = log_so3(r_true[k] @ xi.R.T)
-            nees[k] = eps @ np.linalg.solve(sigma[0:3, 0:3], eps)
+        sig_att[k] = sigma[0:3, 0:3]
     wall = time.perf_counter() - t_start
 
-    est = EstimateSeries(gyro_t.copy(), est_r, est_b, est_c, sig_diag, nees)
+    est = EstimateSeries(gyro_t.copy(), est_r, est_b, est_c, sig_diag)
     run = FilterRun(kind, est, wall_s=wall)
     if truth is not None:
         run.err = error_series(truth, est)
+        eps = run.err.att_vec
+        est.nees_att = np.einsum("ki,ki->k", eps,
+                                 np.linalg.solve(sig_att, eps[..., None])[..., 0])
         run.report = report_from_series(run.err)
     return run
 

@@ -178,6 +178,25 @@ def test_cli_run_duplicate_gyro_time_is_data_error(tmp_path, config_file, capsys
     assert "gyro.csv:102" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, cols, value", [
+    ("gyro.csv", slice(1, 2), "nan"),            # wx
+    ("gyro.csv", slice(3, 4), "inf"),            # wz
+    ("dir_mag.csv", slice(1, 4), "0"),           # measured direction
+    ("dir_gnss.csv", slice(4, 7), "0.0"),        # time-varying reference
+])
+def test_cli_run_bad_value_is_data_error(tmp_path, config_file, capsys, name, cols, value):
+    logs = tmp_path / "logs"
+    assert main(["simulate", "--config", str(config_file), "--out", str(logs)]) == 0
+    lines = (logs / name).read_text().splitlines()
+    fields = lines[10].split(",")                # data row 10 (file row 11)
+    fields[cols] = [value] * (cols.stop - cols.start)
+    lines[10] = ",".join(fields)
+    (logs / name).write_text("\n".join(lines) + "\n")
+    assert main(["run", "--config", str(config_file), "--logs", str(logs),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"{name}:11" in capsys.readouterr().err
+
+
 def test_cli_run_ignores_measurements_after_last_gyro(tmp_path, config_file):
     logs = tmp_path / "logs"
     assert main(["simulate", "--config", str(config_file), "--out", str(logs)]) == 0

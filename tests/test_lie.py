@@ -113,6 +113,22 @@ def test_log_near_pi_branch(rng):
         assert np.linalg.norm(log_so3(exp_so3(v)) - v) <= 1e-8
 
 
+def test_log_of_stack_equals_per_matrix_calls(rng):
+    mats = [np.eye(3),
+            exp_so3(np.array([3e-9, -1e-9, 2e-9])),                 # Taylor range
+            exp_so3(rng.normal(size=3)),                            # generic
+            exp_so3((np.pi - 1e-6) * np.array([0.0, 0.6, -0.8])),   # near pi
+            np.diag([-1.0, 1.0, -1.0]),                             # exact half turn
+            exp_so3(np.pi * np.array([0.0, -0.6, 0.8]))]
+    mats += [exp_so3(rng.normal(0.0, 2.0, size=3)) for _ in range(20)]
+    stack = np.stack(mats)
+    per_matrix = np.stack([log_so3(r) for r in mats])
+    assert_allclose(log_so3(stack), per_matrix, rtol=0.0, atol=1e-15)
+    assert_allclose(log_so3(stack.reshape(2, 13, 3, 3)), per_matrix.reshape(2, 13, 3),
+                    rtol=0.0, atol=1e-15)
+    assert log_so3(np.empty((4, 0, 3, 3))).shape == (4, 0, 3)
+
+
 def test_log_norm_bounded(rng):
     for _ in range(300):
         r = exp_so3(rng.normal(0.0, 3.0, size=3))
