@@ -22,8 +22,9 @@ from .config import (
     validate_config,
 )
 from .metrics import EmptyWindowError, MisalignedError, RmseReport, compare_report
-from .runner import bench_phi, drive_filter, montecarlo, selected_filters
+from .runner import drive_filter, montecarlo, selected_filters
 from .sim import simulate_run
+from .study import bench_phi
 
 logger = logging.getLogger(__name__)
 

@@ -165,13 +165,33 @@ def _divides(high: float, low: float) -> bool:
     return abs(ratio - round(ratio)) < 1e-9 and round(ratio) >= 1
 
 
-_RUN_KEYS = {"seed", "duration", "filter", "residual_mode", "md_mode", "gyro_rate"}
-_TRAJ_KEYS = {"rate", "amp_min", "amp_max", "freq_min", "freq_max"}
-_NOISE_KEYS = {"sigma_w", "sigma_bw", "sigma_kappa"}
-_INIT_KEYS = {"att_err_deg", "cal_err_deg", "bias_init_std",
-              "sigma0_att_deg", "sigma0_bias", "sigma0_cal_deg"}
-_SENSOR_KEYS = {"kind", "calibrated", "sigma_y", "rate", "dropout", "jitter",
-                "reference", "body_axis", "baseline", "pos_std"}
+# The config schema, written once: section -> key -> (attribute, type).  It
+# drives the key check, the parsing and the echo; the echo keeps this order.
+_SECTIONS = {
+    "run": {"seed": ("seed", int), "duration": ("duration", float),
+            "filter": ("filter", str), "residual_mode": ("residual_mode", str),
+            "md_mode": ("md_mode", str), "gyro_rate": ("gyro_rate", float)},
+    "trajectory": {"rate": ("traj_rate", float), "amp_min": ("amp_min", float),
+                   "amp_max": ("amp_max", float), "freq_min": ("freq_min", float),
+                   "freq_max": ("freq_max", float)},
+    "noise": {"sigma_w": ("sigma_w", float), "sigma_bw": ("sigma_bw", float),
+              "sigma_kappa": ("sigma_kappa", float)},
+    "init": {"att_err_deg": ("att_err_deg", float), "cal_err_deg": ("cal_err_deg", float),
+             "bias_init_std": ("bias_init_std", float),
+             "sigma0_att_deg": ("sigma0_att_deg", float),
+             "sigma0_bias": ("sigma0_bias", float),
+             "sigma0_cal_deg": ("sigma0_cal_deg", float)},
+}
+_SENSOR_KEYS = {
+    "kind": ("kind", str), "calibrated": ("calibrated", bool),
+    "sigma_y": ("sigma_y", float), "rate": ("rate", float),
+    "dropout": ("dropout", float), "jitter": ("jitter", float),
+    "reference": ("reference", np.ndarray), "body_axis": ("body_axis", np.ndarray),
+    "baseline": ("baseline", float), "pos_std": ("pos_std", float),
+}
+# Keys that only one sensor kind uses; the echo leaves out the other kind's.
+_KIND_ONLY = {"reference": "fixed", "body_axis": "gnss", "baseline": "gnss",
+              "pos_std": "gnss"}
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -193,61 +213,26 @@ def load_config(path: str | Path) -> RunConfig:
 def _apply_sections(parser: configparser.ConfigParser, cfg: RunConfig) -> None:
     for section in parser.sections():
         items = parser[section]
-        if section == "run":
-            _check_keys(section, items, _RUN_KEYS)
-            cfg.seed = items.getint("seed", cfg.seed)
-            cfg.duration = items.getfloat("duration", cfg.duration)
-            cfg.filter = items.get("filter", cfg.filter)
-            cfg.residual_mode = items.get("residual_mode", cfg.residual_mode)
-            cfg.md_mode = items.get("md_mode", cfg.md_mode)
-            cfg.gyro_rate = items.getfloat("gyro_rate", cfg.gyro_rate)
-        elif section == "trajectory":
-            _check_keys(section, items, _TRAJ_KEYS)
-            cfg.traj_rate = items.getfloat("rate", cfg.traj_rate)
-            cfg.amp_min = items.getfloat("amp_min", cfg.amp_min)
-            cfg.amp_max = items.getfloat("amp_max", cfg.amp_max)
-            cfg.freq_min = items.getfloat("freq_min", cfg.freq_min)
-            cfg.freq_max = items.getfloat("freq_max", cfg.freq_max)
-        elif section == "noise":
-            _check_keys(section, items, _NOISE_KEYS)
-            cfg.sigma_w = items.getfloat("sigma_w", cfg.sigma_w)
-            cfg.sigma_bw = items.getfloat("sigma_bw", cfg.sigma_bw)
-            cfg.sigma_kappa = items.getfloat("sigma_kappa", cfg.sigma_kappa)
-        elif section == "init":
-            _check_keys(section, items, _INIT_KEYS)
-            cfg.att_err_deg = items.getfloat("att_err_deg", cfg.att_err_deg)
-            cfg.cal_err_deg = items.getfloat("cal_err_deg", cfg.cal_err_deg)
-            cfg.bias_init_std = items.getfloat("bias_init_std", cfg.bias_init_std)
-            cfg.sigma0_att_deg = items.getfloat("sigma0_att_deg", cfg.sigma0_att_deg)
-            cfg.sigma0_bias = items.getfloat("sigma0_bias", cfg.sigma0_bias)
-            cfg.sigma0_cal_deg = items.getfloat("sigma0_cal_deg", cfg.sigma0_cal_deg)
+        if section in _SECTIONS:
+            target, schema = cfg, _SECTIONS[section]
         elif section.startswith("sensor."):
-            _check_keys(section, items, _SENSOR_KEYS)
-            sensor = SensorConfig(sensor_id=section.split(".", 1)[1])
-            sensor.kind = items.get("kind", sensor.kind)
-            sensor.calibrated = items.getboolean("calibrated", sensor.calibrated)
-            sensor.sigma_y = items.getfloat("sigma_y", sensor.sigma_y)
-            sensor.rate = items.getfloat("rate", sensor.rate)
-            sensor.dropout = items.getfloat("dropout", sensor.dropout)
-            sensor.jitter = items.getfloat("jitter", sensor.jitter)
-            if "reference" in items:
-                sensor.reference = _parse_vec3(section, "reference", items["reference"])
-            if "body_axis" in items:
-                sensor.body_axis = _parse_vec3(section, "body_axis", items["body_axis"])
-            sensor.baseline = items.getfloat("baseline", sensor.baseline)
-            sensor.pos_std = items.getfloat("pos_std", sensor.pos_std)
-            cfg.sensors.append(sensor)
+            target, schema = SensorConfig(sensor_id=section.split(".", 1)[1]), _SENSOR_KEYS
+            cfg.sensors.append(target)
         else:
             raise ConfigError(f"unknown config section [{section}]")
+        for key in items:
+            if key not in schema:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+        for key, (attr, kind) in schema.items():
+            if key in items:
+                setattr(target, attr, _parse_value(section, items, key, kind))
 
 
-def _check_keys(section: str, items: configparser.SectionProxy, allowed: set[str]) -> None:
-    for key in items:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in section [{section}]")
-
-
-def _parse_vec3(section: str, key: str, raw: str) -> np.ndarray:
+def _parse_value(section: str, items: configparser.SectionProxy, key: str, kind: type):
+    if kind is not np.ndarray:
+        getters = {bool: items.getboolean, int: items.getint, float: items.getfloat}
+        return getters.get(kind, items.get)(key)
+    raw = items[key]
     parts = raw.replace(",", " ").split()
     if len(parts) != 3:
         raise ConfigError(f"[{section}] {key} needs three components, got {raw!r}")
@@ -257,59 +242,27 @@ def _parse_vec3(section: str, key: str, raw: str) -> np.ndarray:
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
 
+def _format_value(value, kind: type) -> str:
+    if kind is np.ndarray:
+        return " ".join(f"{x:.17g}" for x in value)
+    if kind is bool:
+        return str(value).lower()
+    return repr(value) if kind is float else str(value)
+
+
 def echo_config(cfg: RunConfig, path: str | Path) -> None:
     """Write the fully resolved configuration (all defaults expanded)."""
     parser = configparser.ConfigParser()
-    parser["run"] = {
-        "seed": str(cfg.seed),
-        "duration": repr(cfg.duration),
-        "filter": cfg.filter,
-        "residual_mode": cfg.residual_mode,
-        "md_mode": cfg.md_mode,
-        "gyro_rate": repr(cfg.gyro_rate),
-    }
-    parser["trajectory"] = {
-        "rate": repr(cfg.traj_rate),
-        "amp_min": repr(cfg.amp_min),
-        "amp_max": repr(cfg.amp_max),
-        "freq_min": repr(cfg.freq_min),
-        "freq_max": repr(cfg.freq_max),
-    }
-    parser["noise"] = {
-        "sigma_w": repr(cfg.sigma_w),
-        "sigma_bw": repr(cfg.sigma_bw),
-        "sigma_kappa": repr(cfg.sigma_kappa),
-    }
-    parser["init"] = {
-        "att_err_deg": repr(cfg.att_err_deg),
-        "cal_err_deg": repr(cfg.cal_err_deg),
-        "bias_init_std": repr(cfg.bias_init_std),
-        "sigma0_att_deg": repr(cfg.sigma0_att_deg),
-        "sigma0_bias": repr(cfg.sigma0_bias),
-        "sigma0_cal_deg": repr(cfg.sigma0_cal_deg),
-    }
+    for section, schema in _SECTIONS.items():
+        parser[section] = {key: _format_value(getattr(cfg, attr), kind)
+                           for key, (attr, kind) in schema.items()}
     for s in cfg.sensors:
-        section = {
-            "kind": s.kind,
-            "calibrated": str(s.calibrated).lower(),
-            "sigma_y": repr(s.sigma_y),
-            "rate": repr(s.rate),
-            "dropout": repr(s.dropout),
-            "jitter": repr(s.jitter),
-        }
-        if s.kind == "fixed":
-            section["reference"] = _fmt_vec3(s.reference)
-        else:
-            section["body_axis"] = _fmt_vec3(s.body_axis)
-            section["baseline"] = repr(s.baseline)
-            section["pos_std"] = repr(s.pos_std)
-        parser[f"sensor.{s.sensor_id}"] = section
+        parser[f"sensor.{s.sensor_id}"] = {
+            key: _format_value(getattr(s, attr), kind)
+            for key, (attr, kind) in _SENSOR_KEYS.items()
+            if _KIND_ONLY.get(key, s.kind) == s.kind}
     with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)
-
-
-def _fmt_vec3(v: np.ndarray) -> str:
-    return " ".join(f"{x:.17g}" for x in v)
 
 
 def with_seed(cfg: RunConfig, seed: int) -> RunConfig:

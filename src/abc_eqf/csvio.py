@@ -40,7 +40,9 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _read_table(path: Path, required: list[str]) -> tuple[list[str], list[list[float]]]:
+def _read_table(path: Path, required: list[str]
+                ) -> tuple[list[str], list[list[float]], list[int]]:
+    """Header, parsed rows and the file row of each; blank lines are skipped."""
     try:
         fh = open(path, "r", newline="", encoding="utf-8")
     except OSError as exc:
@@ -54,7 +56,7 @@ def _read_table(path: Path, required: list[str]) -> tuple[list[str], list[list[f
         for col in required:
             if col not in header:
                 raise ParseError(path, 1, f"missing column {col!r}")
-        rows = []
+        rows, file_rows = [], []
         for i, raw in enumerate(reader, start=2):
             if not raw:
                 continue
@@ -68,13 +70,15 @@ def _read_table(path: Path, required: list[str]) -> tuple[list[str], list[list[f
                 if not math.isfinite(v):
                     raise ParseError(path, i, f"non-finite value {v!r} in column {col!r}")
             rows.append(values)
-    return header, rows
+            file_rows.append(i)
+    return header, rows, file_rows
 
 
-def _check_sorted(path: Path, t: np.ndarray, strict: bool = False) -> None:
+def _check_sorted(path: Path, t: np.ndarray, file_rows: list[int],
+                  strict: bool = False) -> None:
     bad = np.diff(t) <= 0.0 if strict else np.diff(t) < 0.0
     if np.any(bad):
-        row = int(np.argmax(bad)) + 3  # +2 header/1-base, +1 second row
+        row = file_rows[int(np.argmax(bad)) + 1]   # the second row of the pair
         order = "strictly increasing" if strict else "non-decreasing"
         raise ParseError(path, row, f"timestamps are not sorted ({order} required)")
 
@@ -88,9 +92,9 @@ def write_gyro(path: Path, t: np.ndarray, omega: np.ndarray) -> None:
 
 
 def read_gyro(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    _, rows = _read_table(path, GYRO_HEADER)
+    _, rows, file_rows = _read_table(path, GYRO_HEADER)
     data = np.asarray(rows, dtype=float).reshape(-1, 4)
-    _check_sorted(path, data[:, 0], strict=True)
+    _check_sorted(path, data[:, 0], file_rows, strict=True)
     return data[:, 0], data[:, 1:4]
 
 
@@ -113,7 +117,7 @@ def write_directions(path: Path, meas: list[DirectionMeasurement]) -> None:
 
 
 def read_directions(path: Path, sensor_id: str) -> list[DirectionMeasurement]:
-    header, rows = _read_table(path, ["t", "yx", "yy", "yz"])
+    header, rows, file_rows = _read_table(path, ["t", "yx", "yy", "yz"])
     time_varying = "dx" in header
     if time_varying:
         for col in ("dx", "dy", "dz"):
@@ -121,12 +125,12 @@ def read_directions(path: Path, sensor_id: str) -> list[DirectionMeasurement]:
                 raise ParseError(path, 1, f"missing column {col!r}")
     data = np.asarray(rows, dtype=float)
     if data.size:
-        _check_sorted(path, data[:, 0])
+        _check_sorted(path, data[:, 0], file_rows)
         zero = ~np.any(data[:, 1:4], axis=1)
         if time_varying:
             zero |= ~np.any(data[:, 4:7], axis=1)
         if np.any(zero):
-            raise ParseError(path, int(np.argmax(zero)) + 2, "all-zero direction")
+            raise ParseError(path, file_rows[int(np.argmax(zero))], "all-zero direction")
     out = []
     for row in data:
         ref = row[4:7].copy() if time_varying else None
@@ -155,14 +159,14 @@ def write_truth(path: Path, truth: GroundTruth) -> None:
 
 
 def read_truth(path: Path) -> GroundTruth:
-    header, rows = _read_table(path, truth_header(0))
+    header, rows, file_rows = _read_table(path, truth_header(0))
     n = (len(header) - 13) // 9
     if len(header) != 13 + 9 * n:
         raise ParseError(path, 1, "unexpected truth column count")
     data = np.asarray(rows, dtype=float)
     if not data.size:
         raise ParseError(path, 2, "empty truth file")
-    _check_sorted(path, data[:, 0])
+    _check_sorted(path, data[:, 0], file_rows)
     t = data[:, 0]
     r = data[:, 1:10].reshape(-1, 3, 3)
     bias = data[:, 10:13]

@@ -33,6 +33,9 @@ MD_FIRST_ORDER = "first-order"
 # the drift stays at rounding level.  The IEKF shares this schedule.
 REPROJECT_EVERY = 1000
 
+# A measurement may be stamped at most this far [s] after the filter time.
+MEASUREMENT_SLACK = 0.05
+
 S_CONDITION_LIMIT = 1e12
 
 _PHI_SERIES_ANGLE = 1e-4
@@ -388,8 +391,8 @@ def _measured_sensors(meas: list[DirectionMeasurement],
     return used, refs
 
 
-def _kalman_step(sigma: np.ndarray, h: np.ndarray, noise_cov: np.ndarray, t: float,
-                 joseph: bool) -> tuple[np.ndarray, np.ndarray] | None:
+def _kalman_step(sigma: np.ndarray, h: np.ndarray, noise_cov: np.ndarray, t: float
+                 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Gain and symmetrized updated covariance for output matrix h.
 
     Returns None, with a warning, when the innovation covariance S is
@@ -407,17 +410,13 @@ def _kalman_step(sigma: np.ndarray, h: np.ndarray, noise_cov: np.ndarray, t: flo
         logger.warning("update at t=%.6f skipped: S condition number %.3e", t, cond)
         return None
     gain = np.linalg.solve(s_mat, sht.T).T
-    if joseph:
-        ikh = np.eye(sigma.shape[0]) - gain @ h
-        sigma = ikh @ sigma @ ikh.T + gain @ noise_cov @ gain.T
-    else:
-        sigma = sigma - gain @ h @ sigma
+    sigma = sigma - gain @ h @ sigma
     return gain, 0.5 * (sigma + sigma.T)
 
 
 def eqf_update(fs: FilterState, meas: list[DirectionMeasurement],
-               sensors: list[SensorModel], residual_mode: str = RESIDUAL_SUBTRACT,
-               joseph: bool = False, slack: float = 0.05) -> FilterState:
+               sensors: list[SensorModel], residual_mode: str = RESIDUAL_SUBTRACT
+               ) -> FilterState:
     """Equivariant update from one or more simultaneous direction measurements.
 
     The equivariant residual of measurement y is Bhat_i y (calibrated sensor)
@@ -434,7 +433,7 @@ def eqf_update(fs: FilterState, meas: list[DirectionMeasurement],
     if not meas:
         return fs
     for m in meas:
-        if m.t > fs.t + slack:
+        if m.t > fs.t + MEASUREMENT_SLACK:
             raise ValueError(f"measurement at t={m.t} is ahead of the filter time {fs.t}")
     x = fs.xhat
     n = x.n
@@ -445,7 +444,7 @@ def eqf_update(fs: FilterState, meas: list[DirectionMeasurement],
     sig_y = np.repeat([s.sigma_y ** 2 for s in used], 3)
     noise_cov = d0 @ np.diag(sig_y) @ d0.T
 
-    step = _kalman_step(fs.sigma, c0, noise_cov, fs.t, joseph)
+    step = _kalman_step(fs.sigma, c0, noise_cov, fs.t)
     if step is None:
         return fs
     gain, sigma = step

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eqf import (
+    MEASUREMENT_SLACK,
     REPROJECT_EVERY,
     DirectionMeasurement,
     NoiseConfig,
@@ -38,27 +39,26 @@ class IekfState:
     steps: int = 0
 
 
-def iekf_init(xi0: SystemState, sigma0: np.ndarray, adapt: bool = True,
-              t0: float = 0.0) -> IekfState:
-    """Initialize the filter; optionally conjugate sigma0 by the block
-    rotation built from the initialization estimate."""
+def iekf_init(xi0: SystemState, sigma0: np.ndarray, t0: float = 0.0) -> IekfState:
+    """Initialize the filter; sigma0 is conjugated by the block rotation
+    built from the initialization estimate."""
     sigma0 = _check_sigma0(sigma0, xi0.n)
-    if adapt:
-        pi0 = _init_adaptation(xi0)
-        sigma0 = pi0 @ sigma0 @ pi0.T
+    pi0 = _block_rotation(xi0, xi0.R)
+    sigma0 = pi0 @ sigma0 @ pi0.T
     xi = SystemState(xi0.R.copy(), xi0.b.copy(), [c.copy() for c in xi0.C])
     return IekfState(xi, 0.5 * (sigma0 + sigma0.T), t0)
 
 
-def _init_adaptation(xi0: SystemState) -> np.ndarray:
-    dim = 6 + 3 * xi0.n
-    pi0 = np.zeros((dim, dim))
-    pi0[0:3, 0:3] = xi0.R
-    pi0[3:6, 3:6] = xi0.R
-    for i, c in enumerate(xi0.C):
+def _block_rotation(xi: SystemState, bias_rot: np.ndarray) -> np.ndarray:
+    """blkdiag(R, bias_rot, C_1, .., C_n) of the state xi."""
+    dim = 6 + 3 * xi.n
+    rot = np.zeros((dim, dim))
+    rot[0:3, 0:3] = xi.R
+    rot[3:6, 3:6] = bias_rot
+    for i, c in enumerate(xi.C):
         j = 6 + 3 * i
-        pi0[j:j + 3, j:j + 3] = c
-    return pi0
+        rot[j:j + 3, j:j + 3] = c
+    return rot
 
 
 def iekf_propagate(s: IekfState, omega: np.ndarray, dt: float,
@@ -73,12 +73,7 @@ def iekf_propagate(s: IekfState, omega: np.ndarray, dt: float,
     phi = np.eye(dim)
     phi[0:3, 3:6] = -xi.R * dt
 
-    b0 = np.zeros((dim, dim))
-    b0[0:3, 0:3] = xi.R
-    b0[3:6, 3:6] = np.eye(3)
-    for i, c in enumerate(xi.C):
-        j = 6 + 3 * i
-        b0[j:j + 3, j:j + 3] = c
+    b0 = _block_rotation(xi, np.eye(3))
     mc = b0 @ sigma_u(noise, n) @ b0.T
 
     sigma = phi @ s.sigma @ phi.T + mc * dt
@@ -93,8 +88,7 @@ def iekf_propagate(s: IekfState, omega: np.ndarray, dt: float,
 
 
 def iekf_update(s: IekfState, meas: list[DirectionMeasurement],
-                sensors: list[SensorModel], joseph: bool = False,
-                slack: float = 0.05) -> IekfState:
+                sensors: list[SensorModel]) -> IekfState:
     """Update from one or more simultaneous direction measurements.
 
     Output matrix rows: [d^ 0 d^ Rhat] for a calibrated sensor (the extra
@@ -106,7 +100,7 @@ def iekf_update(s: IekfState, meas: list[DirectionMeasurement],
     if not meas:
         return s
     for m in meas:
-        if m.t > s.t + slack:
+        if m.t > s.t + MEASUREMENT_SLACK:
             raise ValueError(f"measurement at t={m.t} is ahead of the filter time {s.t}")
     xi = s.xi
     n = xi.n
@@ -131,7 +125,7 @@ def iekf_update(s: IekfState, meas: list[DirectionMeasurement],
 
     sig_y = np.repeat([sns.sigma_y ** 2 for sns in used], 3)
     noise_cov = d_adapt @ np.diag(sig_y) @ d_adapt.T
-    step = _kalman_step(s.sigma, h, noise_cov, s.t, joseph)
+    step = _kalman_step(s.sigma, h, noise_cov, s.t)
     if step is None:
         return s
     gain, sigma = step

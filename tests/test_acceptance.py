@@ -23,8 +23,9 @@ from abc_eqf.eqf import (
     SensorModel,
 )
 from abc_eqf.lie import exp_so3, wedge
-from abc_eqf.runner import bench_phi, montecarlo, run_filters
+from abc_eqf.runner import montecarlo, run_filters
 from abc_eqf.sim import simulate_run
+from abc_eqf.study import bench_phi
 from abc_eqf.symmetry import (
     action_phi,
     action_psi,

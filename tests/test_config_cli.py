@@ -70,6 +70,66 @@ def test_config_echo_round_trip(tmp_path, config_file):
     assert cfg2.sensors[1].baseline == cfg.sensors[1].baseline
 
 
+# echo_config(default_config()): key order and float format are part of the
+# provenance record that every run writes
+DEFAULT_ECHO = """\
+[run]
+seed = 0
+duration = 70.0
+filter = both
+residual_mode = subtract
+md_mode = analytic
+gyro_rate = 200.0
+
+[trajectory]
+rate = 200.0
+amp_min = 0.2
+amp_max = 0.8
+freq_min = 0.1
+freq_max = 0.5
+
+[noise]
+sigma_w = 0.000873
+sigma_bw = 1.75e-05
+sigma_kappa = 0.0001
+
+[init]
+att_err_deg = 10.0
+cal_err_deg = 20.0
+bias_init_std = 0.02
+sigma0_att_deg = 20.0
+sigma0_bias = 0.05
+sigma0_cal_deg = 30.0
+
+[sensor.mag]
+kind = fixed
+calibrated = true
+sigma_y = 0.2
+rate = 100.0
+dropout = 0.0
+jitter = 0.0
+reference = 0.70710678118654746 0 -0.70710678118654746
+
+[sensor.gnss]
+kind = gnss
+calibrated = false
+sigma_y = 0.1
+rate = 20.0
+dropout = 0.0
+jitter = 0.0
+body_axis = 0 1 0
+baseline = 1.0
+pos_std = 0.1
+
+"""
+
+
+def test_config_echo_default_golden_text(tmp_path):
+    path = tmp_path / "resolved.ini"
+    echo_config(default_config(), path)
+    assert path.read_text() == DEFAULT_ECHO
+
+
 def test_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[run]\nseed = 1\nbogus = 2\n\n[sensor.a]\nrate = 100\n")
@@ -210,6 +270,26 @@ def test_cli_run_ignores_measurements_after_last_gyro(tmp_path, config_file):
     for kind in ("eqf", "iekf"):
         a = (tmp_path / "a" / f"est_{kind}.csv").read_bytes()
         assert (tmp_path / "b" / f"est_{kind}.csv").read_bytes() == a
+
+
+def test_cli_run_log_clock_not_starting_at_zero(tmp_path, config_file):
+    logs = tmp_path / "logs"
+    assert main(["simulate", "--config", str(config_file), "--out", str(logs)]) == 0
+    assert main(["run", "--config", str(config_file), "--logs", str(logs),
+                 "--out", str(tmp_path / "a")]) == 0
+    for path in logs.glob("*.csv"):              # every timestamp + 1000 s
+        lines = path.read_text().splitlines()
+        for i in range(1, len(lines)):
+            t, rest = lines[i].split(",", 1)
+            lines[i] = f"{float(t) + 1000.0!r},{rest}"
+        path.write_text("\n".join(lines) + "\n")
+    assert main(["run", "--config", str(config_file), "--logs", str(logs),
+                 "--out", str(tmp_path / "b")]) == 0
+    for kind in ("eqf", "iekf"):
+        a = np.loadtxt(tmp_path / "a" / f"est_{kind}.csv", delimiter=",", skiprows=1)
+        b = np.loadtxt(tmp_path / "b" / f"est_{kind}.csv", delimiter=",", skiprows=1)
+        assert np.allclose(b[:, 0] - a[:, 0], 1000.0, rtol=0.0, atol=1e-9)
+        assert np.max(np.abs(b[:, 1:] - a[:, 1:])) < 1e-9
 
 
 def test_cli_montecarlo_and_compare(tmp_path, config_file):

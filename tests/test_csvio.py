@@ -41,6 +41,20 @@ def test_gyro_unsorted_rejected(tmp_path):
         csvio.read_gyro(path)
 
 
+@pytest.mark.parametrize("name, text, row", [
+    # a repeated gyro time at file row 6, below a blank line at row 4
+    ("gyro.csv", "t,wx,wy,wz\n0.0,0,0,0\n0.005,0,0,0\n\n0.01,0,0,0\n0.01,0,0,0\n", 6),
+    # an all-zero direction at file row 4, below a blank line at row 3
+    ("dir_mag.csv", "t,yx,yy,yz\n0.0,1,0,0\n\n0.01,0,0,0\n", 4),
+], ids=["gyro", "directions"])
+def test_row_number_counts_blank_lines(tmp_path, name, text, row):
+    path = tmp_path / name
+    path.write_text(text)
+    read = csvio.read_gyro if name == "gyro.csv" else lambda p: csvio.read_directions(p, "mag")
+    with pytest.raises(csvio.ParseError, match=f"{name}:{row}:"):
+        read(path)
+
+
 def test_directions_repeated_time_accepted(tmp_path):
     path = tmp_path / "dir_mag.csv"
     path.write_text("t,yx,yy,yz\n0.01,1,0,0\n0.01,0,1,0\n")

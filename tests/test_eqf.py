@@ -512,16 +512,6 @@ def test_update_rejects_future_measurement(rng):
                    sensors)
 
 
-def test_update_joseph_matches_standard_at_optimum(rng):
-    n = 1
-    sensors = make_sensors(n, 2, rng)
-    fs = FilterState(random_group_element(rng, n), random_psd(rng, 9, 0.1), 0.0)
-    meas = _perfect_measurements(fs, sensors)
-    std = eqf_update(fs, meas, sensors, joseph=False)
-    jos = eqf_update(fs, meas, sensors, joseph=True)
-    assert np.max(np.abs(std.sigma - jos.sigma)) < 1e-12
-
-
 def test_literal_residual_mode_runs(rng):
     n = 1
     sensors = make_sensors(n, 2, rng)

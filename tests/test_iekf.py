@@ -45,11 +45,9 @@ def test_init_identity_keeps_sigma(rng):
 def test_init_adaptation_preserves_eigenvalues(rng):
     xi0 = random_state(rng, 1)
     sigma0 = random_psd(rng, 9, 0.1)
-    s = iekf_init(xi0, sigma0, adapt=True)
+    s = iekf_init(xi0, sigma0)
     assert_allclose(np.sort(np.linalg.eigvalsh(s.sigma)),
                     np.sort(np.linalg.eigvalsh(sigma0)), rtol=1e-9)
-    off = iekf_init(xi0, sigma0, adapt=False)
-    assert_allclose(off.sigma, sigma0)
 
 
 def test_init_rejects_bad_sigma(rng):

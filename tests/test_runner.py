@@ -7,7 +7,6 @@ from abc_eqf.iekf import iekf_init, iekf_propagate, iekf_update
 from abc_eqf.lie import log_so3
 from abc_eqf.metrics import interpolate_truth
 from abc_eqf.runner import (
-    bench_phi,
     build_sensors,
     drive_filter,
     initial_sigma,
@@ -17,6 +16,7 @@ from abc_eqf.runner import (
     run_filters,
 )
 from abc_eqf.sim import simulate_run
+from abc_eqf.study import bench_phi
 from abc_eqf.symmetry import identity_state, state_from_group
 
 
