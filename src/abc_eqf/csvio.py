@@ -40,6 +40,13 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _write_columns(path: Path, header: list[str], *arrays) -> None:
+    """One row per leading index of the arrays, each flattened into its columns."""
+    table = np.column_stack([np.reshape(a, (len(a), math.prod(np.shape(a)[1:])))
+                             for a in arrays])
+    _write_rows(path, header, ([_fmt(v) for v in row] for row in table.tolist()))
+
+
 def _read_table(path: Path, required: list[str]
                 ) -> tuple[list[str], list[list[float]], list[int]]:
     """Header, parsed rows and the file row of each; blank lines are skipped."""
@@ -87,8 +94,7 @@ GYRO_HEADER = ["t", "wx", "wy", "wz"]
 
 
 def write_gyro(path: Path, t: np.ndarray, omega: np.ndarray) -> None:
-    _write_rows(path, GYRO_HEADER,
-                ([_fmt(ti)] + [_fmt(v) for v in wi] for ti, wi in zip(t, omega)))
+    _write_columns(path, GYRO_HEADER, t, omega)
 
 
 def read_gyro(path: Path) -> tuple[np.ndarray, np.ndarray]:
@@ -146,16 +152,9 @@ def truth_header(n: int) -> list[str]:
 
 
 def write_truth(path: Path, truth: GroundTruth) -> None:
-    n = len(truth.cal)
-    cal_flat = [c.reshape(9) for c in truth.cal]
-    rows = []
-    for k in range(truth.t.size):
-        row = [_fmt(truth.t[k])] + [_fmt(v) for v in truth.R[k].reshape(9)]
-        row += [_fmt(v) for v in truth.bias[k]]
-        for c in cal_flat:
-            row += [_fmt(v) for v in c]
-        rows.append(row)
-    _write_rows(path, truth_header(n), rows)
+    cal = np.reshape(np.asarray(truth.cal, dtype=float), (1, -1))
+    _write_columns(path, truth_header(len(truth.cal)), truth.t, truth.R, truth.bias,
+                   np.repeat(cal, truth.t.size, axis=0))
 
 
 def read_truth(path: Path) -> GroundTruth:
@@ -177,25 +176,12 @@ def read_truth(path: Path) -> GroundTruth:
 
 
 def estimate_header(n: int, dim: int) -> list[str]:
-    cols = ["t"] + [f"r{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)] + ["bx", "by", "bz"]
-    for s in range(1, n + 1):
-        cols += [f"c{s}{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
-    cols += [f"sd{i}" for i in range(1, dim + 1)]
-    return cols
+    return truth_header(n) + [f"sd{i}" for i in range(1, dim + 1)]
 
 
 def write_estimates(path: Path, est: EstimateSeries) -> None:
-    n = est.C.shape[1]
-    dim = est.sigma_diag.shape[1]
-    rows = []
-    for k in range(est.t.size):
-        row = [_fmt(est.t[k])] + [_fmt(v) for v in est.R[k].reshape(9)]
-        row += [_fmt(v) for v in est.b[k]]
-        for j in range(n):
-            row += [_fmt(v) for v in est.C[k, j].reshape(9)]
-        row += [_fmt(v) for v in est.sigma_diag[k]]
-        rows.append(row)
-    _write_rows(path, estimate_header(n, dim), rows)
+    _write_columns(path, estimate_header(est.C.shape[1], est.sigma_diag.shape[1]),
+                   est.t, est.R, est.b, est.C, est.sigma_diag)
 
 
 def error_header(n: int) -> list[str]:
@@ -203,13 +189,8 @@ def error_header(n: int) -> list[str]:
 
 
 def write_error_series(path: Path, err: ErrorSeries) -> None:
-    n = err.cal_deg.shape[1]
-    rows = []
-    for k in range(err.t.size):
-        row = [_fmt(err.t[k]), _fmt(err.att_deg[k]), _fmt(err.bias[k])]
-        row += [_fmt(err.cal_deg[k, j]) for j in range(n)]
-        rows.append(row)
-    _write_rows(path, error_header(n), rows)
+    _write_columns(path, error_header(err.cal_deg.shape[1]),
+                   err.t, err.att_deg, err.bias, err.cal_deg)
 
 
 REPORT_HEADER = ["filter", "phase", "att_deg", "bias", "cal_deg", "runtime_s"]

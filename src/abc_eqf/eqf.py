@@ -192,9 +192,11 @@ def compute_Md(omega0: np.ndarray, dt: float, noise: NoiseConfig, n: int,
     blocks of Phi are orthogonal, so the bias and calibration blocks are
     exactly sigma^2 dt I).  The first-order mode returns M_c dt.
 
-    With the isotropic per-block input covariance used here, conjugating M_c
-    by the rotation block-diagonal (see :func:`eqf_B0`) is an exact identity,
-    so the densities enter the closed form directly.
+    M_c is sigma^2 I on every 3-block, so the input-noise adaptation of the
+    EqF, which conjugates M_c by the rotation block-diagonal blkdiag(Ahat,
+    Ahat, Bhat_1, .., Bhat_n), returns M_c unchanged (R sigma^2 I R^T =
+    sigma^2 I); no rotation is applied and the densities enter the closed
+    form directly.
     """
     return phi_and_md(omega0, dt, noise, n, mode)[1]
 
@@ -306,28 +308,6 @@ def phi_and_md(omega0: np.ndarray, dt: float, noise: NoiseConfig, n: int,
     return phi, md.reshape(dim, dim)
 
 
-def eqf_B0(xhat: GroupElement) -> np.ndarray:
-    """Input-noise adaptation matrix blkdiag(Ahat, Ahat, Bhat_1, .., Bhat_n)."""
-    dim = 6 + 3 * xhat.n
-    b = np.zeros((dim, dim))
-    b[0:3, 0:3] = xhat.A
-    b[3:6, 3:6] = xhat.A
-    for i, rot in enumerate(xhat.B):
-        j = 6 + 3 * i
-        b[j:j + 3, j:j + 3] = rot
-    return b
-
-
-def eqf_D0(xhat: GroupElement, sensors: list[SensorModel]) -> np.ndarray:
-    """Output-noise adaptation matrix, one rotation block per listed sensor."""
-    dim = 3 * len(sensors)
-    d = np.zeros((dim, dim))
-    for k, sensor in enumerate(sensors):
-        rot = xhat.B[sensor.cal_index] if sensor.calibrated else xhat.A
-        d[3 * k: 3 * k + 3, 3 * k: 3 * k + 3] = rot
-    return d
-
-
 def sigma_u(noise: NoiseConfig, n: int) -> np.ndarray:
     """Continuous input covariance diag(sigma_w^2, sigma_bw^2, sigma_kappa^2 ...)."""
     return np.diag([noise.sigma_w ** 2] * 3 + [noise.sigma_bw ** 2] * 3
@@ -376,19 +356,33 @@ def eqf_propagate(fs: FilterState, omega: np.ndarray, dt: float,
     return FilterState(xhat, sigma, fs.t + dt, steps)
 
 
-def _measured_sensors(meas: list[DirectionMeasurement],
-                      sensors: list[SensorModel]) -> tuple[list[SensorModel], np.ndarray]:
+def _measured_sensors(meas: list[DirectionMeasurement], sensors: list[SensorModel],
+                      t: float) -> tuple[list[SensorModel], np.ndarray, np.ndarray]:
+    """Sensor, reference direction and noise covariance of each measurement.
+
+    The noise covariance is diag(sigma_y^2 I) over the measurements.  Each
+    direction noise is isotropic, so the output-noise adaptation of either
+    filter, a rotation of each 3-block, returns it unchanged and is not
+    applied.  A measurement stamped more than MEASUREMENT_SLACK after t
+    raises ValueError; a sensor list that never went through
+    :func:`validate_layout` is validated here.
+    """
     by_id = {s.sensor_id: s for s in sensors}
     used = []
     refs = np.empty((len(meas), 3))
     for k, m in enumerate(meas):
+        if m.t > t + MEASUREMENT_SLACK:
+            raise ValueError(f"measurement at t={m.t} is ahead of the filter time {t}")
         sensor = by_id[m.sensor_id]
+        if sensor.calibrated and sensor.cal_index is None:
+            validate_layout(sensors)
         used.append(sensor)
         ref = m.reference if sensor.reference is None else sensor.reference
         if ref is None:
             raise BadDimensionError(f"sensor {m.sensor_id}: measurement carries no reference")
         refs[k] = ref
-    return used, refs
+    noise_cov = np.diag(np.repeat([s.sigma_y ** 2 for s in used], 3))
+    return used, refs, noise_cov
 
 
 def _kalman_step(sigma: np.ndarray, h: np.ndarray, noise_cov: np.ndarray, t: float
@@ -432,19 +426,9 @@ def eqf_update(fs: FilterState, meas: list[DirectionMeasurement],
     """
     if not meas:
         return fs
-    for m in meas:
-        if m.t > fs.t + MEASUREMENT_SLACK:
-            raise ValueError(f"measurement at t={m.t} is ahead of the filter time {fs.t}")
     x = fs.xhat
-    n = x.n
-    used, refs = _measured_sensors(meas, sensors)
-
-    c0 = compute_C0(used, refs, n)
-    d0 = eqf_D0(x, used)
-    sig_y = np.repeat([s.sigma_y ** 2 for s in used], 3)
-    noise_cov = d0 @ np.diag(sig_y) @ d0.T
-
-    step = _kalman_step(fs.sigma, c0, noise_cov, fs.t)
+    used, refs, noise_cov = _measured_sensors(meas, sensors, fs.t)
+    step = _kalman_step(fs.sigma, compute_C0(used, refs, x.n), noise_cov, fs.t)
     if step is None:
         return fs
     gain, sigma = step

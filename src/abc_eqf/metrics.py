@@ -60,12 +60,13 @@ def rotation_angle_deg(r1: np.ndarray, r2: np.ndarray) -> float:
     return float(np.degrees(np.linalg.norm(log_so3(r1 @ r2.T))))
 
 
-def interpolate_truth(truth: GroundTruth, t: np.ndarray, tol: float | None = None
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Geodesic attitude / linear bias interpolation of the truth at times t."""
+def interpolate_truth(truth: GroundTruth, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Geodesic attitude / linear bias interpolation of the truth at times t.
+
+    t may overshoot the truth span by half its first sample interval (1e-9 s
+    for a single sample)."""
     tt = truth.t
-    if tol is None:
-        tol = 0.5 * (tt[1] - tt[0]) if tt.size > 1 else 1e-9
+    tol = 0.5 * (tt[1] - tt[0]) if tt.size > 1 else 1e-9
     if np.min(t) < tt[0] - tol or np.max(t) > tt[-1] + tol:
         raise MisalignedError("estimate timestamps outside truth coverage")
 

@@ -167,15 +167,12 @@ def lift_lambda(xi: SystemState, omega: np.ndarray) -> AlgebraElement:
     return AlgebraElement(w, -np.cross(omega, xi.b), [c.T @ w for c in xi.C])
 
 
-def lifted_dynamics(x: GroupElement, omega: np.ndarray,
-                    origin: SystemState | None = None) -> AlgebraElement:
-    """Algebra velocity of the lifted system at X: Lambda(phi_X(origin), omega).
+def lifted_dynamics(x: GroupElement, omega: np.ndarray) -> AlgebraElement:
+    """Algebra velocity of the lifted system at X: Lambda(phi_X(identity state), omega).
 
     The caller composes the result with left translation by X.
     """
-    if origin is None:
-        origin = identity_state(x.n)
-    return lift_lambda(action_phi(x, origin), omega)
+    return lift_lambda(action_phi(x, identity_state(x.n)), omega)
 
 
 def coords_theta(e: SystemState) -> np.ndarray:
@@ -207,11 +204,9 @@ def _log_in_chart(r: np.ndarray) -> np.ndarray:
     return v
 
 
-def state_from_group(x: GroupElement, origin: SystemState | None = None) -> SystemState:
-    """State estimate carried by a group element: phi_X(origin), origin = identity."""
-    if origin is None:
-        origin = identity_state(x.n)
-    return action_phi(x, origin)
+def state_from_group(x: GroupElement) -> SystemState:
+    """State estimate carried by a group element: phi_X(identity state)."""
+    return action_phi(x, identity_state(x.n))
 
 
 def system_flow(xi: SystemState, omega: np.ndarray, t: float) -> SystemState:

@@ -10,12 +10,11 @@ from abc_eqf.eqf import (
     NoiseConfig,
     NonPositiveDtError,
     SensorModel,
+    _kalman_step,
     compute_A0,
     compute_C0,
     compute_Md,
     compute_phi,
-    eqf_B0,
-    eqf_D0,
     eqf_init,
     eqf_propagate,
     eqf_update,
@@ -313,30 +312,27 @@ def test_Md_symmetry(rng):
 
 
 # ---------------------------------------------------------------------------
-# adaptation matrices
+# isotropic output noise
 
 
-def test_B0_identity_and_orthogonality(rng):
-    assert_allclose(eqf_B0(group_identity(2)), np.eye(12))
-    x = random_group_element(rng, 2)
-    b0 = eqf_B0(x)
-    assert np.max(np.abs(b0 @ b0.T - np.eye(12))) < 1e-12
-
-
-def test_B0_similarity_preserves_eigenvalues(rng):
-    x = random_group_element(rng, 1)
-    b0 = eqf_B0(x)
-    su = sigma_u(NOISE, 1)
-    mc = b0 @ su @ b0.T
-    assert_allclose(np.sort(np.linalg.eigvalsh(mc)), np.sort(np.diag(su)), rtol=1e-9)
-
-
-def test_D0_blocks(rng):
-    sensors = make_sensors(1, 2, rng)
-    x = random_group_element(rng, 1)
-    d0 = eqf_D0(x, sensors)
-    assert_allclose(d0[0:3, 0:3], x.B[0])
-    assert_allclose(d0[3:6, 3:6], x.A)
+def test_kalman_step_invariant_to_rotated_isotropic_noise(rng):
+    """Each sensor's noise sigma_y^2 I is unchanged by a rotation D of its
+    3-block, so the output-noise adaptation D sigma^2 I D^T of the EqF gives
+    the gain and covariance of sigma^2 I; the updates skip the rotation."""
+    for _ in range(100):
+        n = int(rng.integers(0, 4))
+        dim = 6 + 3 * n
+        m = int(rng.integers(1, 5))
+        noise_cov = np.diag(np.repeat(rng.uniform(0.05, 0.5, m) ** 2, 3))
+        d = np.zeros((3 * m, 3 * m))
+        for k in range(m):
+            d[3 * k: 3 * k + 3, 3 * k: 3 * k + 3] = exp_so3(rng.normal(0.0, 2.0, 3))
+        sigma = random_psd(rng, dim, 0.1)
+        h = rng.normal(size=(3 * m, dim))
+        gain, sigma_iso = _kalman_step(sigma, h, noise_cov, 0.0)
+        gain_rot, sigma_rot = _kalman_step(sigma, h, d @ noise_cov @ d.T, 0.0)
+        assert np.max(np.abs(gain_rot - gain)) <= 1e-12 * np.max(np.abs(gain))
+        assert np.max(np.abs(sigma_rot - sigma_iso)) <= 1e-12 * np.max(np.abs(sigma_iso))
 
 
 # ---------------------------------------------------------------------------

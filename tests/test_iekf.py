@@ -11,6 +11,7 @@ from abc_eqf.eqf import (
     SensorModel,
     validate_layout,
 )
+from abc_eqf import iekf
 from abc_eqf.iekf import IekfState, iekf_init, iekf_propagate, iekf_update
 from abc_eqf.lie import exp_so3, is_rotation
 from abc_eqf.symmetry import identity_state, output_h
@@ -223,3 +224,64 @@ def test_covariance_symmetry_psd_long_run(rng):
         if k % 500 == 0:
             assert np.max(np.abs(s.sigma - s.sigma.T)) < 1e-9
             assert np.min(np.linalg.eigvalsh(s.sigma)) >= -1e-9 * np.trace(s.sigma)
+
+
+def test_update_h_matches_residual_jacobian(rng, monkeypatch):
+    """H is minus the Jacobian of the residual Rhat Chat_i y - d (or Rhat y - d)
+    under the update's correction map R <- exp(d_att) Rhat, b <- bhat + d_bias,
+    C_i <- exp(d_cal_i) Chat_i, taken at a perfect measurement; this covers
+    the d^ Rhat calibration blocks."""
+    captured = []
+    monkeypatch.setattr(iekf, "_kalman_step", lambda sigma, h, *_: captured.append(h))
+    for n in range(4):
+        dim = 6 + 3 * n
+        sensors = make_sensors(n, n + 2, rng)
+        xi = random_state(rng, n)
+        refs = np.array([m.reference for m in sensors])
+        ys = output_h(xi, refs)
+        meas = [DirectionMeasurement(0.0, m.sensor_id, ys[i]) for i, m in enumerate(sensors)]
+        iekf_update(IekfState(xi, np.eye(dim), 0.0), meas, sensors)
+
+        def residual(delta):
+            r = exp_so3(delta[0:3]) @ xi.R
+            c = [exp_so3(delta[6 + 3 * i: 9 + 3 * i]) @ ci for i, ci in enumerate(xi.C)]
+            rots = c + [np.eye(3)] * 2
+            return np.concatenate([r @ rots[i] @ ys[i] - refs[i] for i in range(n + 2)])
+
+        step = 1e-6
+        jac = np.empty((3 * (n + 2), dim))
+        for j in range(dim):
+            e = np.zeros(dim)
+            e[j] = step
+            jac[:, j] = (residual(e) - residual(-e)) / (2.0 * step)
+        assert np.max(np.abs(captured[-1] + jac)) < 1e-6
+
+
+def _mag_gnss_update(sensors):
+    s = iekf_init(identity_state(1), 0.1 * np.eye(9))
+    meas = [DirectionMeasurement(0.0, "mag", np.array([0.6, 0.0, 0.8])),
+            DirectionMeasurement(0.0, "gnss", np.array([0.0, 0.6, 0.8]),
+                                 np.array([0.0, 0.0, 1.0]))]
+    return iekf_update(s, meas, sensors)
+
+
+def _mag_gnss_sensors():
+    return [SensorModel("mag", True, 0.2, np.array([0.0, 0.0, 1.0])),
+            SensorModel("gnss", False, 0.1)]
+
+
+def test_update_validates_fresh_sensor_list():
+    validated = _mag_gnss_sensors()
+    validate_layout(validated)
+    expected = _mag_gnss_update(validated)
+    fresh = _mag_gnss_sensors()
+    out = _mag_gnss_update(fresh)
+    assert fresh[0].cal_index == 0
+    assert np.array_equal(out.xi.R, expected.xi.R)
+    assert np.array_equal(out.xi.C[0], expected.xi.C[0])
+    assert np.array_equal(out.sigma, expected.sigma)
+
+
+def test_update_rejects_fresh_sensor_list_in_wrong_order():
+    with pytest.raises(BadDimensionError):
+        _mag_gnss_update(_mag_gnss_sensors()[::-1])

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import abc_eqf
 from abc_eqf.eqf import FilterState, NoiseConfig, eqf_propagate
 from abc_eqf.study import _bench_gyro, _covariance_steps, _ode45_pass, _timed_pass
 from abc_eqf.symmetry import group_identity
@@ -26,3 +32,14 @@ def test_rk45_variant_matches_closed_form():
     _, closed = _timed_pass(_covariance_steps(DT, NOISE, N)["closed"], gyro, DT, _start())
     _, rk45 = _ode45_pass(gyro, DT, NOISE, _start())
     assert np.max(np.abs(rk45 - closed)) <= 1e-9 * np.max(np.abs(closed))
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """study.py imports scipy inside its functions, so the CLI starts without it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(abc_eqf.__file__).parents[1]))
+    code = ("import sys, abc_eqf.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
