@@ -50,6 +50,14 @@ class NonPositiveDtError(ValueError):
     """Raised when a propagation step is requested with dt <= 0."""
 
 
+class NonFiniteInputError(ValueError):
+    """Raised when a propagation step gets a non-finite dt or gyro sample."""
+
+
+class UnknownSensorError(ValueError):
+    """Raised when a measurement names a sensor the filter was not given."""
+
+
 @dataclass
 class NoiseConfig:
     """Continuous-time noise densities driving the filter gains.
@@ -201,23 +209,39 @@ def compute_Md(omega0: np.ndarray, dt: float, noise: NoiseConfig, n: int,
     return phi_and_md(omega0, dt, noise, n, mode)[1]
 
 
-_IDX_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# Layout of the value vector that phi_and_md gathers Phi and Md from: four
+# row-major 3x3 blocks, then the scalar entries.
+_PHI12, _PHI22, _M11, _M12 = 0, 9, 18, 27
+_ZERO, _ONE, _BIAS, _CAL, _ATT = 36, 37, 38, 39, 40
+
+_GATHER_CACHE: dict[tuple[int, str], np.ndarray] = {}
 
 
-def _block_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached flat-index templates for the nonzero 3x3 blocks of Phi and Md."""
-    cached = _IDX_CACHE.get(dim)
-    if cached is None:
-        def block(r0, c0):
-            return [(r0 + r) * dim + c0 + c for r in range(3) for c in range(3)]
-
-        phi_idx = block(0, 3)
+def _gather_index(dim: int, md_mode: str) -> np.ndarray:
+    """Cached (2, dim, dim) index of every entry of Phi and Md into the value
+    vector of :func:`phi_and_md`."""
+    idx = _GATHER_CACHE.get((dim, md_mode))
+    if idx is None:
+        if md_mode not in (MD_ANALYTIC, MD_FIRST_ORDER):
+            raise ValueError(f"unknown md mode: {md_mode!r}")
+        block = np.arange(9).reshape(3, 3)
+        diag = np.arange(dim)
+        idx = np.full((2, dim, dim), _ZERO)
+        phi, md = idx
+        phi[diag[:3], diag[:3]] = _ONE
+        phi[0:3, 3:6] = _PHI12 + block
         for j in range(3, dim, 3):
-            phi_idx += block(j, j)
-        md_idx = block(0, 0) + block(0, 3) + block(3, 0)
-        cached = (np.array(phi_idx), np.array(md_idx))
-        _IDX_CACHE[dim] = cached
-    return cached
+            phi[j:j + 3, j:j + 3] = _PHI22 + block
+        md[diag[3:6], diag[3:6]] = _BIAS
+        md[diag[6:], diag[6:]] = _CAL
+        if md_mode == MD_FIRST_ORDER:
+            md[diag[:3], diag[:3]] = _ATT
+        else:
+            md[0:3, 0:3] = _M11 + block
+            md[0:3, 3:6] = _M12 + block
+            md[3:6, 0:3] = _M12 + block.T
+        _GATHER_CACHE[(dim, md_mode)] = idx
+    return idx
 
 
 def phi_and_md(omega0: np.ndarray, dt: float, noise: NoiseConfig, n: int,
@@ -225,13 +249,14 @@ def phi_and_md(omega0: np.ndarray, dt: float, noise: NoiseConfig, n: int,
     """Transition matrix exp(A0 dt) and discrete process noise of one step.
 
     The only implementation of both formulas: the two share the skew powers
-    and trig evaluations, and the blocks are written in place, as this is the
-    hot path of the propagation loop.
+    and trig evaluations.  This is the hot path of the propagation loop, so
+    the nonzero entries are computed as scalars, put in one vector, and both
+    matrices are gathered from it with one cached index.
     """
     if dt <= 0.0:
         raise NonPositiveDtError("dt must be positive")
-    dim = 6 + 3 * n
-    x, y, z = omega0
+    idx = _gather_index(6 + 3 * n, md_mode)
+    x, y, z = omega0.tolist()
     # W^2 = omega omega^T - |omega|^2 I, all entries in scalar form
     xx, yy, zz = x * x, y * y, z * z
     xy, xz, yz = x * y, x * z, y * z
@@ -253,34 +278,6 @@ def phi_and_md(omega0: np.ndarray, dt: float, noise: NoiseConfig, n: int,
         psi2 = (theta - sin_t) / (norm ** 3)
         psi3 = sin_t / norm
 
-    # Phi_12 = -(dt I + psi1 W + psi2 W^2), Phi_22 = I + psi3 W + psi1 W^2
-    # (the latter repeated for the bias and every calibration block)
-    p1 = psi1 * xy
-    p2 = psi2 * xy
-    block22 = [1.0 + psi1 * q00, -psi3 * z + p1, psi3 * y + psi1 * xz,
-               psi3 * z + p1, 1.0 + psi1 * q11, -psi3 * x + psi1 * yz,
-               -psi3 * y + psi1 * xz, psi3 * x + psi1 * yz, 1.0 + psi1 * q22]
-    phi = np.zeros(dim * dim)
-    phi[0:3 * dim + 3:dim + 1] = 1.0
-    phi_idx, md_idx = _block_indices(dim)
-    phi[phi_idx] = [-(dt + psi2 * q00), -(-psi1 * z + p2), -(psi1 * y + psi2 * xz),
-                    -(psi1 * z + p2), -(dt + psi2 * q11), -(-psi1 * x + psi2 * yz),
-                    -(-psi1 * y + psi2 * xz), -(psi1 * x + psi2 * yz),
-                    -(dt + psi2 * q22)] + block22 * (n + 1)
-    phi = phi.reshape(dim, dim)
-
-    sw2 = noise.sigma_w ** 2
-    st2 = noise.sigma_bw ** 2
-    sk2 = noise.sigma_kappa ** 2
-    md = np.zeros(dim * dim)
-    md[3 * (dim + 1):6 * dim + 6:dim + 1] = st2 * dt
-    md[6 * (dim + 1)::dim + 1] = sk2 * dt
-    if md_mode == MD_FIRST_ORDER:
-        md[0:3 * dim + 3:dim + 1] = sw2 * dt
-        return phi, md.reshape(dim, dim)
-    if md_mode != MD_ANALYTIC:
-        raise ValueError(f"unknown md mode: {md_mode!r}")
-
     if theta < _MD_SERIES_ANGLE:
         t2 = theta * theta
         c11 = dt ** 5 * (1.0 / 60.0 - t2 / 2520.0 + t2 * t2 / 181440.0)
@@ -290,22 +287,38 @@ def phi_and_md(omega0: np.ndarray, dt: float, noise: NoiseConfig, n: int,
         c11 = (theta ** 3 / 3.0 + 2.0 * sin_t - 2.0 * theta) / norm ** 5
         c12a = (theta - sin_t) / norm ** 3
         c12b = (theta * theta / 2.0 + cos_t - 1.0) / norm ** 4
+
+    sw2 = noise.sigma_w ** 2
+    st2 = noise.sigma_bw ** 2
+    sk2 = noise.sigma_kappa ** 2
+    # Phi_12 = -(dt I + psi1 W + psi2 W^2), Phi_22 = I + psi3 W + psi1 W^2
+    # (the latter repeated for the bias and every calibration block);
     # Md_11 = (sw2 dt + st2 dt^3/3) I + st2 c11 W^2,
-    # Md_12 = -st2 dt^2/2 I + st2 c12a W - st2 c12b W^2 (transpose mirrored)
+    # Md_12 = -st2 dt^2/2 I + st2 c12a W - st2 c12b W^2, Md_21 = Md_12^T
+    # (in first-order mode Md_11 is sw2 dt I and Md_12 zero, see _gather_index)
+    p1 = psi1 * xy
+    p2 = psi2 * xy
     alpha = sw2 * dt + st2 * dt ** 3 / 3.0
     b11 = st2 * c11
     gamma = st2 * dt * dt / 2.0
     ca = st2 * c12a
     cb = st2 * c12b
-    m11 = [alpha + b11 * q00, b11 * xy, b11 * xz,
-           b11 * xy, alpha + b11 * q11, b11 * yz,
-           b11 * xz, b11 * yz, alpha + b11 * q22]
-    m12 = [-gamma - cb * q00, -ca * z - cb * xy, ca * y - cb * xz,
-           ca * z - cb * xy, -gamma - cb * q11, -ca * x - cb * yz,
-           -ca * y - cb * xz, ca * x - cb * yz, -gamma - cb * q22]
-    m21 = [m12[0], m12[3], m12[6], m12[1], m12[4], m12[7], m12[2], m12[5], m12[8]]
-    md[md_idx] = m11 + m12 + m21
-    return phi, md.reshape(dim, dim)
+    values = np.array([
+        -(dt + psi2 * q00), -(-psi1 * z + p2), -(psi1 * y + psi2 * xz),
+        -(psi1 * z + p2), -(dt + psi2 * q11), -(-psi1 * x + psi2 * yz),
+        -(-psi1 * y + psi2 * xz), -(psi1 * x + psi2 * yz), -(dt + psi2 * q22),
+        1.0 + psi1 * q00, -psi3 * z + p1, psi3 * y + psi1 * xz,
+        psi3 * z + p1, 1.0 + psi1 * q11, -psi3 * x + psi1 * yz,
+        -psi3 * y + psi1 * xz, psi3 * x + psi1 * yz, 1.0 + psi1 * q22,
+        alpha + b11 * q00, b11 * xy, b11 * xz,
+        b11 * xy, alpha + b11 * q11, b11 * yz,
+        b11 * xz, b11 * yz, alpha + b11 * q22,
+        -gamma - cb * q00, -ca * z - cb * xy, ca * y - cb * xz,
+        ca * z - cb * xy, -gamma - cb * q11, -ca * x - cb * yz,
+        -ca * y - cb * xz, ca * x - cb * yz, -gamma - cb * q22,
+        0.0, 1.0, st2 * dt, sk2 * dt, sw2 * dt])
+    phi, md = values[idx]
+    return phi, md
 
 
 def sigma_u(noise: NoiseConfig, n: int) -> np.ndarray:
@@ -329,7 +342,11 @@ def propagate_mean(x: GroupElement, omega: np.ndarray, dt: float
     omega0 = x.A @ omega + x.a
     # Nav part right-multiplied by exp of the lifted velocity; A^T omega0 is
     # the rotation rate seen at the origin, omega x (A^T a) its vector part.
-    rot_e, vec_e = exp_sdp((x.A.T @ omega0) * dt, np.cross(omega, x.A.T @ x.a) * dt)
+    wx, wy, wz = omega.tolist()
+    px, py, pz = (x.A.T @ x.a).tolist()
+    cross = np.array([(wy * pz - wz * py) * dt, (wz * px - wx * pz) * dt,
+                      (wx * py - wy * px) * dt])
+    rot_e, vec_e = exp_sdp((x.A.T @ omega0) * dt, cross)
     xhat = GroupElement(
         x.A @ rot_e,
         x.a + x.A @ vec_e,
@@ -338,11 +355,28 @@ def propagate_mean(x: GroupElement, omega: np.ndarray, dt: float
     return xhat, omega0
 
 
+def _check_step(omega: np.ndarray, dt: float, t: float) -> float:
+    """dt as a float, after rejecting a non-finite dt or gyro sample
+    (NonFiniteInputError) and dt <= 0 (NonPositiveDtError); t is the filter
+    time the step starts from.  The three gyro components are read as
+    floats, so no array is scanned.  Shared by both filters' propagations.
+    """
+    dt = float(dt)
+    x, y, z = omega.tolist()
+    if not (math.isfinite(dt) and math.isfinite(x) and math.isfinite(y)
+            and math.isfinite(z)):
+        raise NonFiniteInputError(
+            f"propagation from filter time t={t}: non-finite input, dt={dt}, "
+            f"omega=({x}, {y}, {z})")
+    if dt <= 0.0:
+        raise NonPositiveDtError(f"propagation from filter time t={t}: dt={dt} must be positive")
+    return dt
+
+
 def eqf_propagate(fs: FilterState, omega: np.ndarray, dt: float,
                   noise: NoiseConfig, md_mode: str = MD_ANALYTIC) -> FilterState:
     """One gyro step: Lie-group mean integration plus discrete Riccati update."""
-    if dt <= 0.0:
-        raise NonPositiveDtError("dt must be positive")
+    dt = _check_step(omega, dt, fs.t)
     n = fs.xhat.n
     xhat, omega0 = propagate_mean(fs.xhat, omega, dt)
 
@@ -364,7 +398,8 @@ def _measured_sensors(meas: list[DirectionMeasurement], sensors: list[SensorMode
     direction noise is isotropic, so the output-noise adaptation of either
     filter, a rotation of each 3-block, returns it unchanged and is not
     applied.  A measurement stamped more than MEASUREMENT_SLACK after t
-    raises ValueError; a sensor list that never went through
+    raises ValueError, one from a sensor missing from sensors
+    UnknownSensorError; a sensor list that never went through
     :func:`validate_layout` is validated here.
     """
     by_id = {s.sensor_id: s for s in sensors}
@@ -373,7 +408,11 @@ def _measured_sensors(meas: list[DirectionMeasurement], sensors: list[SensorMode
     for k, m in enumerate(meas):
         if m.t > t + MEASUREMENT_SLACK:
             raise ValueError(f"measurement at t={m.t} is ahead of the filter time {t}")
-        sensor = by_id[m.sensor_id]
+        sensor = by_id.get(m.sensor_id)
+        if sensor is None:
+            raise UnknownSensorError(
+                f"measurement at t={m.t} names sensor {m.sensor_id!r}, not one of the "
+                f"configured sensors {list(by_id)} (filter time t={t})")
         if sensor.calibrated and sensor.cal_index is None:
             validate_layout(sensors)
         used.append(sensor)

@@ -24,9 +24,9 @@ from .eqf import (
     REPROJECT_EVERY,
     DirectionMeasurement,
     NoiseConfig,
-    NonPositiveDtError,
     SensorModel,
     _check_sigma0,
+    _check_step,
     _kalman_step,
     _measured_sensors,
     compute_C0,
@@ -61,8 +61,7 @@ def iekf_init(xi0: SystemState, sigma0: np.ndarray, t0: float = 0.0) -> IekfStat
 def iekf_propagate(s: IekfState, omega: np.ndarray, dt: float,
                    noise: NoiseConfig) -> IekfState:
     """One gyro step: attitude integration and first-order covariance update."""
-    if dt <= 0.0:
-        raise NonPositiveDtError("dt must be positive")
+    dt = _check_step(omega, dt, s.t)
     xi = s.xi
     phi = np.eye(6 + 3 * xi.n)
     phi[0:3, 3:6] = -xi.R * dt

@@ -5,6 +5,13 @@ arrays holding vee coordinates.  Elements of the semi-direct factor are
 (rotation, vee-vector) pairs; their 4x4 homogeneous representation is
 ``[[A, a], [0, 1]]``.
 
+The exponentials and the left Jacobian are written in scalar form: the
+vectors are unpacked to Python floats, and the entries of
+I + c1 wedge(v) + c2 wedge(v)^2 and of J_l(omega) v are built from the
+scalar Rodrigues coefficients, without forming the skew matrix or its
+square.  They run on every gyro step of both filters, and keep the branch
+thresholds and Taylor series below.
+
 Branch thresholds:
     exp:  angle < 1e-6   -> 4th order Taylor of the sin/cos coefficients
     log:  angle < 1e-8   -> first-order skew extraction
@@ -14,6 +21,8 @@ Branch thresholds:
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -46,18 +55,52 @@ def vee(m: np.ndarray, tol: float = ORTHONORMALITY_TOL) -> np.ndarray:
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
+def _exp_coefficients(angle: float) -> tuple[float, float]:
+    """sin(t)/t and (1-cos(t))/t^2 at t = angle, the rotation's Rodrigues
+    coefficients, from their 4th order Taylor series below 1e-6.
+
+    The rotation multiplies (1-cos(t))/t^2 by wedge(v)^2, of size t^2, so the
+    cancellation in 1 - cos(t) costs it 1e-16 absolute; it keeps the cosine
+    form, as the simulator draws its initial attitude and calibrations
+    through exp_so3.
+    """
+    a2 = angle * angle
+    if angle < _EXP_TAYLOR_ANGLE:
+        return 1.0 - a2 / 6.0 + a2 * a2 / 120.0, 0.5 - a2 / 24.0 + a2 * a2 / 720.0
+    return math.sin(angle) / angle, (1.0 - math.cos(angle)) / a2
+
+
+def _jl_coefficients(angle: float) -> tuple[float, float]:
+    """(1-cos(t))/t^2 and (t-sin(t))/t^3 at t = angle, the left Jacobian's
+    coefficients, from their 4th order Taylor series below 1e-3.
+
+    J_l multiplies the first by wedge(v), of size t, where the cancellation
+    in 1 - cos(t) would cost 1e-16/t (1e-13 just above the threshold), so it
+    is evaluated as 2 sin(t/2)^2 / t^2.
+    """
+    a2 = angle * angle
+    if angle < _JL_SERIES_ANGLE:
+        return (0.5 - a2 / 24.0 + a2 * a2 / 720.0,
+                1.0 / 6.0 - a2 / 120.0 + a2 * a2 / 5040.0)
+    h = math.sin(0.5 * angle) / angle
+    return 2.0 * h * h, (angle - math.sin(angle)) / (angle ** 3)
+
+
+def _rodrigues(x: float, y: float, z: float, c1: float, c2: float) -> np.ndarray:
+    """I + c1 K + c2 K^2 for K = wedge((x, y, z)), with K^2 = v v^T - |v|^2 I."""
+    xy, xz, yz = c2 * (x * y), c2 * (x * z), c2 * (y * z)
+    cx, cy, cz = c1 * x, c1 * y, c1 * z
+    xx, yy, zz = x * x, y * y, z * z
+    return np.array([1.0 - c2 * (yy + zz), xy - cz, xz + cy,
+                     xy + cz, 1.0 - c2 * (xx + zz), yz - cx,
+                     xz - cy, yz + cx, 1.0 - c2 * (xx + yy)]).reshape(3, 3)
+
+
 def exp_so3(v: np.ndarray) -> np.ndarray:
     """Rodrigues formula for the SO(3) exponential of the vee vector v."""
-    angle = float(np.linalg.norm(v))
-    k = wedge(v)
-    if angle < _EXP_TAYLOR_ANGLE:
-        a2 = angle * angle
-        c1 = 1.0 - a2 / 6.0 + a2 * a2 / 120.0           # sin(t)/t
-        c2 = 0.5 - a2 / 24.0 + a2 * a2 / 720.0          # (1-cos(t))/t^2
-    else:
-        c1 = np.sin(angle) / angle
-        c2 = (1.0 - np.cos(angle)) / (angle * angle)
-    return np.eye(3) + c1 * k + c2 * (k @ k)
+    x, y, z = v.tolist()
+    c1, c2 = _exp_coefficients(math.sqrt(x * x + y * y + z * z))
+    return _rodrigues(x, y, z, c1, c2)
 
 
 def log_so3(r: np.ndarray) -> np.ndarray:
@@ -109,44 +152,29 @@ def _log_near_pi(r: np.ndarray, skew: np.ndarray, s: float, c: float,
 
 def left_jacobian(v: np.ndarray) -> np.ndarray:
     """Left Jacobian of SO(3): integral of exp(s * wedge(v)) over s in [0, 1]."""
-    angle = float(np.linalg.norm(v))
-    k = wedge(v)
-    if angle < _JL_SERIES_ANGLE:
-        a2 = angle * angle
-        c1 = 0.5 - a2 / 24.0 + a2 * a2 / 720.0           # (1-cos(t))/t^2
-        c2 = 1.0 / 6.0 - a2 / 120.0 + a2 * a2 / 5040.0   # (t-sin(t))/t^3
-    else:
-        c1 = (1.0 - np.cos(angle)) / (angle * angle)
-        c2 = (angle - np.sin(angle)) / (angle ** 3)
-    return np.eye(3) + c1 * k + c2 * (k @ k)
+    x, y, z = v.tolist()
+    j1, j2 = _jl_coefficients(math.sqrt(x * x + y * y + z * z))
+    return _rodrigues(x, y, z, j1, j2)
 
 
 def exp_sdp(omega: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exponential of [[wedge(omega), v], [0, 0]] restricted to its (rotation,
     translation-column) blocks: (exp_so3(omega), J_l(omega) @ v).
 
-    Shares the skew powers and trig evaluations between the two blocks; the
-    results match the separate exp_so3 / left_jacobian evaluations to rounding.
+    The rotation equals exp_so3(omega); the vector matches
+    left_jacobian(omega) @ v to rounding.
     """
-    angle = float(np.linalg.norm(omega))
-    k = wedge(omega)
-    k2 = k @ k
-    a2 = angle * angle
-    if angle < _EXP_TAYLOR_ANGLE:
-        c1 = 1.0 - a2 / 6.0 + a2 * a2 / 120.0
-        c2 = 0.5 - a2 / 24.0 + a2 * a2 / 720.0
-    else:
-        c1 = np.sin(angle) / angle
-        c2 = (1.0 - np.cos(angle)) / a2
-    rot = np.eye(3) + c1 * k + c2 * k2
-    if angle < _JL_SERIES_ANGLE:
-        j1 = 0.5 - a2 / 24.0 + a2 * a2 / 720.0
-        j2 = 1.0 / 6.0 - a2 / 120.0 + a2 * a2 / 5040.0
-    else:
-        j1 = (1.0 - np.cos(angle)) / a2
-        j2 = (angle - np.sin(angle)) / (angle ** 3)
-    vec = v + j1 * (k @ v) + j2 * (k2 @ v)
-    return rot, vec
+    x, y, z = omega.tolist()
+    vx, vy, vz = v.tolist()
+    angle = math.sqrt(x * x + y * y + z * z)
+    c1, c2 = _exp_coefficients(angle)
+    j1, j2 = _jl_coefficients(angle)
+    # J_l v = v + j1 (omega x v) + j2 omega x (omega x v)
+    kx, ky, kz = y * vz - z * vy, z * vx - x * vz, x * vy - y * vx
+    qx, qy, qz = y * kz - z * ky, z * kx - x * kz, x * ky - y * kx
+    vec = np.array([vx + j1 * kx + j2 * qx, vy + j1 * ky + j2 * qy,
+                    vz + j1 * kz + j2 * qz])
+    return _rodrigues(x, y, z, c1, c2), vec
 
 
 def project_to_so3(m: np.ndarray) -> np.ndarray:

@@ -205,8 +205,13 @@ def _log_in_chart(r: np.ndarray) -> np.ndarray:
 
 
 def state_from_group(x: GroupElement) -> SystemState:
-    """State estimate carried by a group element: phi_X(identity state)."""
-    return action_phi(x, identity_state(x.n))
+    """State estimate carried by a group element: phi_X(identity state).
+
+    Written out as (A, -A^T a, A^T B_i), which is bit-identical to
+    action_phi(x, identity_state(n)) without building the identity state.
+    """
+    at = x.A.T
+    return SystemState(x.A, -(at @ x.a), [at @ b for b in x.B])
 
 
 def system_flow(xi: SystemState, omega: np.ndarray, t: float) -> SystemState:

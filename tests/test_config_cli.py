@@ -1,6 +1,8 @@
 import hashlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,10 +223,14 @@ def test_cli_exit_codes(tmp_path, config_file):
     (logs / "gyro.csv").write_text("t,wx,wy\n")
     assert main(["run", "--config", str(config_file), "--logs", str(logs),
                  "--out", str(tmp_path / "y")]) == 2
-    # usage error -> 1
+    # usage error -> 1; the child imports abc_eqf from this checkout's src
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "abc_eqf.cli", "--nope"],
-                          capture_output=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 1
+    assert "usage: abc-eqf" in proc.stderr
 
 
 def test_cli_run_duplicate_gyro_time_is_data_error(tmp_path, config_file, capsys):

@@ -8,8 +8,10 @@ from abc_eqf.eqf import (
     DirectionMeasurement,
     FilterState,
     NoiseConfig,
+    NonFiniteInputError,
     NonPositiveDtError,
     SensorModel,
+    UnknownSensorError,
     _kalman_step,
     compute_A0,
     compute_C0,
@@ -345,6 +347,15 @@ def test_propagate_rejects_bad_dt():
         eqf_propagate(fs, np.zeros(3), 0.0, NOISE)
 
 
+@pytest.mark.parametrize("dt, omega", [
+    (np.nan, [0.1, 0.2, 0.3]), (np.inf, [0.1, 0.2, 0.3]), (-np.inf, [0.1, 0.2, 0.3]),
+    (0.01, [0.1, np.nan, 0.3]), (0.01, [0.1, 0.2, -np.inf])])
+def test_propagate_rejects_non_finite_input(dt, omega):
+    fs = eqf_init(1, make_sensors(1, 1), NOISE, np.eye(9), t0=2.5)
+    with pytest.raises(NonFiniteInputError, match="t=2.5"):
+        eqf_propagate(fs, np.array(omega), np.float64(dt), NOISE)
+
+
 def test_propagate_zero_omega_identity_state():
     sigma0 = np.diag([0.1] * 3 + [0.0] * 3 + [0.2] * 3)
     fs = eqf_init(1, make_sensors(1, 2), NOISE, sigma0)
@@ -506,6 +517,15 @@ def test_update_rejects_future_measurement(rng):
     with pytest.raises(ValueError):
         eqf_update(fs, [DirectionMeasurement(1.0, "s0", np.array([1.0, 0.0, 0.0]))],
                    sensors)
+
+
+def test_update_rejects_unknown_sensor(rng):
+    sensors = make_sensors(1, 2, rng)
+    fs = eqf_init(1, sensors, NOISE, np.eye(9), t0=4.0)
+    meas = [DirectionMeasurement(4.0, "gps", np.array([1.0, 0.0, 0.0]))]
+    with pytest.raises(UnknownSensorError,
+                       match=r"'gps'.*\['s0', 's1'\].*filter time t=4\.0"):
+        eqf_update(fs, meas, sensors)
 
 
 def test_literal_residual_mode_runs(rng):

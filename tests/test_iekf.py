@@ -7,8 +7,10 @@ from abc_eqf.eqf import (
     BadDimensionError,
     DirectionMeasurement,
     NoiseConfig,
+    NonFiniteInputError,
     NonPositiveDtError,
     SensorModel,
+    UnknownSensorError,
     validate_layout,
 )
 from abc_eqf import iekf
@@ -70,6 +72,24 @@ def test_propagate_rejects_bad_dt(rng):
     s = IekfState(random_state(rng, 1), np.eye(9), 0.0)
     with pytest.raises(NonPositiveDtError):
         iekf_propagate(s, np.zeros(3), -0.1, NOISE)
+
+
+@pytest.mark.parametrize("dt, omega", [
+    (np.nan, [0.1, 0.2, 0.3]), (np.inf, [0.1, 0.2, 0.3]), (-np.inf, [0.1, 0.2, 0.3]),
+    (0.01, [0.1, np.nan, 0.3]), (0.01, [0.1, 0.2, -np.inf])])
+def test_propagate_rejects_non_finite_input(rng, dt, omega):
+    s = iekf_init(random_state(rng, 1), np.eye(9), t0=2.5)
+    with pytest.raises(NonFiniteInputError, match="t=2.5"):
+        iekf_propagate(s, np.array(omega), np.float64(dt), NOISE)
+
+
+def test_update_rejects_unknown_sensor(rng):
+    sensors = make_sensors(1, 2, rng)
+    s = iekf_init(identity_state(1), np.eye(9), t0=4.0)
+    meas = [DirectionMeasurement(4.0, "gps", np.array([1.0, 0.0, 0.0]))]
+    with pytest.raises(UnknownSensorError,
+                       match=r"'gps'.*\['s0', 's1'\].*filter time t=4\.0"):
+        iekf_update(s, meas, sensors)
 
 
 def test_transition_matrix_nilpotency(rng):

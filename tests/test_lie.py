@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
 
 from abc_eqf.lie import (
     DegenerateError,
@@ -26,6 +27,28 @@ def series_expm(m, terms=20):
         acc = acc @ m / k
         out = out + acc
     return out
+
+
+# Both sides of the exponential (1e-6) and left-Jacobian (1e-3) branch
+# thresholds, generic angles, and angles up to pi.
+ORACLE_ANGLES = (0.0, 1e-9, 0.999e-6, 1.001e-6, 0.999e-3, 1.001e-3, 0.3, 2.0,
+                 np.pi - 1e-3, np.pi - 1e-7, np.pi)
+
+
+def oracle_vectors(rng, count=300):
+    """Random axes at each ORACLE_ANGLES angle, then at random angles up to pi
+    (beyond pi, scipy's expm itself drifts to a few 1e-14)."""
+    angles = [a for a in ORACLE_ANGLES for _ in range(20)] + list(rng.uniform(0.0, np.pi, count))
+    axes = rng.normal(size=(len(angles), 3))
+    return [a * axis / np.linalg.norm(axis) for a, axis in zip(angles, axes)]
+
+
+def hom_matrix(w, v):
+    """The 4x4 homogeneous matrix [[wedge(w), v], [0, 0]]."""
+    m = np.zeros((4, 4))
+    m[0:3, 0:3] = wedge(w)
+    m[0:3, 3] = v
+    return m
 
 
 def test_wedge_zero():
@@ -68,8 +91,13 @@ def test_exp_series_oracle(rng):
         assert_allclose(exp_so3(v), series_expm(wedge(v)), atol=1e-12)
 
 
+def test_exp_matches_expm(rng):
+    for v in oracle_vectors(rng):
+        assert_allclose(exp_so3(v), expm(wedge(v)), rtol=0.0, atol=1e-14)
+
+
 def test_exp_small_angle_branch(rng):
-    for scale in (1e-9, 1e-7, 2e-6):
+    for scale in (1e-9, 1e-7, 0.999e-6, 1.001e-6, 2e-6):
         v = rng.normal(size=3)
         v *= scale / np.linalg.norm(v)
         assert_allclose(exp_so3(v), series_expm(wedge(v)), atol=1e-15)
@@ -159,13 +187,19 @@ def test_exp_sdp_series_oracle(rng):
     for _ in range(300):
         w = rng.normal(size=3)
         v = rng.normal(size=3)
-        m = np.zeros((4, 4))
-        m[0:3, 0:3] = wedge(w)
-        m[0:3, 3] = v
-        expected = series_expm(m)
+        expected = series_expm(hom_matrix(w, v))
         rot, vec = exp_sdp(w, v)
         assert_allclose(rot, expected[0:3, 0:3], atol=1e-12)
         assert_allclose(vec, expected[0:3, 3], atol=1e-12)
+
+
+def test_exp_sdp_matches_expm(rng):
+    for w in oracle_vectors(rng):
+        v = rng.normal(size=3)
+        expected = expm(hom_matrix(w, v))
+        rot, vec = exp_sdp(w, v)
+        assert_allclose(rot, expected[0:3, 0:3], rtol=0.0, atol=1e-14)
+        assert_allclose(vec, expected[0:3, 3], rtol=0.0, atol=1e-14)
 
 
 def test_exp_sdp_homogeneous_product(rng):
@@ -176,10 +210,7 @@ def test_exp_sdp_homogeneous_product(rng):
     hom = np.eye(4)
     hom[0:3, 0:3] = rot
     hom[0:3, 3] = vec
-    m = np.zeros((4, 4))
-    m[0:3, 0:3] = wedge(w)
-    m[0:3, 3] = v
-    assert_allclose(hom, series_expm(m), atol=1e-12)
+    assert_allclose(hom, series_expm(hom_matrix(w, v)), atol=1e-12)
 
 
 def test_left_jacobian_series_oracle_across_branch(rng):

@@ -311,8 +311,13 @@ def test_state_from_group(rng, n):
     assert_allclose(xi.b, -(x.A.T @ x.a))
     for c, b in zip(xi.C, x.B):
         assert_allclose(c, x.A.T @ b)
-    ref = action_phi(x, identity_state(n))
-    assert max_state_gap(xi, ref) == 0.0
+    # bit-equal to the action on the identity state, for many random elements
+    for _ in range(200):
+        x = random_group_element(rng, n, scale=rng.uniform(0.1, 3.0))
+        xi = state_from_group(x)
+        ref = action_phi(x, identity_state(n))
+        assert np.array_equal(xi.R, ref.R) and np.array_equal(xi.b, ref.b)
+        assert len(xi.C) == n and all(np.array_equal(c, r) for c, r in zip(xi.C, ref.C))
 
 
 @pytest.mark.parametrize("n", NS)
