@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage/config error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import sys
 from pathlib import Path
@@ -21,7 +20,7 @@ from .config import (
     load_config,
     validate_config,
 )
-from .metrics import EmptyWindowError, MisalignedError, RmseReport, compare_report
+from .metrics import METRIC_KEYS, EmptyWindowError, MisalignedError, RmseReport, compare_report
 from .runner import drive_filter, montecarlo, selected_filters
 from .sim import simulate_run
 from .study import bench_phi
@@ -60,12 +59,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_run)
     p_run.add_argument("--logs", type=Path, required=True,
                        help="directory holding gyro.csv, dir_<id>.csv and optional truth.csv")
-    _add_filter_flags(p_run)
 
     p_mc = sub.add_parser("montecarlo", help="Monte-Carlo campaign with aggregated RMSE report")
     add_common(p_mc)
     p_mc.add_argument("--runs", type=int, default=25, help="number of runs")
-    _add_filter_flags(p_mc)
+    for p in (p_run, p_mc):
+        p.add_argument("--filter", choices=("eqf", "iekf", "both"), default=None)
 
     p_cmp = sub.add_parser("compare", help="side-by-side table from report CSV files")
     p_cmp.add_argument("reports", type=Path, nargs="+", help="rmse report CSV files")
@@ -79,22 +78,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_filter_flags(p) -> None:
-    p.add_argument("--filter", choices=("eqf", "iekf", "both"), default=None)
-    p.add_argument("--residual-mode", choices=("subtract", "literal"), default=None)
-    p.add_argument("--md-mode", choices=("analytic", "first-order"), default=None)
-
-
 def _load(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else default_config()
     if args.seed is not None:
         cfg.seed = args.seed
     if getattr(args, "filter", None):
         cfg.filter = args.filter
-    if getattr(args, "residual_mode", None):
-        cfg.residual_mode = args.residual_mode
-    if getattr(args, "md_mode", None):
-        cfg.md_mode = args.md_mode
     return validate_config(cfg)
 
 
@@ -155,27 +144,21 @@ def _cmd_montecarlo(args) -> int:
     result = montecarlo(cfg, args.runs)
 
     filters = selected_filters(cfg)
-    with open(out / "per_run.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run", "filter", "att_T", "bias_T", "cal_T",
-                         "att_A", "bias_A", "cal_A", "nees_att", "wall_s"])
-        for row in result.per_run:
-            for kind in filters:
-                rep = row[kind]["report"]
-                writer.writerow([row["run"], kind]
-                                + [f"{rep.transient[k]:.17g}" for k in
-                                   ("att_deg", "bias", "cal_deg")]
-                                + [f"{rep.asymptotic[k]:.17g}" for k in
-                                   ("att_deg", "bias", "cal_deg")]
-                                + [f"{row[kind]['nees']:.17g}",
-                                   f"{row[kind]['wall_s']:.17g}"])
+    csvio.write_table(out / "per_run.csv",
+                      ["run", "filter", "att_T", "bias_T", "cal_T",
+                       "att_A", "bias_A", "cal_A", "nees_att", "wall_s"],
+                      ([row["run"], kind]
+                       + [row[kind]["report"].transient[k] for k in METRIC_KEYS]
+                       + [row[kind]["report"].asymptotic[k] for k in METRIC_KEYS]
+                       + [row[kind]["nees"], row[kind]["wall_s"]]
+                       for row in result.per_run for kind in filters))
 
     rows = []
     for kind in filters:
         rep = result.aggregate[kind]
         for phase in ("transient", "asymptotic"):
             rows.append({"filter": kind, "phase": phase,
-                         **{k: getattr(rep, phase)[k] for k in ("att_deg", "bias", "cal_deg")},
+                         **{k: getattr(rep, phase)[k] for k in METRIC_KEYS},
                          "runtime_s": result.runtimes[kind]})
     csvio.write_report(out / "rmse_report.csv", rows)
 
@@ -197,7 +180,7 @@ def _cmd_compare(args) -> int:
         for row in csvio.read_report(path):
             rep = reports.setdefault(row["filter"], RmseReport())
             getattr(rep, row["phase"]).update(
-                {k: row[k] for k in ("att_deg", "bias", "cal_deg")})
+                {k: row[k] for k in METRIC_KEYS})
             if row.get("runtime_s") is not None:
                 runtimes[row["filter"]] = row["runtime_s"]
     if len(reports) < 2:
@@ -207,10 +190,8 @@ def _cmd_compare(args) -> int:
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
         (args.out / "comparison.txt").write_text(text + "\n", encoding="utf-8")
-        with open(args.out / "comparison.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+        csvio.write_table(args.out / "comparison.csv", list(rows[0]),
+                          (row.values() for row in rows))
     return EXIT_OK
 
 
@@ -229,12 +210,8 @@ def _cmd_bench(args) -> int:
     print(f"max |cov(i) - cov(iii)| = {result.cov_gap_euler:.3e}")
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
-        with open(args.out / "bench_phi.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["variant", "time_s", "relative_pct"])
-            for key in labels:
-                writer.writerow([key, f"{result.times[key]:.17g}",
-                                 f"{result.relative[key]:.17g}"])
+        csvio.write_table(args.out / "bench_phi.csv", ["variant", "time_s", "relative_pct"],
+                          ([key, result.times[key], result.relative[key]] for key in labels))
     return EXIT_OK
 
 

@@ -102,6 +102,12 @@ def default_config(seed: int = 0) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> RunConfig:
+    tables = [(section, schema, cfg) for section, schema in _SECTIONS.items()]
+    tables += [(f"sensor.{s.sensor_id}", _SENSOR_KEYS, s) for s in cfg.sensors]
+    for section, schema, target in tables:
+        for key, (attr, kind) in schema.items():
+            if kind in (float, np.ndarray) and not np.all(np.isfinite(getattr(target, attr))):
+                raise ConfigError(f"[{section}] {key} must be finite")
     if cfg.filter not in FILTER_CHOICES:
         raise ConfigError(f"[run] filter must be one of {FILTER_CHOICES}, got {cfg.filter!r}")
     if cfg.residual_mode not in RESIDUAL_CHOICES:
@@ -116,8 +122,6 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError("[trajectory] rate must be an integer multiple of the gyro rate")
     if not cfg.sensors:
         raise ConfigError("at least one [sensor.<id>] section is required")
-    if cfg.n_cal > cfg.n_sensors:
-        raise ConfigError("more calibration states than sensors")
     seen: set[str] = set()
     calibrated_done = False
     for s in cfg.sensors:

@@ -33,18 +33,27 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_rows(path: Path, header: list[str], rows) -> None:
+def _write_lines(path: Path, header: list[str], lines) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(lines)
+
+
+def write_table(path: Path, header: list[str], rows) -> None:
+    """The CSV writer for rows of mixed cells: floats (numpy's too) get 17
+    significant digits, None an empty cell, anything else its str()."""
+    _write_lines(path, header, ([_fmt(v) if isinstance(v, float) else "" if v is None
+                                 else v for v in row] for row in rows))
 
 
 def _write_columns(path: Path, header: list[str], *arrays) -> None:
-    """One row per leading index of the arrays, each flattened into its columns."""
+    """One row per leading index of the arrays, each flattened into its columns.
+
+    Every cell is a float, so the cells skip write_table's per-cell type test."""
     table = np.column_stack([np.reshape(a, (len(a), math.prod(np.shape(a)[1:])))
                              for a in arrays])
-    _write_rows(path, header, ([_fmt(v) for v in row] for row in table.tolist()))
+    _write_lines(path, header, ([_fmt(v) for v in row] for row in table.tolist()))
 
 
 def _read_table(path: Path, required: list[str]
@@ -99,6 +108,8 @@ def write_gyro(path: Path, t: np.ndarray, omega: np.ndarray) -> None:
 
 def read_gyro(path: Path) -> tuple[np.ndarray, np.ndarray]:
     _, rows, file_rows = _read_table(path, GYRO_HEADER)
+    if not rows:
+        raise ParseError(path, 2, "empty gyro file")
     data = np.asarray(rows, dtype=float).reshape(-1, 4)
     _check_sorted(path, data[:, 0], file_rows, strict=True)
     return data[:, 0], data[:, 1:4]
@@ -111,15 +122,12 @@ def direction_header(time_varying: bool) -> list[str]:
 
 def write_directions(path: Path, meas: list[DirectionMeasurement]) -> None:
     time_varying = any(m.reference is not None for m in meas)
-    rows = []
-    for m in meas:
-        row = [_fmt(m.t)] + [_fmt(v) for v in m.y]
-        if time_varying:
-            if m.reference is None:
-                raise ParseError(path, None, "mixed fixed/time-varying reference rows")
-            row += [_fmt(v) for v in m.reference]
-        rows.append(row)
-    _write_rows(path, direction_header(time_varying), rows)
+    if time_varying and any(m.reference is None for m in meas):
+        raise ParseError(path, None, "mixed fixed/time-varying reference rows")
+    columns = [[m.t for m in meas], [m.y for m in meas]]
+    if time_varying:
+        columns.append([m.reference for m in meas])
+    _write_columns(path, direction_header(time_varying), *columns)
 
 
 def read_directions(path: Path, sensor_id: str) -> list[DirectionMeasurement]:
@@ -197,14 +205,7 @@ REPORT_HEADER = ["filter", "phase", "att_deg", "bias", "cal_deg", "runtime_s"]
 
 
 def write_report(path: Path, rows: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_HEADER)
-        for row in rows:
-            writer.writerow([row["filter"], row["phase"]]
-                            + [_fmt(row[k]) for k in ("att_deg", "bias", "cal_deg")]
-                            + [_fmt(row["runtime_s"]) if row.get("runtime_s") is not None
-                               else ""])
+    write_table(path, REPORT_HEADER, ([row.get(k) for k in REPORT_HEADER] for row in rows))
 
 
 def read_report(path: Path) -> list[dict]:

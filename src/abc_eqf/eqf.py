@@ -51,7 +51,8 @@ class NonPositiveDtError(ValueError):
 
 
 class NonFiniteInputError(ValueError):
-    """Raised when a propagation step gets a non-finite dt or gyro sample."""
+    """Raised when a propagation step gets a non-finite dt or gyro sample, or
+    an initialization a non-finite sigma0."""
 
 
 class UnknownSensorError(ValueError):
@@ -73,8 +74,10 @@ class NoiseConfig:
     sigma_kappa: float = 1e-4
 
     def __post_init__(self) -> None:
-        if min(self.sigma_w, self.sigma_bw, self.sigma_kappa) < 0.0:
-            raise ValueError("noise densities must be non-negative")
+        # NaN fails every comparison, so test for the valid range, not against it
+        if not all(0.0 <= v < math.inf for v in (self.sigma_w, self.sigma_bw,
+                                                  self.sigma_kappa)):
+            raise ValueError("noise densities must be finite and non-negative")
 
 
 @dataclass
@@ -142,6 +145,8 @@ def _check_sigma0(sigma0: np.ndarray, n: int) -> np.ndarray:
     sigma0 = np.asarray(sigma0, dtype=float)
     if sigma0.shape != (dim, dim):
         raise BadDimensionError(f"sigma0 must be {dim}x{dim}")
+    if not np.all(np.isfinite(sigma0)):
+        raise NonFiniteInputError("sigma0 must be finite")
     if np.max(np.abs(sigma0 - sigma0.T)) > 1e-9:
         raise BadDimensionError("sigma0 must be symmetric")
     if np.min(np.linalg.eigvalsh(sigma0)) < -1e-9 * max(np.trace(sigma0), 1.0):

@@ -55,11 +55,6 @@ class RmseReport:
 METRIC_KEYS = ("att_deg", "bias", "cal_deg")
 
 
-def rotation_angle_deg(r1: np.ndarray, r2: np.ndarray) -> float:
-    """Bi-invariant distance ||log(r1 r2^T)|| in degrees."""
-    return float(np.degrees(np.linalg.norm(log_so3(r1 @ r2.T))))
-
-
 def interpolate_truth(truth: GroundTruth, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Geodesic attitude / linear bias interpolation of the truth at times t.
 
@@ -95,19 +90,17 @@ def error_series(truth: GroundTruth, est: EstimateSeries) -> ErrorSeries:
                        np.degrees(np.linalg.norm(cal_vec, axis=-1)), att_vec)
 
 
-def rmse(values: np.ndarray, t: np.ndarray, window: tuple[float, float]) -> float:
-    """Root mean square of values over t in [window[0], window[1])."""
-    mask = (t >= window[0]) & (t < window[1])
-    if not np.any(mask):
-        raise EmptyWindowError(f"no samples in window {window}")
-    return float(np.sqrt(np.mean(np.square(values[mask]))))
-
-
 def window_mean(values: np.ndarray, t: np.ndarray, window: tuple[float, float]) -> float:
+    """Mean of values over t in [window[0], window[1])."""
     mask = (t >= window[0]) & (t < window[1])
     if not np.any(mask):
         raise EmptyWindowError(f"no samples in window {window}")
     return float(np.mean(values[mask]))
+
+
+def rmse(values: np.ndarray, t: np.ndarray, window: tuple[float, float]) -> float:
+    """Root mean square of values over t in [window[0], window[1])."""
+    return float(np.sqrt(window_mean(np.square(values), t, window)))
 
 
 def report_from_series(err: ErrorSeries, split_t: float | None = None) -> RmseReport:

@@ -30,10 +30,6 @@ STREAM_GYRO = 2
 STREAM_SENSOR_BASE = 10
 
 
-class DegenerateBaselineError(ValueError):
-    """Raised when the two receiver positions (nearly) coincide."""
-
-
 def make_rng(base_seed: int, run: int, stream: int) -> np.random.Generator:
     """Independent, reproducible generator for one (run, stream) pair."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([base_seed, run, stream])))
@@ -56,7 +52,6 @@ class Trajectory:
     t: np.ndarray
     R: np.ndarray        # (K, 3, 3)
     omega: np.ndarray    # (K, 3) body angular velocity
-    params: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -130,8 +125,7 @@ def gen_trajectory(cfg: TrajectoryConfig, seed: int, run: int = 0) -> Trajectory
 
     r = _euler_zyx_matrices(ang[:, 2], ang[:, 1], ang[:, 0])
     omega = _euler_zyx_body_rates(ang[:, 1], ang[:, 0], dang[:, 2], dang[:, 1], dang[:, 0])
-    params = {"amp": amp, "freq": freq, "phase": phase}
-    return Trajectory(t, r, omega, params)
+    return Trajectory(t, r, omega)
 
 
 def synth_gyro(truth_t: np.ndarray, omega_true: np.ndarray, sigma_w: float,
@@ -153,8 +147,7 @@ def synth_gyro(truth_t: np.ndarray, omega_true: np.ndarray, sigma_w: float,
     steps = rng.normal(0.0, sigma_bw * np.sqrt(dt), size=(kg, 3))
     steps[0] = 0.0
     bias = bias0[None, :] + np.cumsum(steps, axis=0)
-    white = rng.normal(0.0, sigma_w / np.sqrt(dt), size=(kg, 3)) if sigma_w > 0 \
-        else np.zeros((kg, 3))
+    white = rng.normal(0.0, sigma_w / np.sqrt(dt), size=(kg, 3))
     return t, omega + bias + white, bias
 
 
@@ -166,18 +159,8 @@ def synth_direction(r: np.ndarray, cal: np.ndarray | None, d: np.ndarray,
     """
     body = np.einsum("kji,j->ki", r, d)
     y = body @ cal if cal is not None else body
-    if sigma_y > 0.0:
-        y = y + rng.normal(0.0, sigma_y, size=y.shape)
+    y = y + rng.normal(0.0, sigma_y, size=y.shape)
     return y / np.linalg.norm(y, axis=1, keepdims=True)
-
-
-def gnss_direction(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    """Unit baseline direction (p1 - p2) / ||p1 - p2||."""
-    diff = np.asarray(p1, dtype=float) - np.asarray(p2, dtype=float)
-    norm = float(np.linalg.norm(diff))
-    if norm < 1e-6:
-        raise DegenerateBaselineError("receiver positions coincide")
-    return diff / norm
 
 
 def synth_gnss_direction(r: np.ndarray, cal: np.ndarray | None, body_axis: np.ndarray,
@@ -193,8 +176,8 @@ def synth_gnss_direction(r: np.ndarray, cal: np.ndarray | None, body_axis: np.nd
     """
     k = r.shape[0]
     half = np.einsum("kij,j->ki", r, 0.5 * baseline * body_axis)
-    p1 = half + rng.normal(0.0, pos_std, size=(k, 3)) if pos_std > 0 else half.copy()
-    p2 = -half + rng.normal(0.0, pos_std, size=(k, 3)) if pos_std > 0 else -half
+    p1 = half + rng.normal(0.0, pos_std, size=(k, 3))
+    p2 = -half + rng.normal(0.0, pos_std, size=(k, 3))
     diff = p1 - p2
     norms = np.linalg.norm(diff, axis=1)
     valid = norms >= 1e-6
@@ -245,7 +228,6 @@ class SimData:
     gyro_t: np.ndarray
     gyro_omega: np.ndarray
     measurements: list[DirectionMeasurement]
-    info: dict = field(default_factory=dict)
 
 
 def simulate_run(cfg: RunConfig, run: int = 0) -> SimData:
@@ -296,5 +278,4 @@ def simulate_run(cfg: RunConfig, run: int = 0) -> SimData:
         schedules[sensor.sensor_id] = SensorSchedule(sensor.rate, sensor.dropout, sensor.jitter)
 
     measurements = schedule_and_drop(streams, schedules, cfg.traj_rate, cfg.seed, run)
-    info = {"trajectory": traj.params, "r_err": r_err, "cal_true": cal_true, "bias0": bias0}
-    return SimData(truth, gyro_t, gyro_omega, measurements, info)
+    return SimData(truth, gyro_t, gyro_omega, measurements)

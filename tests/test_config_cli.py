@@ -161,6 +161,23 @@ def test_config_rejects_bad_rate(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("section, old, new", [
+    ("noise", "sigma_w = 8.73e-4", "sigma_w = nan"),
+    ("run", "duration = 1.0", "duration = inf"),
+    ("sensor.mag", "reference = 1 0 -1", "reference = 1 nan -1"),
+    ("sensor.gnss", "baseline = 1.0", "baseline = -inf"),
+])
+def test_config_rejects_non_finite_value(tmp_path, capsys, section, old, new):
+    path = tmp_path / "bad.ini"
+    path.write_text(CONFIG_TEXT.replace(old, new))
+    key = new.split(" = ")[0]
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must be finite"):
+        load_config(path)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert f"[{section}] {key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_default_config_is_valid():
     cfg = default_config(seed=3)
     assert cfg.n_cal == 1
@@ -261,6 +278,19 @@ def test_cli_run_bad_value_is_data_error(tmp_path, config_file, capsys, name, co
     assert main(["run", "--config", str(config_file), "--logs", str(logs),
                  "--out", str(tmp_path / "out")]) == 2
     assert f"{name}:11" in capsys.readouterr().err
+
+
+def test_cli_run_empty_gyro_log_is_data_error(tmp_path, config_file, capsys):
+    logs = tmp_path / "logs"
+    assert main(["simulate", "--config", str(config_file), "--out", str(logs)]) == 0
+    gyro = logs / "gyro.csv"
+    gyro.write_text(gyro.read_text().splitlines()[0] + "\n")     # header row only
+    for with_truth in (True, False):
+        if not with_truth:
+            (logs / "truth.csv").unlink()
+        assert main(["run", "--config", str(config_file), "--logs", str(logs),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "gyro.csv:2: empty gyro file" in capsys.readouterr().err
 
 
 def test_cli_run_ignores_measurements_after_last_gyro(tmp_path, config_file):

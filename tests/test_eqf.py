@@ -90,6 +90,21 @@ def test_init_rejects_bad_sigma():
         eqf_init(1, sensors, NOISE, -np.eye(9))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_init_rejects_non_finite_sigma(bad):
+    sigma0 = np.eye(9)
+    sigma0[4, 4] = bad
+    with pytest.raises(NonFiniteInputError, match="sigma0"):
+        eqf_init(1, make_sensors(1, 2), NOISE, sigma0)
+
+
+@pytest.mark.parametrize("densities", [(np.nan, 1.75e-5, 1e-4), (8.73e-4, np.inf, 1e-4),
+                                       (8.73e-4, 1.75e-5, np.nan), (-1e-3, 1.75e-5, 1e-4)])
+def test_noise_config_rejects_non_finite_or_negative(densities):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        NoiseConfig(*densities)
+
+
 def test_init_dimension_for_n2():
     sensors = make_sensors(2, 3)
     fs = eqf_init(2, sensors, NOISE, np.eye(12))

@@ -60,6 +60,13 @@ def test_init_rejects_bad_sigma(rng):
         iekf_init(identity_state(1), -np.eye(9))
 
 
+def test_init_rejects_non_finite_sigma():
+    sigma0 = np.eye(9)
+    sigma0[7, 7] = np.nan
+    with pytest.raises(NonFiniteInputError, match="sigma0"):
+        iekf_init(identity_state(1), sigma0)
+
+
 def test_propagate_exact_bias_cancellation(rng):
     xi = random_state(rng, 1)
     s = IekfState(xi, random_psd(rng, 9, 0.1), 0.0)

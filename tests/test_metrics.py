@@ -15,11 +15,8 @@ from abc_eqf.metrics import (
     mc_aggregate,
     report_from_series,
     rmse,
-    rotation_angle_deg,
 )
 from abc_eqf.sim import GroundTruth
-
-from conftest import random_rotation
 
 
 def constant_truth(k=10, rate=10.0, n=1):
@@ -54,16 +51,6 @@ def test_error_series_known_rotation_offset():
     est.R = np.einsum("kij,jl->kil", truth.R, offset)
     err = error_series(truth, est)
     assert_allclose(err.att_deg, np.degrees(0.1), rtol=1e-12)
-
-
-def test_rotation_metric_symmetric_and_bi_invariant(rng):
-    for _ in range(100):
-        r1 = random_rotation(rng)
-        r2 = random_rotation(rng)
-        q = random_rotation(rng)
-        d12 = rotation_angle_deg(r1, r2)
-        assert abs(d12 - rotation_angle_deg(r2, r1)) < 1e-12
-        assert abs(d12 - rotation_angle_deg(q @ r1, q @ r2)) < 1e-9
 
 
 def test_interpolate_truth_geodesic_midpoint():

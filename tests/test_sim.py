@@ -5,12 +5,10 @@ from numpy.testing import assert_allclose
 from abc_eqf.config import default_config
 from abc_eqf.lie import is_rotation, vee
 from abc_eqf.sim import (
-    DegenerateBaselineError,
     DirStream,
     SensorSchedule,
     TrajectoryConfig,
     gen_trajectory,
-    gnss_direction,
     make_rng,
     schedule_and_drop,
     simulate_run,
@@ -131,13 +129,6 @@ def test_synth_direction_angular_error_statistics():
     # two tangential noise DOF of std sigma each -> RMS angle ~ sigma * sqrt(2)
     rms = np.sqrt(np.mean(angles ** 2))
     assert abs(rms / (sigma * np.sqrt(2.0)) - 1.0) < 0.10
-
-
-def test_gnss_direction_by_hand():
-    assert_allclose(gnss_direction(np.array([1.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0])),
-                    np.array([0.0, 1.0, 0.0]))
-    with pytest.raises(DegenerateBaselineError):
-        gnss_direction(np.ones(3), np.ones(3))
 
 
 def test_synth_gnss_noiseless_identity_attitude():
