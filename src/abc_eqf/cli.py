@@ -20,6 +20,7 @@ from .config import (
     load_config,
     validate_config,
 )
+from .eqf import InputRangeError
 from .metrics import METRIC_KEYS, EmptyWindowError, MisalignedError, RmseReport, compare_report
 from .runner import drive_filter, montecarlo, selected_filters
 from .sim import simulate_run
@@ -233,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (csvio.ParseError, MisalignedError, EmptyWindowError) as exc:
+    except (csvio.ParseError, InputRangeError, MisalignedError, EmptyWindowError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:

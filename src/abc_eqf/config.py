@@ -79,10 +79,6 @@ class RunConfig:
     sensors: list[SensorConfig] = field(default_factory=list)
 
     @property
-    def n_sensors(self) -> int:
-        return len(self.sensors)
-
-    @property
     def n_cal(self) -> int:
         return sum(1 for s in self.sensors if s.calibrated)
 

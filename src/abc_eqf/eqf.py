@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lie import exp_sdp, exp_so3, project_to_so3, wedge
-from .symmetry import GroupElement, group_identity
+from .symmetry import AlgebraElement, GroupElement, group_exp, group_identity, group_mul
 
 logger = logging.getLogger(__name__)
 
@@ -38,6 +38,7 @@ MEASUREMENT_SLACK = 0.05
 
 S_CONDITION_LIMIT = 1e12
 
+_MAX_STEP_TURN_SQ = math.pi ** 2     # a gyro step may turn at most pi
 _PHI_SERIES_ANGLE = 1e-4
 _MD_SERIES_ANGLE = 0.1
 
@@ -57,6 +58,10 @@ class NonFiniteInputError(ValueError):
 
 class UnknownSensorError(ValueError):
     """Raised when a measurement names a sensor the filter was not given."""
+
+
+class InputRangeError(ValueError):
+    """Raised on a gyro step turning more than pi or a non-unit direction."""
 
 
 @dataclass
@@ -123,11 +128,14 @@ def validate_layout(sensors: list[SensorModel]) -> int:
         if s.calibrated != (i < n):
             raise BadDimensionError("calibrated sensors must precede uncalibrated ones")
         s.cal_index = i if s.calibrated else None
-        if s.reference is not None:
-            norm = np.linalg.norm(s.reference)
-            if abs(norm - 1.0) > 1e-6:
-                raise BadDimensionError(f"sensor {s.sensor_id}: reference must be unit norm")
+        if s.reference is not None and not _is_unit(s.reference):
+            raise BadDimensionError(f"sensor {s.sensor_id}: reference must be unit norm")
     return n
+
+
+def _is_unit(v: np.ndarray) -> bool:
+    """|v| = 1 within 1e-6; False for a non-finite v."""
+    return abs(math.hypot(*np.asarray(v, dtype=float).tolist()) - 1.0) <= 1e-6
 
 
 def eqf_init(n: int, sensors: list[SensorModel], noise: NoiseConfig,
@@ -160,9 +168,7 @@ def compute_A0(omega0: np.ndarray, n: int) -> np.ndarray:
     a = np.zeros((dim, dim))
     w = wedge(omega0)
     a[0:3, 3:6] = -np.eye(3)
-    a[3:6, 3:6] = w
-    for i in range(n):
-        j = 6 + 3 * i
+    for j in range(3, dim, 3):      # the bias block and every calibration block
         a[j:j + 3, j:j + 3] = w
     return a
 
@@ -188,11 +194,8 @@ def compute_C0(sensors: list[SensorModel], refs: np.ndarray, n: int) -> np.ndarr
 
 
 def compute_phi(omega0: np.ndarray, dt: float, n: int) -> np.ndarray:
-    """Closed-form state transition matrix exp(A0 dt), from :func:`phi_and_md`.
-
-    Exact trigonometric coefficients; below ||omega0|| dt = 1e-4 the
-    polynomial small-angle limit is used instead.
-    """
+    """Closed-form state transition matrix exp(A0 dt), from :func:`phi_and_md`
+    (a small-angle polynomial limit below ||omega0|| dt = 1e-4)."""
     return phi_and_md(omega0, dt, NoiseConfig(0.0, 0.0, 0.0), n)[0]
 
 
@@ -205,11 +208,9 @@ def compute_Md(omega0: np.ndarray, dt: float, noise: NoiseConfig, n: int,
     blocks of Phi are orthogonal, so the bias and calibration blocks are
     exactly sigma^2 dt I).  The first-order mode returns M_c dt.
 
-    M_c is sigma^2 I on every 3-block, so the input-noise adaptation of the
-    EqF, which conjugates M_c by the rotation block-diagonal blkdiag(Ahat,
-    Ahat, Bhat_1, .., Bhat_n), returns M_c unchanged (R sigma^2 I R^T =
-    sigma^2 I); no rotation is applied and the densities enter the closed
-    form directly.
+    M_c is sigma^2 I on every 3-block, so the EqF's input-noise adaptation,
+    a conjugation by blkdiag(Ahat, Ahat, Bhat_1, .., Bhat_n), returns it
+    unchanged and is not applied.
     """
     return phi_and_md(omega0, dt, noise, n, mode)[1]
 
@@ -362,19 +363,22 @@ def propagate_mean(x: GroupElement, omega: np.ndarray, dt: float
 
 def _check_step(omega: np.ndarray, dt: float, t: float) -> float:
     """dt as a float, after rejecting a non-finite dt or gyro sample
-    (NonFiniteInputError) and dt <= 0 (NonPositiveDtError); t is the filter
-    time the step starts from.  The three gyro components are read as
-    floats, so no array is scanned.  Shared by both filters' propagations.
+    (NonFiniteInputError), dt <= 0 (NonPositiveDtError) and a step turning
+    more than pi, overflow included (InputRangeError); t is the filter time
+    the step starts from.  A valid step passes one scalar test, which NaN
+    and inf fail too.  Shared by both filters' propagations.
     """
     dt = float(dt)
     x, y, z = omega.tolist()
-    if not (math.isfinite(dt) and math.isfinite(x) and math.isfinite(y)
-            and math.isfinite(z)):
-        raise NonFiniteInputError(
-            f"propagation from filter time t={t}: non-finite input, dt={dt}, "
-            f"omega=({x}, {y}, {z})")
-    if dt <= 0.0:
-        raise NonPositiveDtError(f"propagation from filter time t={t}: dt={dt} must be positive")
+    if not (dt > 0.0 and (x * x + y * y + z * z) * dt * dt <= _MAX_STEP_TURN_SQ):
+        if not (math.isfinite(dt) and math.isfinite(x) and math.isfinite(y)
+                and math.isfinite(z)):
+            raise NonFiniteInputError(f"propagation from filter time t={t}: non-finite "
+                                      f"input, dt={dt}, omega=({x}, {y}, {z})")
+        if dt <= 0.0:
+            raise NonPositiveDtError(f"propagation from filter time t={t}: dt={dt} must be positive")
+        raise InputRangeError(f"gyro sample at t={t + dt}: omega=({x}, {y}, {z}) "
+                              f"turns more than pi in dt={dt}")
     return dt
 
 
@@ -382,10 +386,9 @@ def eqf_propagate(fs: FilterState, omega: np.ndarray, dt: float,
                   noise: NoiseConfig, md_mode: str = MD_ANALYTIC) -> FilterState:
     """One gyro step: Lie-group mean integration plus discrete Riccati update."""
     dt = _check_step(omega, dt, fs.t)
-    n = fs.xhat.n
     xhat, omega0 = propagate_mean(fs.xhat, omega, dt)
 
-    phi, md = phi_and_md(omega0, dt, noise, n, md_mode)
+    phi, md = phi_and_md(omega0, dt, noise, xhat.n, md_mode)
     sigma = phi @ fs.sigma @ phi.T + md
     sigma = 0.5 * (sigma + sigma.T)
 
@@ -397,14 +400,15 @@ def eqf_propagate(fs: FilterState, omega: np.ndarray, dt: float,
 
 def _measured_sensors(meas: list[DirectionMeasurement], sensors: list[SensorModel],
                       t: float) -> tuple[list[SensorModel], np.ndarray, np.ndarray]:
-    """Sensor, reference direction and noise covariance of each measurement.
+    """Sensor, reference direction and output noise variance of each
+    measurement, the variance sigma_y^2 once per row.
 
-    The noise covariance is diag(sigma_y^2 I) over the measurements.  Each
-    direction noise is isotropic, so the output-noise adaptation of either
-    filter, a rotation of each 3-block, returns it unchanged and is not
-    applied.  A measurement stamped more than MEASUREMENT_SLACK after t
-    raises ValueError, one from a sensor missing from sensors
-    UnknownSensorError; a sensor list that never went through
+    Each direction noise is isotropic, so the output-noise adaptation of
+    either filter, a rotation of each 3-block, returns sigma_y^2 I unchanged
+    and is not applied.  A measurement stamped more than MEASUREMENT_SLACK
+    after t raises ValueError, one from a sensor missing from sensors
+    UnknownSensorError, a non-unit direction or arriving reference
+    InputRangeError; a sensor list that never went through
     :func:`validate_layout` is validated here.
     """
     by_id = {s.sensor_id: s for s in sensors}
@@ -424,22 +428,28 @@ def _measured_sensors(meas: list[DirectionMeasurement], sensors: list[SensorMode
         ref = m.reference if sensor.reference is None else sensor.reference
         if ref is None:
             raise BadDimensionError(f"sensor {m.sensor_id}: measurement carries no reference")
+        if not (_is_unit(m.y) and (sensor.reference is not None or _is_unit(ref))):
+            raise InputRangeError(
+                f"measurement at t={m.t} from sensor {m.sensor_id!r}: direction or "
+                f"reference is not a unit vector (filter time t={t})")
         refs[k] = ref
-    noise_cov = np.diag(np.repeat([s.sigma_y ** 2 for s in used], 3))
-    return used, refs, noise_cov
+    return used, refs, np.array([s.sigma_y ** 2 for s in used for _ in range(3)])
 
 
-def _kalman_step(sigma: np.ndarray, h: np.ndarray, noise_cov: np.ndarray, t: float
-                 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Gain and symmetrized updated covariance for output matrix h.
+def _kalman_step(sigma: np.ndarray, h: np.ndarray, var: np.ndarray, residual: np.ndarray,
+                 t: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Correction K r and symmetrized updated covariance of either filter, for
+    output matrix h, output noise variances var (one per row) and residual r.
 
-    Returns None, with a warning, when the innovation covariance S is
-    non-finite, not positive definite or has cond(S) > S_CONDITION_LIMIT.  S
-    is symmetric, so cond(S) is the ratio of its extreme eigenvalues; the
-    finite check comes first, as eigvalsh does not report NaN.
+    S = H Sigma H^T + diag(var), var added to its diagonal in place.  Returns
+    None, with a warning, when S is non-finite, not positive definite or has
+    cond(S) > S_CONDITION_LIMIT.  S is symmetric, so cond(S) is the ratio of
+    its extreme eigenvalues; the finite check comes first, as eigvalsh does
+    not report NaN.
     """
     sht = sigma @ h.T
-    s_mat = h @ sht + noise_cov
+    s_mat = h @ sht
+    s_mat.flat[::s_mat.shape[0] + 1] += var
     cond = math.nan
     if np.isfinite(s_mat).all():
         eig = np.linalg.eigvalsh(s_mat)
@@ -449,7 +459,7 @@ def _kalman_step(sigma: np.ndarray, h: np.ndarray, noise_cov: np.ndarray, t: flo
         return None
     gain = np.linalg.solve(s_mat, sht.T).T
     sigma = sigma - gain @ h @ sigma
-    return gain, 0.5 * (sigma + sigma.T)
+    return gain @ residual, 0.5 * (sigma + sigma.T)
 
 
 def eqf_update(fs: FilterState, meas: list[DirectionMeasurement],
@@ -460,36 +470,25 @@ def eqf_update(fs: FilterState, meas: list[DirectionMeasurement],
     The equivariant residual of measurement y is Bhat_i y (calibrated sensor)
     or Ahat y; in the default residual mode the reference direction is
     subtracted so a perfect measurement leaves the state unchanged.  The
-    scaled innovation r enters the group multiplicatively with the index
-    arithmetic of the exponential chart at the identity origin: the nav part
-    is exp of (r_att, -r_bias), calibration i is exp of (r_cal_i + r_att).
-
-    An innovation covariance S that is non-finite, not positive definite or
-    ill-conditioned (condition number beyond 1e12) skips the update with a
-    warning instead of corrupting the state; the input state is returned.
+    correction r from :func:`_kalman_step` enters as Xhat+ = exp(Delta) Xhat
+    through :func:`group_exp` and :func:`group_mul`, with Delta from the
+    exponential chart at the identity origin: nav part (r_att, -r_bias),
+    calibration i r_cal_i + r_att.  When _kalman_step skips the update (a
+    bad S), the input state is returned.
     """
     if not meas:
         return fs
     x = fs.xhat
-    used, refs, noise_cov = _measured_sensors(meas, sensors, fs.t)
-    step = _kalman_step(fs.sigma, compute_C0(used, refs, x.n), noise_cov, fs.t)
+    used, refs, var = _measured_sensors(meas, sensors, fs.t)
+    residual = np.concatenate([(x.B[s.cal_index] if s.calibrated else x.A) @ m.y
+                               for m, s in zip(meas, used)])
+    if residual_mode == RESIDUAL_SUBTRACT:
+        residual -= refs.ravel()
+    elif residual_mode != RESIDUAL_LITERAL:
+        raise ValueError(f"unknown residual mode: {residual_mode!r}")
+    step = _kalman_step(fs.sigma, compute_C0(used, refs, x.n), var, residual, fs.t)
     if step is None:
         return fs
-    gain, sigma = step
-
-    r_raw = np.empty(3 * len(meas))
-    for k, (m, sensor) in enumerate(zip(meas, used)):
-        rot = x.B[sensor.cal_index] if sensor.calibrated else x.A
-        res = rot @ m.y
-        if residual_mode == RESIDUAL_SUBTRACT:
-            res = res - refs[k]
-        elif residual_mode != RESIDUAL_LITERAL:
-            raise ValueError(f"unknown residual mode: {residual_mode!r}")
-        r_raw[3 * k: 3 * k + 3] = res
-    r = gain @ r_raw
-
-    rot_e, vec_e = exp_sdp(r[0:3], -r[3:6])
-    a_new = rot_e @ x.A
-    avec_new = rot_e @ x.a + vec_e
-    b_new = [exp_so3(r[6 + 3 * i: 9 + 3 * i] + r[0:3]) @ b for i, b in enumerate(x.B)]
-    return FilterState(GroupElement(a_new, avec_new, b_new), sigma, fs.t, fs.steps)
+    r, sigma = step
+    delta = AlgebraElement(r[0:3], -r[3:6], [r[j:j + 3] + r[0:3] for j in range(6, r.size, 3)])
+    return FilterState(group_mul(group_exp(delta), x), sigma, fs.t, fs.steps)

@@ -3,15 +3,12 @@ Euclidean bias error, sharing the sensor layout and noise model of the
 equivariant filter for head-to-head comparison.
 
 The error state is ordered (att, bias, cal_1, .., cal_n) like the EqF
-covariance.  The state transition matrix I + F dt is exact because F is
-nilpotent (F^2 = 0).
+covariance.  The mean step is the exact flow :func:`system_flow`; the state
+transition matrix I + F dt is exact because F is nilpotent (F^2 = 0).
 
-The gyro, bias and calibration noise is sigma^2 I on each 3-block, and each
-direction noise is sigma_y^2 I, so the rotations that map them into the
-invariant error (blkdiag(Rhat, I, Chat_1, .., Chat_n) for the input noise,
-Rhat Chat_i or Rhat for each direction) return them unchanged and are not
-applied.  Only the initial covariance, which need not be isotropic, is
-rotated.
+Every noise source is isotropic, so the rotations that map it into the
+invariant error return it unchanged and are not applied; only the initial
+covariance, which need not be isotropic, is rotated.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from .eqf import (
     sigma_u,
 )
 from .lie import exp_so3, project_to_so3
-from .symmetry import SystemState
+from .symmetry import SystemState, system_flow
 
 
 @dataclass
@@ -60,20 +57,18 @@ def iekf_init(xi0: SystemState, sigma0: np.ndarray, t0: float = 0.0) -> IekfStat
 
 def iekf_propagate(s: IekfState, omega: np.ndarray, dt: float,
                    noise: NoiseConfig) -> IekfState:
-    """One gyro step: attitude integration and first-order covariance update."""
+    """One gyro step: exact mean flow and first-order covariance update."""
     dt = _check_step(omega, dt, s.t)
-    xi = s.xi
-    phi = np.eye(6 + 3 * xi.n)
-    phi[0:3, 3:6] = -xi.R * dt
-    sigma = phi @ s.sigma @ phi.T + sigma_u(noise, xi.n) * dt
+    phi = np.eye(6 + 3 * s.xi.n)
+    phi[0:3, 3:6] = -s.xi.R * dt
+    sigma = phi @ s.sigma @ phi.T + sigma_u(noise, s.xi.n) * dt
     sigma = 0.5 * (sigma + sigma.T)
 
-    r_new = xi.R @ exp_so3((omega - xi.b) * dt)
+    xi = system_flow(s.xi, omega, dt)
     steps = s.steps + 1
-    cal = [c.copy() for c in xi.C]
     if steps % REPROJECT_EVERY == 0:
-        r_new, cal = project_to_so3(r_new), [project_to_so3(c) for c in cal]
-    return IekfState(SystemState(r_new, xi.b.copy(), cal), sigma, s.t + dt, steps)
+        xi = SystemState(project_to_so3(xi.R), xi.b, [project_to_so3(c) for c in xi.C])
+    return IekfState(xi, sigma, s.t + dt, steps)
 
 
 def iekf_update(s: IekfState, meas: list[DirectionMeasurement],
@@ -84,27 +79,23 @@ def iekf_update(s: IekfState, meas: list[DirectionMeasurement],
     block right-multiplied by Rhat: rows [d^ 0 d^ Rhat] for a calibrated
     sensor (the extra Rhat comes from the right-invariant error convention),
     [d^ 0 0] for an uncalibrated one.  The residual of sensor i is
-    Rhat Chat_i y - d (calibrated) or Rhat y - d.  The update is skipped by
-    the same rule on S as the equivariant update.
+    Rhat Chat_i y - d (calibrated) or Rhat y - d.  The correction r from the
+    shared :func:`_kalman_step`, which skips the update by its rule on S, maps
+    to R <- exp(r_att) Rhat, b <- bhat + r_bias, C_i <- exp(r_cal_i) Chat_i.
     """
     if not meas:
         return s
     xi = s.xi
-    used, refs, noise_cov = _measured_sensors(meas, sensors, s.t)
+    used, refs, var = _measured_sensors(meas, sensors, s.t)
     h = compute_C0(used, refs, xi.n)
     for j in range(6, h.shape[1], 3):
         h[:, j:j + 3] = h[:, j:j + 3] @ xi.R
-    step = _kalman_step(s.sigma, h, noise_cov, s.t)
+    residual = np.concatenate([(xi.R @ xi.C[u.cal_index] if u.calibrated else xi.R) @ m.y
+                               for m, u in zip(meas, used)]) - refs.ravel()
+    step = _kalman_step(s.sigma, h, var, residual, s.t)
     if step is None:
         return s
-    gain, sigma = step
-
-    r_raw = np.empty(3 * len(meas))
-    for k, (m, sensor) in enumerate(zip(meas, used)):
-        rot = xi.R @ xi.C[sensor.cal_index] if sensor.calibrated else xi.R
-        r_raw[3 * k: 3 * k + 3] = rot @ m.y - refs[k]
-    delta = gain @ r_raw
-
+    delta, sigma = step
     r_new = exp_so3(delta[0:3]) @ xi.R
     b_new = xi.b + delta[3:6]
     c_new = [exp_so3(delta[6 + 3 * i: 9 + 3 * i]) @ c for i, c in enumerate(xi.C)]

@@ -83,7 +83,10 @@ def _check_same_n(nx: int, ny: int) -> None:
 
 
 def group_mul(x: GroupElement, y: GroupElement) -> GroupElement:
-    """Product x * y (left factor x), the 4x4 homogeneous product on the nav part."""
+    """Product x * y (left factor x), the 4x4 homogeneous product on the nav part.
+
+    The EqF update applies its correction as group_mul(group_exp(Delta), Xhat).
+    """
     _check_same_n(x.n, y.n)
     return GroupElement(
         x.A @ y.A,
@@ -98,7 +101,8 @@ def group_inv(x: GroupElement) -> GroupElement:
 
 
 def group_exp(u: AlgebraElement) -> GroupElement:
-    """Group exponential, componentwise over the nav and calibration factors."""
+    """Group exponential, componentwise over the nav and calibration factors;
+    the EqF update's correction map."""
     rot, vec = exp_sdp(u.nav_rot, u.nav_vec)
     return GroupElement(rot, vec, [exp_so3(c) for c in u.cal])
 
@@ -215,7 +219,8 @@ def state_from_group(x: GroupElement) -> SystemState:
 
 
 def system_flow(xi: SystemState, omega: np.ndarray, t: float) -> SystemState:
-    """Exact flow of the noise-free system under constant input for time t."""
+    """Exact flow of the noise-free system under constant input for time t;
+    the IEKF's mean propagation step."""
     return SystemState(xi.R @ exp_so3((omega - xi.b) * t), xi.b.copy(),
                        [c.copy() for c in xi.C])
 

@@ -57,7 +57,7 @@ def config_file(tmp_path):
 def test_load_config(config_file):
     cfg = load_config(config_file)
     assert cfg.seed == 11
-    assert cfg.n_sensors == 2 and cfg.n_cal == 1
+    assert len(cfg.sensors) == 2 and cfg.n_cal == 1
     assert abs(np.linalg.norm(cfg.sensors[0].reference) - 1.0) < 1e-12
 
 

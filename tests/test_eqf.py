@@ -7,6 +7,7 @@ from abc_eqf.eqf import (
     BadDimensionError,
     DirectionMeasurement,
     FilterState,
+    InputRangeError,
     NoiseConfig,
     NonFiniteInputError,
     NonPositiveDtError,
@@ -23,6 +24,7 @@ from abc_eqf.eqf import (
     sigma_u,
     validate_layout,
 )
+from abc_eqf.iekf import iekf_init, iekf_propagate, iekf_update
 from abc_eqf.lie import exp_so3, is_rotation, wedge
 from abc_eqf.symmetry import (
     AlgebraElement,
@@ -332,24 +334,48 @@ def test_Md_symmetry(rng):
 # isotropic output noise
 
 
+def _random_update(rng):
+    """Covariance, output matrix, per-row variances (sigma_y^2 repeated over
+    each sensor's 3 rows) and residual of a random stacked update."""
+    n = int(rng.integers(0, 4))
+    m = int(rng.integers(1, 5))
+    sigma = random_psd(rng, 6 + 3 * n, 0.1)
+    h = rng.normal(size=(3 * m, 6 + 3 * n))
+    var = np.repeat(rng.uniform(0.05, 0.5, m) ** 2, 3)
+    return sigma, h, var, rng.normal(0.0, 0.1, 3 * m)
+
+
 def test_kalman_step_invariant_to_rotated_isotropic_noise(rng):
     """Each sensor's noise sigma_y^2 I is unchanged by a rotation D of its
-    3-block, so the output-noise adaptation D sigma^2 I D^T of the EqF gives
-    the gain and covariance of sigma^2 I; the updates skip the rotation."""
+    3-block, so the output-noise adaptation D diag(var) D^T of the EqF gives
+    the update of diag(var): _kalman_step, which adds var to the diagonal of
+    S and skips the rotation, matches a textbook update with the rotated
+    noise matrix.  Sigma+ = Sigma - K H Sigma rounds at the scale of the
+    prior, so its gap is measured against Sigma."""
     for _ in range(100):
-        n = int(rng.integers(0, 4))
-        dim = 6 + 3 * n
-        m = int(rng.integers(1, 5))
-        noise_cov = np.diag(np.repeat(rng.uniform(0.05, 0.5, m) ** 2, 3))
-        d = np.zeros((3 * m, 3 * m))
-        for k in range(m):
-            d[3 * k: 3 * k + 3, 3 * k: 3 * k + 3] = exp_so3(rng.normal(0.0, 2.0, 3))
-        sigma = random_psd(rng, dim, 0.1)
-        h = rng.normal(size=(3 * m, dim))
-        gain, sigma_iso = _kalman_step(sigma, h, noise_cov, 0.0)
-        gain_rot, sigma_rot = _kalman_step(sigma, h, d @ noise_cov @ d.T, 0.0)
-        assert np.max(np.abs(gain_rot - gain)) <= 1e-12 * np.max(np.abs(gain))
-        assert np.max(np.abs(sigma_rot - sigma_iso)) <= 1e-12 * np.max(np.abs(sigma_iso))
+        sigma, h, var, residual = _random_update(rng)
+        d = np.zeros((var.size, var.size))
+        for k in range(0, var.size, 3):
+            d[k:k + 3, k:k + 3] = exp_so3(rng.normal(0.0, 2.0, 3))
+        gain = sigma @ h.T @ np.linalg.inv(h @ sigma @ h.T + d @ np.diag(var) @ d.T)
+        sigma_ref = sigma - gain @ h @ sigma
+        correction, sigma_new = _kalman_step(sigma, h, var, residual, 0.0)
+        assert np.max(np.abs(correction - gain @ residual)) <= 1e-12 * np.max(np.abs(correction))
+        assert np.max(np.abs(sigma_new - sigma_ref)) <= 1e-12 * np.max(np.abs(sigma))
+
+
+def test_kalman_step_correction_is_gain_times_residual(rng):
+    """The correction is Sigma H^T S^-1 r for S = H Sigma H^T + diag(var)
+    built explicitly, and the inputs are left unchanged."""
+    for _ in range(100):
+        sigma, h, var, residual = _random_update(rng)
+        inputs = [a.copy() for a in (sigma, h, var, residual)]
+        s_mat = h @ sigma @ h.T + np.diag(var)
+        expected = sigma @ h.T @ np.linalg.solve(s_mat, residual)
+        correction, _ = _kalman_step(sigma, h, var, residual, 0.0)
+        assert np.max(np.abs(correction - expected)) <= 1e-12 * np.max(np.abs(expected))
+        for a, b in zip(inputs, (sigma, h, var, residual)):
+            assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +390,38 @@ def test_propagate_rejects_bad_dt():
 
 @pytest.mark.parametrize("dt, omega", [
     (np.nan, [0.1, 0.2, 0.3]), (np.inf, [0.1, 0.2, 0.3]), (-np.inf, [0.1, 0.2, 0.3]),
-    (0.01, [0.1, np.nan, 0.3]), (0.01, [0.1, 0.2, -np.inf])])
+    (0.01, [0.1, np.nan, 0.3]), (0.01, [0.1, 0.2, -np.inf]), (np.inf, [0.0, 0.0, 0.0])])
 def test_propagate_rejects_non_finite_input(dt, omega):
     fs = eqf_init(1, make_sensors(1, 1), NOISE, np.eye(9), t0=2.5)
     with pytest.raises(NonFiniteInputError, match="t=2.5"):
         eqf_propagate(fs, np.array(omega), np.float64(dt), NOISE)
+
+
+@pytest.mark.parametrize("omega", [[1e200, 0.0, 0.0], [0.0, -1e100, 0.0], [0.0, 0.0, 320.0]])
+def test_propagate_rejects_step_turning_more_than_pi(omega):
+    """A finite gyro sample that turns more than pi in one step, or whose
+    square overflows, is an InputRangeError naming the sample, in both
+    filters; 3.2 rad in 0.01 s is just past pi."""
+    fs = eqf_init(1, make_sensors(1, 1), NOISE, np.eye(9), t0=2.5)
+    with pytest.raises(InputRangeError, match="turns more than pi"):
+        eqf_propagate(fs, np.array(omega), 0.01, NOISE)
+    with pytest.raises(InputRangeError, match="turns more than pi"):
+        iekf_propagate(iekf_init(identity_state(1), np.eye(9)), np.array(omega), 0.01, NOISE)
+
+
+@pytest.mark.parametrize("y, ref", [([1e200, 0.0, 0.0], [1.0, 0.0, 0.0]),
+                                    ([0.6, 0.8, 0.01], [1.0, 0.0, 0.0]),
+                                    ([1.0, 0.0, 0.0], [0.0, 1e200, 0.0])])
+def test_update_rejects_non_unit_direction(y, ref):
+    """A measured direction, or a reference that arrives with it, whose norm
+    is not 1 within 1e-6 is an InputRangeError naming the sensor, in both
+    filters."""
+    sensors = [SensorModel("gnss", False, 0.1)]
+    meas = [DirectionMeasurement(0.0, "gnss", np.array(y), np.array(ref))]
+    with pytest.raises(InputRangeError, match="'gnss'"):
+        eqf_update(eqf_init(0, sensors, NOISE, np.eye(6)), meas, sensors)
+    with pytest.raises(InputRangeError, match="'gnss'"):
+        iekf_update(iekf_init(identity_state(0), np.eye(6)), meas, sensors)
 
 
 def test_propagate_zero_omega_identity_state():

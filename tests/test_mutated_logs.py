@@ -31,7 +31,7 @@ rate = 20.0
 """
 
 FILES = ("gyro.csv", "dir_mag.csv", "dir_gnss.csv", "truth.csv")
-KINDS = ("drop", "duplicate", "swap", "nan", "zero", "truncate", "header_only")
+KINDS = ("drop", "duplicate", "swap", "nan", "huge", "zero", "truncate", "header_only")
 
 
 @pytest.fixture(scope="module")
@@ -55,15 +55,15 @@ def mutate(lines: list[str], kind: str, row: int, col: int) -> list[str]:
     elif kind == "swap":
         j = i + 1 if i + 1 < len(lines) else i - 1
         lines[i], lines[j] = lines[j], lines[i]
-    elif kind in ("nan", "zero"):
+    elif kind in ("nan", "huge", "zero"):
         fields = lines[i].split(",")
-        if kind == "nan":
-            fields[col % len(fields)] = "nan"
+        if kind != "zero":
+            fields[col % len(fields)] = "nan" if kind == "nan" else "1e200"
         else:
             fields = ["0"] * len(fields)
         lines[i] = ",".join(fields)
     elif kind == "truncate":
-        lines[i] = lines[i][:col % len(lines[i])]
+        lines[i] = lines[i][:col % max(len(lines[i]), 1)]
     return lines
 
 
