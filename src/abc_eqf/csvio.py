@@ -4,8 +4,9 @@ All files carry a mandatory header row, UTF-8, '.' decimal separator and
 floats printed with 17 significant digits so replay is bit-exact.
 Timestamps must be sorted; readers reject unsorted input, and repeated gyro
 timestamps too (each gyro interval is a propagation step).  Readers also
-reject non-finite values, and direction rows whose measured or reference
-direction is all zeros.
+reject non-finite values, direction rows whose measured or reference
+direction is all zeros, and truth rows whose attitude or calibration is not
+a rotation or whose bias b overflows b.b.
 """
 
 from __future__ import annotations
@@ -33,27 +34,28 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_lines(path: Path, header: list[str], lines) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(lines)
-
-
 def write_table(path: Path, header: list[str], rows) -> None:
     """The CSV writer for rows of mixed cells: floats (numpy's too) get 17
     significant digits, None an empty cell, anything else its str()."""
-    _write_lines(path, header, ([_fmt(v) if isinstance(v, float) else "" if v is None
-                                 else v for v in row] for row in rows))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_fmt(v) if isinstance(v, float) else "" if v is None else v
+                          for v in row] for row in rows)
 
 
 def _write_columns(path: Path, header: list[str], *arrays) -> None:
     """One row per leading index of the arrays, each flattened into its columns.
 
-    Every cell is a float, so the cells skip write_table's per-cell type test."""
+    Every cell is a float, so each row is formatted by one "%.17g,...\r\n"
+    format call; the bytes are those csv.writer writes from _fmt's cells, as
+    a number needs no quoting."""
     table = np.column_stack([np.reshape(a, (len(a), math.prod(np.shape(a)[1:])))
                              for a in arrays])
-    _write_lines(path, header, ([_fmt(v) for v in row] for row in table.tolist()))
+    row_format = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(row_format % tuple(row) for row in table.tolist())
 
 
 def _read_table(path: Path, required: list[str]
@@ -165,6 +167,18 @@ def write_truth(path: Path, truth: GroundTruth) -> None:
                    np.repeat(cal, truth.t.size, axis=0))
 
 
+def _not_rotation(m: np.ndarray) -> np.ndarray:
+    """For each 3x3 matrix of a (..., 3, 3) stack: True unless it is
+    orthonormal within 1e-6 (largest entry of |M M^T - I|) with det > 0.
+
+    A matrix with an entry beyond 1 + 1e-6 fails before its products are
+    formed, so they cannot overflow."""
+    big = np.any(np.abs(m) > 1.0 + 1e-6, axis=(-2, -1))
+    m = np.where(big[..., None, None], 0.0, m)
+    gram_err = np.max(np.abs(m @ np.swapaxes(m, -1, -2) - np.eye(3)), axis=(-2, -1))
+    return big | ~(gram_err <= 1e-6) | ~(np.linalg.det(m) > 0.0)
+
+
 def read_truth(path: Path) -> GroundTruth:
     header, rows, file_rows = _read_table(path, truth_header(0))
     n = (len(header) - 13) // 9
@@ -177,6 +191,14 @@ def read_truth(path: Path) -> GroundTruth:
     t = data[:, 0]
     r = data[:, 1:10].reshape(-1, 3, 3)
     bias = data[:, 10:13]
+    with np.errstate(over="ignore"):
+        bias_sq = np.einsum("ki,ki->k", bias, bias)
+    for bad, what in ((_not_rotation(r), "attitude r11..r33 is not a rotation"),
+                      (_not_rotation(data[:, 13:].reshape(len(data), n, 3, 3)).any(axis=1),
+                       "a calibration block is not a rotation"),
+                      (~np.isfinite(bias_sq), "bias overflows: b.b is not finite")):
+        if bad.any():
+            raise ParseError(path, file_rows[int(np.argmax(bad))], what)
     cal = [data[0, 13 + 9 * i: 22 + 9 * i].reshape(3, 3) for i in range(n)]
     # The schema does not carry the true body rates; they are not needed for
     # error evaluation.

@@ -128,14 +128,14 @@ def validate_layout(sensors: list[SensorModel]) -> int:
         if s.calibrated != (i < n):
             raise BadDimensionError("calibrated sensors must precede uncalibrated ones")
         s.cal_index = i if s.calibrated else None
-        if s.reference is not None and not _is_unit(s.reference):
+        if s.reference is not None and not _is_unit(np.asarray(s.reference, dtype=float).tolist()):
             raise BadDimensionError(f"sensor {s.sensor_id}: reference must be unit norm")
     return n
 
 
-def _is_unit(v: np.ndarray) -> bool:
-    """|v| = 1 within 1e-6; False for a non-finite v."""
-    return abs(math.hypot(*np.asarray(v, dtype=float).tolist()) - 1.0) <= 1e-6
+def _is_unit(v: list[float]) -> bool:
+    """|v| = 1 within 1e-6 for the components v; False for a non-finite v."""
+    return abs(math.hypot(*v) - 1.0) <= 1e-6
 
 
 def eqf_init(n: int, sensors: list[SensorModel], noise: NoiseConfig,
@@ -173,24 +173,24 @@ def compute_A0(omega0: np.ndarray, n: int) -> np.ndarray:
     return a
 
 
-def compute_C0(sensors: list[SensorModel], refs: np.ndarray, n: int) -> np.ndarray:
+def compute_C0(sensors: list[SensorModel], refs, n: int) -> np.ndarray:
     """Linearized output matrix, one 3-row block per sensor in the given order.
 
-    refs holds the current reference direction of each listed sensor.  For a
-    calibrated sensor the reference skew appears in the attitude block and in
-    its own calibration block; for an uncalibrated sensor only in the attitude
-    block.
+    refs holds the current reference direction (x, y, z) of each listed
+    sensor, as rows of an array or as float triples.  For a calibrated sensor
+    the reference skew wedge(d) appears in the attitude block and in its own
+    calibration block; for an uncalibrated sensor only in the attitude block.
+    The entries are placed in one flat list and converted once.
     """
-    refs = np.asarray(refs, dtype=float)
     dim = 6 + 3 * n
-    c = np.zeros((3 * len(sensors), dim))
-    for k, sensor in enumerate(sensors):
-        d = wedge(refs[k])
-        c[3 * k: 3 * k + 3, 0:3] = d
-        if sensor.calibrated:
-            j = 6 + 3 * sensor.cal_index
-            c[3 * k: 3 * k + 3, j:j + 3] = d
-    return c
+    c = [0.0] * (3 * len(sensors) * dim)
+    for k, (sensor, (x, y, z)) in enumerate(zip(sensors, refs, strict=True)):
+        for j in (0, 6 + 3 * sensor.cal_index) if sensor.calibrated else (0,):
+            i = 3 * k * dim + j     # the block's top-left entry
+            c[i + 1], c[i + 2] = -z, y
+            c[i + dim], c[i + dim + 2] = z, -x
+            c[i + 2 * dim], c[i + 2 * dim + 1] = -y, x
+    return np.array(c, dtype=float).reshape(3 * len(sensors), dim)
 
 
 def compute_phi(omega0: np.ndarray, dt: float, n: int) -> np.ndarray:
@@ -399,9 +399,9 @@ def eqf_propagate(fs: FilterState, omega: np.ndarray, dt: float,
 
 
 def _measured_sensors(meas: list[DirectionMeasurement], sensors: list[SensorModel],
-                      t: float) -> tuple[list[SensorModel], np.ndarray, np.ndarray]:
-    """Sensor, reference direction and output noise variance of each
-    measurement, the variance sigma_y^2 once per row.
+                      t: float) -> tuple[list[SensorModel], list[list[float]], list[float]]:
+    """Sensor, reference direction (a float triple) and output noise
+    variances of each measurement, the variance sigma_y^2 once per row.
 
     Each direction noise is isotropic, so the output-noise adaptation of
     either filter, a rotation of each 3-block, returns sigma_y^2 I unchanged
@@ -412,9 +412,8 @@ def _measured_sensors(meas: list[DirectionMeasurement], sensors: list[SensorMode
     :func:`validate_layout` is validated here.
     """
     by_id = {s.sensor_id: s for s in sensors}
-    used = []
-    refs = np.empty((len(meas), 3))
-    for k, m in enumerate(meas):
+    used, refs, var = [], [], []
+    for m in meas:
         if m.t > t + MEASUREMENT_SLACK:
             raise ValueError(f"measurement at t={m.t} is ahead of the filter time {t}")
         sensor = by_id.get(m.sensor_id)
@@ -424,19 +423,27 @@ def _measured_sensors(meas: list[DirectionMeasurement], sensors: list[SensorMode
                 f"configured sensors {list(by_id)} (filter time t={t})")
         if sensor.calibrated and sensor.cal_index is None:
             validate_layout(sensors)
-        used.append(sensor)
-        ref = m.reference if sensor.reference is None else sensor.reference
+        fixed = sensor.reference is not None
+        ref = sensor.reference if fixed else m.reference
         if ref is None:
             raise BadDimensionError(f"sensor {m.sensor_id}: measurement carries no reference")
-        if not (_is_unit(m.y) and (sensor.reference is not None or _is_unit(ref))):
+        ref = ref.tolist()
+        if not (_is_unit(m.y.tolist()) and (fixed or _is_unit(ref))):
             raise InputRangeError(
                 f"measurement at t={m.t} from sensor {m.sensor_id!r}: direction or "
                 f"reference is not a unit vector (filter time t={t})")
-        refs[k] = ref
-    return used, refs, np.array([s.sigma_y ** 2 for s in used for _ in range(3)])
+        used.append(sensor)
+        refs.append(ref)
+        v = sensor.sigma_y ** 2
+        var += (v, v, v)
+    return used, refs, var
 
 
-def _kalman_step(sigma: np.ndarray, h: np.ndarray, var: np.ndarray, residual: np.ndarray,
+# Bound on tr S / min var under which _kalman_step accepts S without eigvalsh.
+_CERTIFIED_TRACE_RATIO = 1e-2 * S_CONDITION_LIMIT
+
+
+def _kalman_step(sigma: np.ndarray, h: np.ndarray, var, residual: np.ndarray,
                  t: float) -> tuple[np.ndarray, np.ndarray] | None:
     """Correction K r and symmetrized updated covariance of either filter, for
     output matrix h, output noise variances var (one per row) and residual r.
@@ -444,22 +451,44 @@ def _kalman_step(sigma: np.ndarray, h: np.ndarray, var: np.ndarray, residual: np
     S = H Sigma H^T + diag(var), var added to its diagonal in place.  Returns
     None, with a warning, when S is non-finite, not positive definite or has
     cond(S) > S_CONDITION_LIMIT.  S is symmetric, so cond(S) is the ratio of
-    its extreme eigenvalues; the finite check comes first, as eigvalsh does
-    not report NaN.
+    its extreme eigenvalues from eigvalsh; the finite check comes first, as
+    eigvalsh does not report NaN.
+
+    A scalar certificate accepts S before that rule: the sum of its entries
+    is finite (so is every entry), every variance is positive, and
+    tr S <= 1e-2 S_CONDITION_LIMIT min var.  For a positive semi-definite
+    H Sigma H^T, lambda_min(S) >= min var (Weyl) and lambda_max(S) <= tr S,
+    so cond(S) <= 1e-2 S_CONDITION_LIMIT and the rule would accept S too.
+    If the computed H Sigma H^T has an eigenvalue -delta < 0, the bound
+    becomes (tr S + (m - 1) delta) / (min var - delta), still below the
+    limit for every delta <= 0.9 min var; rounding leaves a symmetric PSD
+    Sigma within about 1e-16 tr S <= 1e-6 min var of that, so the
+    certificate cannot change a skip decision.  Every S it does not accept
+    goes through the eigenvalue rule unchanged.
+
+    The products use ndarray.dot, the same BLAS call as the @ operator at
+    about half its dispatch cost on matrices this small.
     """
-    sht = sigma @ h.T
-    s_mat = h @ sht
-    s_mat.flat[::s_mat.shape[0] + 1] += var
-    cond = math.nan
-    if np.isfinite(s_mat).all():
-        eig = np.linalg.eigvalsh(s_mat)
-        cond = eig[-1] / eig[0] if eig[0] > 0.0 else math.inf
-    if not cond <= S_CONDITION_LIMIT:
-        logger.warning("update at t=%.6f skipped: S condition number %.3e", t, cond)
-        return None
+    sht = sigma.dot(h.T)
+    s_mat = h.dot(sht)
+    m = s_mat.shape[0]
+    s_mat.flat[::m + 1] += var
+    entries = s_mat.ravel().tolist()
+    var_min = min(var)
+    if not (var_min > 0.0 and math.isfinite(sum(entries))
+            and sum(entries[::m + 1]) <= _CERTIFIED_TRACE_RATIO * var_min):
+        cond = math.nan
+        if np.isfinite(s_mat).all():
+            eig = np.linalg.eigvalsh(s_mat)
+            cond = eig[-1] / eig[0] if eig[0] > 0.0 else math.inf
+        if not cond <= S_CONDITION_LIMIT:
+            logger.warning("update at t=%.6f skipped: S condition number %.3e", t, cond)
+            return None
     gain = np.linalg.solve(s_mat, sht.T).T
-    sigma = sigma - gain @ h @ sigma
-    return gain @ residual, 0.5 * (sigma + sigma.T)
+    sigma = sigma - gain.dot(h).dot(sigma)
+    sigma += sigma.T
+    sigma *= 0.5
+    return gain.dot(residual), sigma
 
 
 def eqf_update(fs: FilterState, meas: list[DirectionMeasurement],
@@ -480,15 +509,20 @@ def eqf_update(fs: FilterState, meas: list[DirectionMeasurement],
         return fs
     x = fs.xhat
     used, refs, var = _measured_sensors(meas, sensors, fs.t)
-    residual = np.concatenate([(x.B[s.cal_index] if s.calibrated else x.A) @ m.y
-                               for m, s in zip(meas, used)])
+    rots = [x.B[s.cal_index] if s.calibrated else x.A for s in used]
+    if len(meas) == 1:
+        residual = rots[0].dot(meas[0].y)
+        flat_refs = refs[0]
+    else:
+        residual = np.concatenate([rot.dot(m.y) for rot, m in zip(rots, meas)])
+        flat_refs = [c for ref in refs for c in ref]
     if residual_mode == RESIDUAL_SUBTRACT:
-        residual -= refs.ravel()
+        residual -= flat_refs
     elif residual_mode != RESIDUAL_LITERAL:
         raise ValueError(f"unknown residual mode: {residual_mode!r}")
     step = _kalman_step(fs.sigma, compute_C0(used, refs, x.n), var, residual, fs.t)
     if step is None:
         return fs
     r, sigma = step
-    delta = AlgebraElement(r[0:3], -r[3:6], [r[j:j + 3] + r[0:3] for j in range(6, r.size, 3)])
+    delta = AlgebraElement(r[0:3], -r[3:6], r[6:].reshape(-1, 3) + r[0:3])
     return FilterState(group_mul(group_exp(delta), x), sigma, fs.t, fs.steps)

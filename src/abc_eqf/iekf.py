@@ -14,6 +14,7 @@ covariance, which need not be isotropic, is rotated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,13 +56,26 @@ def iekf_init(xi0: SystemState, sigma0: np.ndarray, t0: float = 0.0) -> IekfStat
     return IekfState(xi, 0.5 * (sigma0 + sigma0.T), t0)
 
 
+@lru_cache(maxsize=16)
+def _propagation_constants(sigma_w: float, sigma_bw: float, sigma_kappa: float,
+                           n: int) -> tuple[np.ndarray, np.ndarray]:
+    """sigma_u and the identity of the (6+3n)-dimensional error state, both
+    read-only: they depend only on the noise densities and n, not on the step."""
+    s_u = sigma_u(NoiseConfig(sigma_w, sigma_bw, sigma_kappa), n)
+    eye = np.eye(6 + 3 * n)
+    s_u.flags.writeable = eye.flags.writeable = False
+    return s_u, eye
+
+
 def iekf_propagate(s: IekfState, omega: np.ndarray, dt: float,
                    noise: NoiseConfig) -> IekfState:
     """One gyro step: exact mean flow and first-order covariance update."""
     dt = _check_step(omega, dt, s.t)
-    phi = np.eye(6 + 3 * s.xi.n)
+    s_u, eye = _propagation_constants(noise.sigma_w, noise.sigma_bw, noise.sigma_kappa,
+                                      s.xi.n)
+    phi = eye.copy()
     phi[0:3, 3:6] = -s.xi.R * dt
-    sigma = phi @ s.sigma @ phi.T + sigma_u(noise, s.xi.n) * dt
+    sigma = phi @ s.sigma @ phi.T + s_u * dt
     sigma = 0.5 * (sigma + sigma.T)
 
     xi = system_flow(s.xi, omega, dt)
@@ -78,25 +92,32 @@ def iekf_update(s: IekfState, meas: list[DirectionMeasurement],
     The output matrix is :func:`compute_C0` with every calibration column
     block right-multiplied by Rhat: rows [d^ 0 d^ Rhat] for a calibrated
     sensor (the extra Rhat comes from the right-invariant error convention),
-    [d^ 0 0] for an uncalibrated one.  The residual of sensor i is
-    Rhat Chat_i y - d (calibrated) or Rhat y - d.  The correction r from the
-    shared :func:`_kalman_step`, which skips the update by its rule on S, maps
-    to R <- exp(r_att) Rhat, b <- bhat + r_bias, C_i <- exp(r_cal_i) Chat_i.
+    [d^ 0 0] for an uncalibrated one.  Only the blocks of the measured
+    calibrated sensors are multiplied; the others are zero.  The residual of
+    sensor i is Rhat Chat_i y - d (calibrated) or Rhat y - d.  The correction
+    r from the shared :func:`_kalman_step`, which skips the update by its rule
+    on S, maps to R <- exp(r_att) Rhat, b <- bhat + r_bias,
+    C_i <- exp(r_cal_i) Chat_i.
     """
     if not meas:
         return s
     xi = s.xi
     used, refs, var = _measured_sensors(meas, sensors, s.t)
     h = compute_C0(used, refs, xi.n)
-    for j in range(6, h.shape[1], 3):
-        h[:, j:j + 3] = h[:, j:j + 3] @ xi.R
-    residual = np.concatenate([(xi.R @ xi.C[u.cal_index] if u.calibrated else xi.R) @ m.y
-                               for m, u in zip(meas, used)]) - refs.ravel()
+    for j in {6 + 3 * u.cal_index for u in used if u.calibrated}:
+        h[:, j:j + 3] = h[:, j:j + 3].dot(xi.R)
+    rots = [xi.R.dot(xi.C[u.cal_index]) if u.calibrated else xi.R for u in used]
+    if len(meas) == 1:
+        residual = rots[0].dot(meas[0].y)
+        residual -= refs[0]
+    else:
+        residual = np.concatenate([rot.dot(m.y) for rot, m in zip(rots, meas)])
+        residual -= [c for ref in refs for c in ref]
     step = _kalman_step(s.sigma, h, var, residual, s.t)
     if step is None:
         return s
     delta, sigma = step
-    r_new = exp_so3(delta[0:3]) @ xi.R
+    r_new = exp_so3(delta[0:3]).dot(xi.R)
     b_new = xi.b + delta[3:6]
-    c_new = [exp_so3(delta[6 + 3 * i: 9 + 3 * i]) @ c for i, c in enumerate(xi.C)]
+    c_new = [e.dot(c) for e, c in zip(exp_so3(delta[6:].reshape(-1, 3)), xi.C)]
     return IekfState(SystemState(r_new, b_new, c_new), sigma, s.t, s.steps)

@@ -86,21 +86,32 @@ def _jl_coefficients(angle: float) -> tuple[float, float]:
     return 2.0 * h * h, (angle - math.sin(angle)) / (angle ** 3)
 
 
-def _rodrigues(x: float, y: float, z: float, c1: float, c2: float) -> np.ndarray:
-    """I + c1 K + c2 K^2 for K = wedge((x, y, z)), with K^2 = v v^T - |v|^2 I."""
+def _rodrigues(x: float, y: float, z: float, c1: float, c2: float) -> list[float]:
+    """Row-major entries of I + c1 K + c2 K^2 for K = wedge((x, y, z)), with
+    K^2 = v v^T - |v|^2 I."""
     xy, xz, yz = c2 * (x * y), c2 * (x * z), c2 * (y * z)
     cx, cy, cz = c1 * x, c1 * y, c1 * z
     xx, yy, zz = x * x, y * y, z * z
-    return np.array([1.0 - c2 * (yy + zz), xy - cz, xz + cy,
-                     xy + cz, 1.0 - c2 * (xx + zz), yz - cx,
-                     xz - cy, yz + cx, 1.0 - c2 * (xx + yy)]).reshape(3, 3)
+    return [1.0 - c2 * (yy + zz), xy - cz, xz + cy,
+            xy + cz, 1.0 - c2 * (xx + zz), yz - cx,
+            xz - cy, yz + cx, 1.0 - c2 * (xx + yy)]
 
 
 def exp_so3(v: np.ndarray) -> np.ndarray:
-    """Rodrigues formula for the SO(3) exponential of the vee vector v."""
-    x, y, z = v.tolist()
-    c1, c2 = _exp_coefficients(math.sqrt(x * x + y * y + z * z))
-    return _rodrigues(x, y, z, c1, c2)
+    """Rodrigues formula for the SO(3) exponential of the vee vector v.
+
+    v may be one (3,) vector or a stack (k, 3); the result has shape (3, 3)
+    or (k, 3, 3).  A stack is built with one array conversion.
+    """
+    if v.ndim == 1:
+        x, y, z = v.tolist()
+        c1, c2 = _exp_coefficients(math.sqrt(x * x + y * y + z * z))
+        return np.array(_rodrigues(x, y, z, c1, c2)).reshape(3, 3)
+    entries = []
+    for x, y, z in v.tolist():
+        c1, c2 = _exp_coefficients(math.sqrt(x * x + y * y + z * z))
+        entries += _rodrigues(x, y, z, c1, c2)
+    return np.array(entries).reshape(-1, 3, 3)
 
 
 def log_so3(r: np.ndarray) -> np.ndarray:
@@ -154,7 +165,7 @@ def left_jacobian(v: np.ndarray) -> np.ndarray:
     """Left Jacobian of SO(3): integral of exp(s * wedge(v)) over s in [0, 1]."""
     x, y, z = v.tolist()
     j1, j2 = _jl_coefficients(math.sqrt(x * x + y * y + z * z))
-    return _rodrigues(x, y, z, j1, j2)
+    return np.array(_rodrigues(x, y, z, j1, j2)).reshape(3, 3)
 
 
 def exp_sdp(omega: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,7 +185,7 @@ def exp_sdp(omega: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     qx, qy, qz = y * kz - z * ky, z * kx - x * kz, x * ky - y * kx
     vec = np.array([vx + j1 * kx + j2 * qx, vy + j1 * ky + j2 * qy,
                     vz + j1 * kz + j2 * qz])
-    return _rodrigues(x, y, z, c1, c2), vec
+    return np.array(_rodrigues(x, y, z, c1, c2)).reshape(3, 3), vec
 
 
 def project_to_so3(m: np.ndarray) -> np.ndarray:

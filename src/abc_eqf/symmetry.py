@@ -62,7 +62,8 @@ class SystemState:
 
 @dataclass
 class AlgebraElement:
-    """Lie algebra element (nav_rot, nav_vec, cal_1..cal_n), all in vee coordinates."""
+    """Lie algebra element (nav_rot, nav_vec, cal_1..cal_n), all in vee
+    coordinates; cal is a list of (3,) vectors or an (n, 3) array of them."""
 
     nav_rot: np.ndarray
     nav_vec: np.ndarray
@@ -85,13 +86,15 @@ def _check_same_n(nx: int, ny: int) -> None:
 def group_mul(x: GroupElement, y: GroupElement) -> GroupElement:
     """Product x * y (left factor x), the 4x4 homogeneous product on the nav part.
 
-    The EqF update applies its correction as group_mul(group_exp(Delta), Xhat).
+    The EqF update applies its correction as group_mul(group_exp(Delta), Xhat),
+    so the products use ndarray.dot, the same BLAS call as @ with less
+    dispatch cost.
     """
     _check_same_n(x.n, y.n)
     return GroupElement(
-        x.A @ y.A,
-        x.a + x.A @ y.a,
-        [bx @ by for bx, by in zip(x.B, y.B)],
+        x.A.dot(y.A),
+        x.a + x.A.dot(y.a),
+        [bx.dot(by) for bx, by in zip(x.B, y.B)],
     )
 
 
@@ -102,9 +105,10 @@ def group_inv(x: GroupElement) -> GroupElement:
 
 def group_exp(u: AlgebraElement) -> GroupElement:
     """Group exponential, componentwise over the nav and calibration factors;
-    the EqF update's correction map."""
+    the EqF update's correction map.  The calibration factors are built as
+    one (n, 3, 3) stack and returned as views of it."""
     rot, vec = exp_sdp(u.nav_rot, u.nav_vec)
-    return GroupElement(rot, vec, [exp_so3(c) for c in u.cal])
+    return GroupElement(rot, vec, list(exp_so3(np.asarray(u.cal).reshape(-1, 3))))
 
 
 def adjoint(x: GroupElement, u: AlgebraElement) -> AlgebraElement:

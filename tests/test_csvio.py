@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -144,3 +146,46 @@ def test_float_precision_survives_round_trip(tmp_path):
     csvio.write_gyro(path, t, omega)
     _, back = csvio.read_gyro(path)
     assert np.array_equal(back, omega)
+
+
+def test_write_columns_bytes_match_csv_writer(tmp_path):
+    """One format call per row writes the bytes of csv.writer over the
+    per-cell _fmt strings, signed zero, subnormals and extremes included."""
+    values = np.array([[-0.0, 5e-324, 1e300, 1.0],
+                       [-1.0, -5e-324, -1e300, -0.1],
+                       [0.0, 1.0 / 3.0, -2.5e-17, 123456789.123]])
+    header = ["a", "b", "c", "d"]
+    path = tmp_path / "fast.csv"
+    csvio._write_columns(path, header, values)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([csvio._fmt(v) for v in row] for row in values.tolist())
+    assert path.read_bytes() == ref.read_bytes()
+    assert path.read_bytes().split(b"\r\n")[1] == \
+        b"-0,4.9406564584124654e-324,1.0000000000000001e+300,1"
+
+
+@pytest.mark.parametrize("col, value, message", [
+    ("r11", "1e200", "attitude"),
+    ("r22", "0.5", "attitude"),
+    ("c112", "1e200", "calibration"),
+    ("c133", "-1", "calibration"),
+    ("by", "1e200", "bias"),
+])
+def test_truth_rejects_non_rotation_and_overflowing_bias(tmp_path, rng, col, value, message):
+    k = 6
+    truth = GroundTruth(np.arange(k) / 100.0,
+                        np.stack([exp_so3(rng.normal(size=3)) for _ in range(k)]),
+                        rng.normal(size=(k, 3)), np.zeros((k, 3)),
+                        [exp_so3(rng.normal(size=3))])
+    path = tmp_path / "truth.csv"
+    csvio.write_truth(path, truth)
+    lines = path.read_text().splitlines()
+    fields = lines[4].split(",")
+    fields[lines[0].split(",").index(col)] = value
+    lines[4] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(csvio.ParseError, match=rf"truth.csv:5: .*{message}"):
+        csvio.read_truth(path)

@@ -1,5 +1,6 @@
 """Property test: `abc-eqf run` over a mutated `abc-eqf simulate` log either
-runs (exit 0) or stops with a data error (exit 2); it never raises."""
+runs (exit 0) or stops with a data error (exit 2); it never raises, and
+numpy never warns of an overflow or invalid value on the way."""
 
 import shutil
 import tempfile
@@ -71,6 +72,9 @@ mutation = st.tuples(st.sampled_from(FILES), st.sampled_from(KINDS),
                      st.integers(0, 200), st.integers(0, 200))
 
 
+# A numpy overflow or invalid-value warning means a bad value got through the
+# readers; as an error it makes `run` exit 1 and fails the test.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.lists(mutation, min_size=1, max_size=3))
 def test_run_on_mutated_log_exits_0_or_2(simulated, mutations):
