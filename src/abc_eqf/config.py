@@ -9,6 +9,7 @@ results stay reproducible.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -102,8 +103,12 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     tables += [(f"sensor.{s.sensor_id}", _SENSOR_KEYS, s) for s in cfg.sensors]
     for section, schema, target in tables:
         for key, (attr, kind) in schema.items():
-            if kind in (float, np.ndarray) and not np.all(np.isfinite(getattr(target, attr))):
+            value = getattr(target, attr)
+            if kind in (float, np.ndarray) and not np.all(np.isfinite(value)):
                 raise ConfigError(f"[{section}] {key} must be finite")
+            if attr in _SQUARED and math.isinf(float(value) * float(value)):
+                raise ConfigError(f"[{section}] {key} = {value!r} is too large: "
+                                  f"its square overflows")
     if cfg.filter not in FILTER_CHOICES:
         raise ConfigError(f"[run] filter must be one of {FILTER_CHOICES}, got {cfg.filter!r}")
     if cfg.residual_mode not in RESIDUAL_CHOICES:
@@ -189,6 +194,10 @@ _SENSOR_KEYS = {
     "reference": ("reference", np.ndarray), "body_axis": ("body_axis", np.ndarray),
     "baseline": ("baseline", float), "pos_std": ("pos_std", float),
 }
+# Attributes that a filter squares into a variance: a finite value whose square
+# overflows is rejected as well.
+_SQUARED = {"sigma_w", "sigma_bw", "sigma_kappa", "sigma0_att_deg", "sigma0_bias",
+            "sigma0_cal_deg", "sigma_y"}
 # Keys that only one sensor kind uses; the echo leaves out the other kind's.
 _KIND_ONLY = {"reference": "fixed", "body_axis": "gnss", "baseline": "gnss",
               "pos_std": "gnss"}

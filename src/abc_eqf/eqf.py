@@ -5,6 +5,11 @@ The filter state is a symmetry-group element Xhat (initialized at the group
 identity) plus the error covariance Sigma in exponential coordinates around
 the identity-state origin, ordered (att, bias, cal_1, .., cal_n).
 
+One gyro step evaluates one exponential, E = exp(v) with v = omega0 dt and
+omega0 = Ahat omega + ahat the origin input.  The mean step moves every
+factor by left multiplication with E, and E is also the rotation block of
+the transition matrix Phi, whose bias-to-attitude block is -dt J_l(v).
+
 The state estimate itself is recovered as phi_Xhat(identity state), see
 :func:`abc_eqf.symmetry.state_from_group`.
 """
@@ -17,7 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lie import exp_sdp, exp_so3, project_to_so3, wedge
+from .lie import (
+    _exp_coefficients,
+    _jl_coefficients,
+    _rodrigues,
+    exp_so3,
+    project_to_so3,
+    wedge,
+)
 from .symmetry import AlgebraElement, GroupElement, group_exp, group_identity, group_mul
 
 logger = logging.getLogger(__name__)
@@ -39,7 +51,6 @@ MEASUREMENT_SLACK = 0.05
 S_CONDITION_LIMIT = 1e12
 
 _MAX_STEP_TURN_SQ = math.pi ** 2     # a gyro step may turn at most pi
-_PHI_SERIES_ANGLE = 1e-4
 _MD_SERIES_ANGLE = 0.1
 
 
@@ -79,10 +90,12 @@ class NoiseConfig:
     sigma_kappa: float = 1e-4
 
     def __post_init__(self) -> None:
-        # NaN fails every comparison, so test for the valid range, not against it
-        if not all(0.0 <= v < math.inf for v in (self.sigma_w, self.sigma_bw,
-                                                  self.sigma_kappa)):
-            raise ValueError("noise densities must be finite and non-negative")
+        # NaN fails every comparison, so test for the valid range, not against
+        # it; the filter squares every density, so the square must be finite
+        if not all(0.0 <= v and v * v < math.inf
+                   for v in map(float, (self.sigma_w, self.sigma_bw, self.sigma_kappa))):
+            raise ValueError("noise densities must be finite and non-negative, "
+                             "with a finite square")
 
 
 @dataclass
@@ -194,8 +207,7 @@ def compute_C0(sensors: list[SensorModel], refs, n: int) -> np.ndarray:
 
 
 def compute_phi(omega0: np.ndarray, dt: float, n: int) -> np.ndarray:
-    """Closed-form state transition matrix exp(A0 dt), from :func:`phi_and_md`
-    (a small-angle polynomial limit below ||omega0|| dt = 1e-4)."""
+    """Closed-form state transition matrix exp(A0 dt), from :func:`phi_and_md`."""
     return phi_and_md(omega0, dt, NoiseConfig(0.0, 0.0, 0.0), n)[0]
 
 
@@ -254,68 +266,54 @@ def phi_and_md(omega0: np.ndarray, dt: float, noise: NoiseConfig, n: int,
                md_mode: str = MD_ANALYTIC) -> tuple[np.ndarray, np.ndarray]:
     """Transition matrix exp(A0 dt) and discrete process noise of one step.
 
-    The only implementation of both formulas: the two share the skew powers
-    and trig evaluations.  This is the hot path of the propagation loop, so
-    the nonzero entries are computed as scalars, put in one vector, and both
-    matrices are gathered from it with one cached index.
+    The only implementation of both formulas.  With v = omega0 dt, every
+    rotation block of Phi is E = exp(v) and the bias-to-attitude block is
+    -dt J_l(v), both from lie's Rodrigues coefficients of |v|: the same
+    scalars in the same order as the exponential of :func:`propagate_mean`,
+    so Phi's rotation blocks are bit-equal to the E that moves the mean.  Md
+    has its own coefficients.  This is the hot path of the propagation loop,
+    so the nonzero entries are computed as scalars, put in one vector, and
+    both matrices are gathered from it with one cached index.
     """
     if dt <= 0.0:
         raise NonPositiveDtError("dt must be positive")
     idx = _gather_index(6 + 3 * n, md_mode)
     x, y, z = omega0.tolist()
+    vx, vy, vz = x * dt, y * dt, z * dt
+    angle = math.sqrt(vx * vx + vy * vy + vz * vz)
+    phi22 = _rodrigues(vx, vy, vz, *_exp_coefficients(angle))
+    j1, j2 = _jl_coefficients(angle)
+    phi12 = _rodrigues(vx, vy, vz, -dt * j1, -dt * j2, -dt)
+
     # W^2 = omega omega^T - |omega|^2 I, all entries in scalar form
     xx, yy, zz = x * x, y * y, z * z
     xy, xz, yz = x * y, x * z, y * z
     q00, q11, q22 = -(yy + zz), -(xx + zz), -(xx + yy)
     norm = math.sqrt(xx + yy + zz)
     theta = norm * dt
-
-    if theta < _PHI_SERIES_ANGLE:
-        # Small-angle polynomial limit; the Md series branch below always
-        # triggers too (its threshold is larger), so sin_t/cos_t stay unused.
-        psi1 = dt * dt / 2.0
-        psi2 = dt ** 3 / 6.0
-        psi3 = dt
-        sin_t = cos_t = 0.0
-    else:
-        sin_t = math.sin(theta)
-        cos_t = math.cos(theta)
-        psi1 = (1.0 - cos_t) / (norm * norm)
-        psi2 = (theta - sin_t) / (norm ** 3)
-        psi3 = sin_t / norm
-
     if theta < _MD_SERIES_ANGLE:
         t2 = theta * theta
         c11 = dt ** 5 * (1.0 / 60.0 - t2 / 2520.0 + t2 * t2 / 181440.0)
         c12a = dt ** 3 * (1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0)
         c12b = dt ** 4 * (1.0 / 24.0 - t2 / 720.0 + t2 * t2 / 40320.0)
     else:
+        sin_t = math.sin(theta)
         c11 = (theta ** 3 / 3.0 + 2.0 * sin_t - 2.0 * theta) / norm ** 5
         c12a = (theta - sin_t) / norm ** 3
-        c12b = (theta * theta / 2.0 + cos_t - 1.0) / norm ** 4
+        c12b = (theta * theta / 2.0 + math.cos(theta) - 1.0) / norm ** 4
 
     sw2 = noise.sigma_w ** 2
     st2 = noise.sigma_bw ** 2
     sk2 = noise.sigma_kappa ** 2
-    # Phi_12 = -(dt I + psi1 W + psi2 W^2), Phi_22 = I + psi3 W + psi1 W^2
-    # (the latter repeated for the bias and every calibration block);
     # Md_11 = (sw2 dt + st2 dt^3/3) I + st2 c11 W^2,
     # Md_12 = -st2 dt^2/2 I + st2 c12a W - st2 c12b W^2, Md_21 = Md_12^T
     # (in first-order mode Md_11 is sw2 dt I and Md_12 zero, see _gather_index)
-    p1 = psi1 * xy
-    p2 = psi2 * xy
     alpha = sw2 * dt + st2 * dt ** 3 / 3.0
     b11 = st2 * c11
     gamma = st2 * dt * dt / 2.0
     ca = st2 * c12a
     cb = st2 * c12b
-    values = np.array([
-        -(dt + psi2 * q00), -(-psi1 * z + p2), -(psi1 * y + psi2 * xz),
-        -(psi1 * z + p2), -(dt + psi2 * q11), -(-psi1 * x + psi2 * yz),
-        -(-psi1 * y + psi2 * xz), -(psi1 * x + psi2 * yz), -(dt + psi2 * q22),
-        1.0 + psi1 * q00, -psi3 * z + p1, psi3 * y + psi1 * xz,
-        psi3 * z + p1, 1.0 + psi1 * q11, -psi3 * x + psi1 * yz,
-        -psi3 * y + psi1 * xz, psi3 * x + psi1 * yz, 1.0 + psi1 * q22,
+    values = np.array(phi12 + phi22 + [
         alpha + b11 * q00, b11 * xy, b11 * xz,
         b11 * xy, alpha + b11 * q11, b11 * yz,
         b11 * xz, b11 * yz, alpha + b11 * q22,
@@ -344,21 +342,18 @@ def propagate_mean(x: GroupElement, omega: np.ndarray, dt: float
 
     Returns the propagated group element and the origin input
     omega0 = Ahat omega + ahat that parameterizes the covariance step.
+
+    The lifted velocity at Xhat right-multiplies each rotation factor R by
+    exp(R^T v), v = omega0 dt, and R exp(R^T v) = exp(v) R: one exponential
+    E = exp(v) moves every factor, Ahat+ = E Ahat and Bhat_i+ = E Bhat_i.
+    The vector factor gains Ahat J_l(Ahat^T v) (omega x Ahat^T ahat) dt
+    = J_l(v) (v x ahat), as Ahat (omega x Ahat^T ahat) = omega0 x ahat, and
+    ahat + J_l(v) (v x ahat) = E ahat.  So the step left-multiplies Xhat by
+    ((E, 0), E, .., E).
     """
-    omega0 = x.A @ omega + x.a
-    # Nav part right-multiplied by exp of the lifted velocity; A^T omega0 is
-    # the rotation rate seen at the origin, omega x (A^T a) its vector part.
-    wx, wy, wz = omega.tolist()
-    px, py, pz = (x.A.T @ x.a).tolist()
-    cross = np.array([(wy * pz - wz * py) * dt, (wz * px - wx * pz) * dt,
-                      (wx * py - wy * px) * dt])
-    rot_e, vec_e = exp_sdp((x.A.T @ omega0) * dt, cross)
-    xhat = GroupElement(
-        x.A @ rot_e,
-        x.a + x.A @ vec_e,
-        [b @ exp_so3((b.T @ omega0) * dt) for b in x.B],
-    )
-    return xhat, omega0
+    omega0 = x.A.dot(omega) + x.a
+    e = exp_so3(omega0 * dt)
+    return GroupElement(e.dot(x.A), e.dot(x.a), [e.dot(b) for b in x.B]), omega0
 
 
 def _check_step(omega: np.ndarray, dt: float, t: float) -> float:
@@ -389,7 +384,7 @@ def eqf_propagate(fs: FilterState, omega: np.ndarray, dt: float,
     xhat, omega0 = propagate_mean(fs.xhat, omega, dt)
 
     phi, md = phi_and_md(omega0, dt, noise, xhat.n, md_mode)
-    sigma = phi @ fs.sigma @ phi.T + md
+    sigma = phi.dot(fs.sigma).dot(phi.T) + md
     sigma = 0.5 * (sigma + sigma.T)
 
     steps = fs.steps + 1
@@ -486,8 +481,7 @@ def _kalman_step(sigma: np.ndarray, h: np.ndarray, var, residual: np.ndarray,
             return None
     gain = np.linalg.solve(s_mat, sht.T).T
     sigma = sigma - gain.dot(h).dot(sigma)
-    sigma += sigma.T
-    sigma *= 0.5
+    sigma = 0.5 * (sigma + sigma.T)
     return gain.dot(residual), sigma
 
 

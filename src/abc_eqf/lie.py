@@ -7,10 +7,12 @@ arrays holding vee coordinates.  Elements of the semi-direct factor are
 
 The exponentials and the left Jacobian are written in scalar form: the
 vectors are unpacked to Python floats, and the entries of
-I + c1 wedge(v) + c2 wedge(v)^2 and of J_l(omega) v are built from the
+c0 I + c1 wedge(v) + c2 wedge(v)^2 and of J_l(omega) v are built from the
 scalar Rodrigues coefficients, without forming the skew matrix or its
 square.  They run on every gyro step of both filters, and keep the branch
-thresholds and Taylor series below.
+thresholds and Taylor series below.  The EqF's gyro step evaluates one
+exponential, exp(omega0 dt), and builds its transition matrix from the same
+coefficient functions, so the two agree bit for bit.
 
 Branch thresholds:
     exp:  angle < 1e-6   -> 4th order Taylor of the sin/cos coefficients
@@ -86,15 +88,16 @@ def _jl_coefficients(angle: float) -> tuple[float, float]:
     return 2.0 * h * h, (angle - math.sin(angle)) / (angle ** 3)
 
 
-def _rodrigues(x: float, y: float, z: float, c1: float, c2: float) -> list[float]:
-    """Row-major entries of I + c1 K + c2 K^2 for K = wedge((x, y, z)), with
-    K^2 = v v^T - |v|^2 I."""
+def _rodrigues(x: float, y: float, z: float, c1: float, c2: float,
+               c0: float = 1.0) -> list[float]:
+    """Row-major entries of c0 I + c1 K + c2 K^2 for K = wedge((x, y, z)),
+    with K^2 = v v^T - |v|^2 I."""
     xy, xz, yz = c2 * (x * y), c2 * (x * z), c2 * (y * z)
     cx, cy, cz = c1 * x, c1 * y, c1 * z
     xx, yy, zz = x * x, y * y, z * z
-    return [1.0 - c2 * (yy + zz), xy - cz, xz + cy,
-            xy + cz, 1.0 - c2 * (xx + zz), yz - cx,
-            xz - cy, yz + cx, 1.0 - c2 * (xx + yy)]
+    return [c0 - c2 * (yy + zz), xy - cz, xz + cy,
+            xy + cz, c0 - c2 * (xx + zz), yz - cx,
+            xz - cy, yz + cx, c0 - c2 * (xx + yy)]
 
 
 def exp_so3(v: np.ndarray) -> np.ndarray:

@@ -145,7 +145,7 @@ def drive_filter(kind: str, gyro_t: np.ndarray, gyro_omega: np.ndarray,
         for j in range(n):
             est_c[k, j] = xi.C[j]
         sigma = state.sigma
-        sig_diag[k] = np.diag(sigma)
+        sig_diag[k] = sigma.diagonal()
         sig_att[k] = sigma[0:3, 0:3]
     wall = time.perf_counter() - t_start
 

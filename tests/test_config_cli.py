@@ -1,4 +1,6 @@
+import configparser
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -175,6 +177,62 @@ def test_config_rejects_non_finite_value(tmp_path, capsys, section, old, new):
         load_config(path)
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert f"[{section}] {key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# Finite values whose square overflows a float: the filters square each of
+# these into a variance.
+OVERFLOWING = [("noise", "sigma_w", "1e200"), ("noise", "sigma_bw", "-1e200"),
+               ("noise", "sigma_kappa", "1e160"), ("init", "sigma0_att_deg", "1e200"),
+               ("init", "sigma0_bias", "1e160"), ("init", "sigma0_cal_deg", "1e200"),
+               ("sensor.mag", "sigma_y", "1e200"), ("sensor.gnss", "sigma_y", "1e160")]
+
+
+def _config_with(section, key, value):
+    """CONFIG_TEXT with [section] key set to value."""
+    parser = configparser.ConfigParser()
+    parser.read_string(CONFIG_TEXT)
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser[section][key] = value
+    text = io.StringIO()
+    parser.write(text)
+    return text.getvalue()
+
+
+@pytest.mark.parametrize("section, key, value", OVERFLOWING)
+def test_config_rejects_value_whose_square_overflows(tmp_path, section, key, value):
+    path = tmp_path / "bad.ini"
+    path.write_text(_config_with(section, key, value))
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key} = .* square overflows"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("attr", ["sigma_w", "sigma_kappa", "sigma0_att_deg", "sigma0_bias"])
+def test_validate_config_rejects_value_whose_square_overflows(attr):
+    cfg = default_config(seed=3)
+    setattr(cfg, attr, 1e155)
+    with pytest.raises(ConfigError, match=f"{attr} = 1e\\+155 is too large"):
+        validate_config(cfg)
+    cfg = default_config(seed=3)
+    cfg.sensors[1].sigma_y = -1e155
+    with pytest.raises(ConfigError, match=r"\[sensor.gnss\] sigma_y"):
+        validate_config(cfg)
+
+
+@pytest.mark.parametrize("section, key, value", OVERFLOWING)
+def test_cli_run_rejects_value_whose_square_overflows(tmp_path, config_file, capsys,
+                                                      section, key, value):
+    logs = tmp_path / "logs"
+    assert main(["simulate", "--config", str(config_file), "--out", str(logs)]) == 0
+    capsys.readouterr()
+    bad = tmp_path / "bad.ini"
+    bad.write_text(_config_with(section, key, value))
+    assert main(["run", "--config", str(bad), "--logs", str(logs),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"config error: [{section}] {key} = {float(value)!r} "
+                                "is too large: its square overflows"]
     assert not (tmp_path / "out").exists()
 
 

@@ -107,6 +107,13 @@ def test_noise_config_rejects_non_finite_or_negative(densities):
         NoiseConfig(*densities)
 
 
+@pytest.mark.parametrize("densities", [(1e200, 1.75e-5, 1e-4), (8.73e-4, 1e155, 1e-4),
+                                       (8.73e-4, 1.75e-5, 1e160)])
+def test_noise_config_rejects_density_whose_square_overflows(densities):
+    with pytest.raises(ValueError, match="finite square"):
+        NoiseConfig(*densities)
+
+
 def test_init_dimension_for_n2():
     sensors = make_sensors(2, 3)
     fs = eqf_init(2, sensors, NOISE, np.eye(12))
