@@ -1,5 +1,6 @@
-"""Bit-identity check of the filters: runner.drive_filter on a base revision
-and on this checkout, compared array by array with np.array_equal.
+"""Bit-identity check of the simulator and the filters: sim.simulate_run and
+runner.drive_filter on a base revision and on this checkout, compared array
+by array with np.array_equal.
 
     python3 scripts/bitexact.py --base HEAD
 
@@ -9,8 +10,11 @@ Two scenarios, each through both filters:
 - `cal3`: the `replay_cal3` config `CAL3_INI` of `perfbench/workloads.py`
   with seed 7, a 5 s four-sensor run with 15 states.
 
-For each, the estimated attitude R, bias b, calibrations C and the diagonal
-of Sigma at every gyro step are compared.  The base side is exported with
+For each, the simulator's own arrays are compared: truth t, R, bias and cal,
+the gyro log's t and omega, and each sensor's measurement times, directions
+y and (for a gnss sensor) references.  So are, per filter, the estimated
+attitude R, bias b, calibrations C and the diagonal of Sigma at every gyro
+step.  The base side is exported with
 `git archive` into a temporary directory; the change side is the working
 tree this script lives in.  Each side simulates and filters in its own
 Python process, importing `abc_eqf` from its own `src/`.  `CAL3_INI` is read
@@ -66,7 +70,8 @@ def cal3_ini() -> str:
 
 
 def dump(src: Path, out: Path) -> None:
-    """Run both scenarios with the abc_eqf of src and save the estimates."""
+    """Run both scenarios with the abc_eqf of src and save the simulated logs
+    and the estimates."""
     sys.path.insert(0, str(src))
     from abc_eqf import config, runner, sim
 
@@ -80,6 +85,17 @@ def dump(src: Path, out: Path) -> None:
     arrays = {}
     for name, cfg in scenarios.items():
         data = sim.simulate_run(cfg)
+        truth = data.truth
+        arrays.update({f"{name}/truth/t": truth.t, f"{name}/truth/R": truth.R,
+                       f"{name}/truth/bias": truth.bias,
+                       f"{name}/truth/cal": np.asarray(truth.cal, dtype=float),
+                       f"{name}/gyro/t": data.gyro_t, f"{name}/gyro/omega": data.gyro_omega})
+        for s in cfg.sensors:
+            meas = [m for m in data.measurements if m.sensor_id == s.sensor_id]
+            arrays[f"{name}/{s.sensor_id}/t"] = np.array([m.t for m in meas])
+            arrays[f"{name}/{s.sensor_id}/y"] = np.array([m.y for m in meas])
+            if s.kind == "gnss":
+                arrays[f"{name}/{s.sensor_id}/reference"] = np.array([m.reference for m in meas])
         for kind in FILTERS:
             est = runner.drive_filter(kind, data.gyro_t, data.gyro_omega,
                                       data.measurements, cfg).est
@@ -114,13 +130,13 @@ def main(argv=None) -> int:
     for key in sorted(set(base) | set(head)):
         if key not in base or key not in head:
             all_equal = False
-            print(f"{key:28s} missing on the {'base' if key not in base else 'change'} side")
+            print(f"{key:30s} missing on the {'base' if key not in base else 'change'} side")
             continue
         equal = base[key].shape == head[key].shape and np.array_equal(base[key], head[key])
         all_equal &= equal
         gap = "" if equal or base[key].shape != head[key].shape else \
             f" (max |diff| {np.max(np.abs(base[key] - head[key])):.3e})"
-        print(f"{key:28s} {'equal' if equal else 'DIFFERENT'}{gap}")
+        print(f"{key:30s} {'equal' if equal else 'DIFFERENT'}{gap}")
     print("all arrays equal" if all_equal else "some arrays differ")
     return 0 if all_equal else 1
 

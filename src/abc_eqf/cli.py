@@ -22,7 +22,7 @@ from .config import (
 )
 from .eqf import InputRangeError
 from .metrics import METRIC_KEYS, EmptyWindowError, MisalignedError, RmseReport, compare_report
-from .runner import drive_filter, montecarlo, selected_filters
+from .runner import NonFiniteEstimateError, drive_filter, montecarlo, selected_filters
 from .sim import simulate_run
 from .study import bench_phi
 
@@ -234,7 +234,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (csvio.ParseError, InputRangeError, MisalignedError, EmptyWindowError) as exc:
+    except (csvio.ParseError, InputRangeError, MisalignedError, EmptyWindowError,
+            NonFiniteEstimateError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:

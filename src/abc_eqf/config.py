@@ -206,16 +206,16 @@ _KIND_ONLY = {"reference": "fixed", "body_axis": "gnss", "baseline": "gnss",
 def load_config(path: str | Path) -> RunConfig:
     """Parse a config file, filling every unset key with its default."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
     cfg = RunConfig()
     try:
+        if not parser.read(path):
+            raise ConfigError(f"config file not found: {path}")
         _apply_sections(parser, cfg)
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}: {exc}") from exc
+    except ConfigError:
+        raise
+    except (ValueError, configparser.Error) as exc:
+        # configparser's messages span lines; the CLI prints one
+        raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from exc
     return validate_config(cfg)
 
 

@@ -200,9 +200,7 @@ def read_truth(path: Path) -> GroundTruth:
         if bad.any():
             raise ParseError(path, file_rows[int(np.argmax(bad))], what)
     cal = [data[0, 13 + 9 * i: 22 + 9 * i].reshape(3, 3) for i in range(n)]
-    # The schema does not carry the true body rates; they are not needed for
-    # error evaluation.
-    return GroundTruth(t, r, bias, np.zeros_like(bias), cal)
+    return GroundTruth(t, r, bias, cal)
 
 
 def estimate_header(n: int, dim: int) -> list[str]:

@@ -103,11 +103,10 @@ def rmse(values: np.ndarray, t: np.ndarray, window: tuple[float, float]) -> floa
     return float(np.sqrt(window_mean(np.square(values), t, window)))
 
 
-def report_from_series(err: ErrorSeries, split_t: float | None = None) -> RmseReport:
+def report_from_series(err: ErrorSeries) -> RmseReport:
     """Transient RMSE over the first half of the run, asymptotic over the second."""
     t0, t_end = float(err.t[0]), float(err.t[-1])
-    if split_t is None:
-        split_t = 0.5 * (t0 + t_end)
+    split_t = 0.5 * (t0 + t_end)
     report = RmseReport()
     for key, window in (("transient", (t0, split_t)), ("asymptotic", (split_t, np.inf))):
         vals = {

@@ -50,6 +50,10 @@ from .symmetry import identity_state, state_from_group
 STACK_TIME_TOL = 1e-6
 
 
+class NonFiniteEstimateError(ArithmeticError):
+    """Raised when a filter's estimate or covariance diagonal is not finite."""
+
+
 def build_sensors(cfg: RunConfig) -> list[SensorModel]:
     sensors = []
     for s in cfg.sensors:
@@ -95,7 +99,6 @@ def _filter_callables(kind: str, cfg: RunConfig, sensors: list[SensorModel], t0:
 class FilterRun:
     """Outcome of one filter over one run."""
 
-    name: str
     est: EstimateSeries
     err: object | None = None          # ErrorSeries when truth was available
     report: RmseReport | None = None
@@ -149,8 +152,17 @@ def drive_filter(kind: str, gyro_t: np.ndarray, gyro_omega: np.ndarray,
         sig_att[k] = sigma[0:3, 0:3]
     wall = time.perf_counter() - t_start
 
+    finite = np.ones(k_total, dtype=bool)
+    for arr in (sig_diag, est_r, est_b, est_c):
+        finite &= np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise NonFiniteEstimateError(
+            f"{kind}: first non-finite estimate or covariance at gyro step {k} "
+            f"(t = {gyro_t[k]:.6g} s)")
+
     est = EstimateSeries(gyro_t.copy(), est_r, est_b, est_c, sig_diag)
-    run = FilterRun(kind, est, wall_s=wall)
+    run = FilterRun(est, wall_s=wall)
     if truth is not None:
         run.err = error_series(truth, est)
         eps = run.err.att_vec
@@ -185,7 +197,7 @@ class McResult:
 def _mc_task(args: tuple[RunConfig, int]) -> dict:
     cfg, run_idx = args
     run_cfg = with_seed(cfg, cfg.seed + run_idx)
-    sim = simulate_run(run_cfg, run=0)
+    sim = simulate_run(run_cfg)
     split = 0.5 * cfg.duration
     out: dict = {"run": run_idx}
     for kind, result in run_filters(sim, run_cfg).items():

@@ -8,19 +8,20 @@ re-normalization, and the dual-receiver baseline sensor reconstructs its
 time-varying reference from two noisy positions.
 
 Randomness comes from the counter-based Philox generator.  Streams are split
-per (run, purpose): stream 0 trajectory draws, 1 initialization draws,
+per seed and purpose: stream 0 trajectory draws, 1 initialization draws,
 2 gyro noise, 10+2k / 11+2k measurement noise / scheduling of sensor k.
-Given (config, seed) every artifact is bitwise reproducible regardless of
-worker count.
+Run i of a Monte-Carlo campaign uses seed + i, so campaigns at base seeds s
+and s + 1 share runs.  Given (config, seed) every artifact is bitwise
+reproducible regardless of worker count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, SensorConfig
 from .eqf import DirectionMeasurement
 from .lie import exp_so3
 
@@ -30,21 +31,10 @@ STREAM_GYRO = 2
 STREAM_SENSOR_BASE = 10
 
 
-def make_rng(base_seed: int, run: int, stream: int) -> np.random.Generator:
-    """Independent, reproducible generator for one (run, stream) pair."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([base_seed, run, stream])))
-
-
-@dataclass
-class TrajectoryConfig:
-    """Lissajous excitation ranges; per-axis parameters are drawn per run."""
-
-    duration: float
-    rate: float
-    amp_min: float = 0.2
-    amp_max: float = 0.8
-    freq_min: float = 0.1
-    freq_max: float = 0.5
+def make_rng(seed: int, stream: int) -> np.random.Generator:
+    """Independent, reproducible generator for one (seed, stream) pair."""
+    # The middle word, once a run index, stays 0 so each seed keeps its draws.
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 0, stream])))
 
 
 @dataclass
@@ -61,26 +51,7 @@ class GroundTruth:
     t: np.ndarray
     R: np.ndarray        # (K, 3, 3)
     bias: np.ndarray     # (K, 3)
-    omega: np.ndarray    # (K, 3)
-    cal: list[np.ndarray] = field(default_factory=list)
-
-
-@dataclass
-class SensorSchedule:
-    rate: float
-    dropout_prob: float = 0.0
-    jitter: float = 0.0
-
-
-@dataclass
-class DirStream:
-    """Full-rate measurement stream of one sensor, before scheduling."""
-
-    sensor_id: str
-    t: np.ndarray
-    y: np.ndarray                    # (K, 3) unit rows
-    reference: np.ndarray | None = None   # (K, 3) for time-varying-reference sensors
-    valid: np.ndarray | None = None  # bool mask, False entries are dropped
+    cal: list[np.ndarray]
 
 
 def _euler_zyx_matrices(yaw: np.ndarray, pitch: np.ndarray, roll: np.ndarray) -> np.ndarray:
@@ -110,15 +81,15 @@ def _euler_zyx_body_rates(pitch, roll, dyaw, dpitch, droll) -> np.ndarray:
     return omega
 
 
-def gen_trajectory(cfg: TrajectoryConfig, seed: int, run: int = 0) -> Trajectory:
-    """Lissajous attitude curve with the analytic body angular velocity."""
-    rng = make_rng(seed, run, STREAM_TRAJECTORY)
+def gen_trajectory(cfg: RunConfig) -> Trajectory:
+    """Lissajous attitude curve at cfg.traj_rate with the analytic body rates."""
+    rng = make_rng(cfg.seed, STREAM_TRAJECTORY)
     amp = rng.uniform(cfg.amp_min, cfg.amp_max, size=3)
     freq = rng.uniform(cfg.freq_min, cfg.freq_max, size=3)
     phase = rng.uniform(0.0, 2.0 * np.pi, size=3)
 
-    k = int(round(cfg.duration * cfg.rate))
-    t = np.arange(k) / cfg.rate
+    k = int(round(cfg.duration * cfg.traj_rate))
+    t = np.arange(k) / cfg.traj_rate
     ang = amp[None, :] * np.sin(2.0 * np.pi * freq[None, :] * t[:, None] + phase[None, :])
     dang = (amp * 2.0 * np.pi * freq)[None, :] * np.cos(
         2.0 * np.pi * freq[None, :] * t[:, None] + phase[None, :])
@@ -189,35 +160,26 @@ def synth_gnss_direction(r: np.ndarray, cal: np.ndarray | None, body_axis: np.nd
     return y, refs, valid
 
 
-def schedule_and_drop(streams: list[DirStream], schedules: dict[str, SensorSchedule],
-                      truth_rate: float, seed: int, run: int = 0
+def schedule_and_drop(sensor: SensorConfig, t: np.ndarray, y: np.ndarray,
+                      refs: np.ndarray | None, valid: np.ndarray | None,
+                      truth_rate: float, rng: np.random.Generator
                       ) -> list[DirectionMeasurement]:
-    """Decimate, jitter and drop the full-rate streams; merge sorted by time.
+    """Decimate, drop and jitter one sensor's stream, sampled at truth_rate.
 
-    Dropout is i.i.d. Bernoulli per retained slot, jitter is uniform in
-    [-jitter, +jitter].  Ties are broken by sensor id, and each sensor's
-    randomness lives in its own stream so adding a sensor never reshuffles
-    the others.
-    """
-    merged: list[DirectionMeasurement] = []
-    for idx, stream in enumerate(streams):
-        sched = schedules[stream.sensor_id]
-        rng = make_rng(seed, run, STREAM_SENSOR_BASE + 2 * idx + 1)
-        stride = int(round(truth_rate / sched.rate))
-        pick = np.arange(0, stream.t.size, stride)
-        if stream.valid is not None:
-            pick = pick[stream.valid[pick]]
-        if sched.dropout_prob > 0.0:
-            keep = rng.random(pick.size) >= sched.dropout_prob
-            pick = pick[keep]
-        times = stream.t[pick]
-        if sched.jitter > 0.0:
-            times = times + rng.uniform(-sched.jitter, sched.jitter, size=pick.size)
-        for j, t in zip(pick, times):
-            ref = stream.reference[j] if stream.reference is not None else None
-            merged.append(DirectionMeasurement(float(t), stream.sensor_id, stream.y[j], ref))
-    merged.sort(key=lambda m: (m.t, m.sensor_id))
-    return merged
+    Rows with valid False are never delivered.  Dropout is i.i.d. Bernoulli
+    per retained slot, jitter uniform in [-jitter, +jitter]; the result is
+    in slot order, not sorted by time."""
+    pick = np.arange(0, t.size, int(round(truth_rate / sensor.rate)))
+    if valid is not None:
+        pick = pick[valid[pick]]
+    if sensor.dropout > 0.0:
+        pick = pick[rng.random(pick.size) >= sensor.dropout]
+    times = t[pick]
+    if sensor.jitter > 0.0:
+        times = times + rng.uniform(-sensor.jitter, sensor.jitter, size=pick.size)
+    return [DirectionMeasurement(float(tj), sensor.sensor_id, y[j],
+                                 refs[j] if refs is not None else None)
+            for j, tj in zip(pick, times)]
 
 
 @dataclass
@@ -230,20 +192,20 @@ class SimData:
     measurements: list[DirectionMeasurement]
 
 
-def simulate_run(cfg: RunConfig, run: int = 0) -> SimData:
-    """Full sensor synthesis for one Monte-Carlo run of the configuration.
+def simulate_run(cfg: RunConfig) -> SimData:
+    """Full sensor synthesis for one run of the configuration.
 
     The filters always start at the identity state, so the initialization
     error is realized in the truth: the initial true attitude is the drawn
     attitude error, the true calibrations are the drawn calibration errors,
     and the filter's zero-bias init is wrong by the drawn initial bias.
+    Measurements are merged sorted by time, ties broken by sensor id; each
+    sensor's randomness lives in its own streams, so adding a sensor never
+    reshuffles the others.
     """
-    traj = gen_trajectory(
-        TrajectoryConfig(cfg.duration, cfg.traj_rate, cfg.amp_min, cfg.amp_max,
-                         cfg.freq_min, cfg.freq_max),
-        cfg.seed, run)
+    traj = gen_trajectory(cfg)
 
-    rng_init = make_rng(cfg.seed, run, STREAM_INIT)
+    rng_init = make_rng(cfg.seed, STREAM_INIT)
     att_std = np.deg2rad(cfg.att_err_deg)
     cal_std = np.deg2rad(cfg.cal_err_deg)
     r_err = exp_so3(rng_init.normal(0.0, att_std, size=3))
@@ -254,28 +216,26 @@ def simulate_run(cfg: RunConfig, run: int = 0) -> SimData:
     # while placing the initial true attitude at the drawn error.
     r_true = np.einsum("ij,kjl->kil", r_err @ traj.R[0].T, traj.R)
 
-    rng_gyro = make_rng(cfg.seed, run, STREAM_GYRO)
     gyro_t, gyro_omega, bias_g = synth_gyro(
         traj.t, traj.omega, cfg.sigma_w, cfg.sigma_bw, cfg.gyro_rate, cfg.traj_rate,
-        rng_gyro, bias0)
+        make_rng(cfg.seed, STREAM_GYRO), bias0)
 
     stride = int(round(cfg.traj_rate / cfg.gyro_rate))
     bias_full = np.repeat(bias_g, stride, axis=0)[:traj.t.size]
-    truth = GroundTruth(traj.t, r_true, bias_full, traj.omega, cal_true)
+    truth = GroundTruth(traj.t, r_true, bias_full, cal_true)
 
-    streams = []
-    schedules = {}
+    measurements: list[DirectionMeasurement] = []
     for idx, sensor in enumerate(cfg.sensors):
-        rng_meas = make_rng(cfg.seed, run, STREAM_SENSOR_BASE + 2 * idx)
+        rng_meas = make_rng(cfg.seed, STREAM_SENSOR_BASE + 2 * idx)
         cal = cal_true[idx] if sensor.calibrated else None
         if sensor.kind == "fixed":
             y = synth_direction(r_true, cal, sensor.reference, sensor.sigma_y, rng_meas)
-            streams.append(DirStream(sensor.sensor_id, traj.t, y))
+            refs = valid = None
         else:
             y, refs, valid = synth_gnss_direction(
                 r_true, cal, sensor.body_axis, sensor.baseline, sensor.pos_std, rng_meas)
-            streams.append(DirStream(sensor.sensor_id, traj.t, y, refs, valid))
-        schedules[sensor.sensor_id] = SensorSchedule(sensor.rate, sensor.dropout, sensor.jitter)
-
-    measurements = schedule_and_drop(streams, schedules, cfg.traj_rate, cfg.seed, run)
+        measurements += schedule_and_drop(
+            sensor, traj.t, y, refs, valid, cfg.traj_rate,
+            make_rng(cfg.seed, STREAM_SENSOR_BASE + 2 * idx + 1))
+    measurements.sort(key=lambda m: (m.t, m.sensor_id))
     return SimData(truth, gyro_t, gyro_omega, measurements)

@@ -2,6 +2,7 @@ import configparser
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -234,6 +235,39 @@ def test_cli_run_rejects_value_whose_square_overflows(tmp_path, config_file, cap
     assert err.splitlines() == [f"config error: [{section}] {key} = {float(value)!r} "
                                 "is too large: its square overflows"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[noise]\nsigma_w = 1e-3\nsigma_w = 2e-3\n", "option 'sigma_w' in section 'noise' already exists"),
+    ("seed = 3\n", "File contains no section headers."),
+    ("[run]\nseed = 3\ngarbage\n", "Source contains parsing errors"),
+    ("[run]\nseed = 5%\n", "'%' must be followed by '%' or '('"),
+], ids=["duplicate_key", "no_section", "no_equals", "bad_interpolation"])
+def test_cli_config_syntax_error_is_one_line(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text)
+    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"config error: {bad}: ") and message in err[0]
+
+
+# Σ overflows within a second at a noise density whose square is finite.
+@pytest.mark.parametrize("kind", ["eqf", "iekf"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_run_non_finite_covariance_is_data_error(tmp_path, config_file, capsys, kind):
+    logs = tmp_path / "logs"
+    assert main(["simulate", "--config", str(config_file), "--out", str(logs)]) == 0
+    capsys.readouterr()
+    bad = tmp_path / "bad.ini"
+    bad.write_text(_config_with("noise", "sigma_w", "1e154"))
+    assert main(["run", "--config", str(bad), "--filter", kind, "--logs", str(logs),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(rf"data error: {kind}: first non-finite estimate or covariance "
+                        r"at gyro step \d+ \(t = [0-9.e+-]+ s\)", err[0])
+    assert not (tmp_path / "out" / f"est_{kind}.csv").exists()
 
 
 def test_default_config_is_valid():

@@ -95,7 +95,7 @@ def test_truth_round_trip(tmp_path, rng):
     r = np.stack([exp_so3(rng.normal(size=3)) for _ in range(k)])
     bias = rng.normal(size=(k, 3))
     cal = [exp_so3(rng.normal(size=3)) for _ in range(2)]
-    truth = GroundTruth(t, r, bias, np.zeros((k, 3)), cal)
+    truth = GroundTruth(t, r, bias, cal)
     path = tmp_path / "truth.csv"
     csvio.write_truth(path, truth)
     header = path.read_text().splitlines()[0].split(",")
@@ -178,7 +178,7 @@ def test_truth_rejects_non_rotation_and_overflowing_bias(tmp_path, rng, col, val
     k = 6
     truth = GroundTruth(np.arange(k) / 100.0,
                         np.stack([exp_so3(rng.normal(size=3)) for _ in range(k)]),
-                        rng.normal(size=(k, 3)), np.zeros((k, 3)),
+                        rng.normal(size=(k, 3)),
                         [exp_so3(rng.normal(size=3))])
     path = tmp_path / "truth.csv"
     csvio.write_truth(path, truth)

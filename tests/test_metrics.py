@@ -24,7 +24,7 @@ def constant_truth(k=10, rate=10.0, n=1):
     r = np.broadcast_to(np.eye(3), (k, 3, 3)).copy()
     bias = np.zeros((k, 3))
     cal = [np.eye(3) for _ in range(n)]
-    return GroundTruth(t, r, bias, np.zeros((k, 3)), cal)
+    return GroundTruth(t, r, bias, cal)
 
 
 def estimate_like(truth, n=1):
@@ -57,8 +57,7 @@ def test_interpolate_truth_geodesic_midpoint():
     v = np.array([0.0, 0.0, 0.6])
     truth = GroundTruth(np.array([0.0, 1.0]),
                         np.stack([np.eye(3), exp_so3(v)]),
-                        np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]),
-                        np.zeros((2, 3)), [])
+                        np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), [])
     r, b = interpolate_truth(truth, np.array([0.5]))
     assert_allclose(r[0], exp_so3(0.5 * v), atol=1e-12)
     assert_allclose(b[0], [0.5, 0.5, 0.5])
@@ -92,7 +91,7 @@ def test_report_split_and_aggregate():
                       np.array([4.0] * 5 + [1.0] * 5),
                       np.array([0.2] * 5 + [0.1] * 5),
                       np.array([[8.0]] * 5 + [[2.0]] * 5))
-    rep = report_from_series(err, split_t=4.5)
+    rep = report_from_series(err)      # splits at the midpoint, t = 4.5
     assert rep.transient["att_deg"] == 4.0
     assert rep.asymptotic["att_deg"] == 1.0
     assert rep.transient["cal_deg"] == 8.0
