@@ -272,13 +272,21 @@ def phi_and_md(omega0: np.ndarray, dt: float, noise: NoiseConfig, n: int,
     scalars in the same order as the exponential of :func:`propagate_mean`,
     so Phi's rotation blocks are bit-equal to the E that moves the mean.  Md
     has its own coefficients.  This is the hot path of the propagation loop,
-    so the nonzero entries are computed as scalars, put in one vector, and
-    both matrices are gathered from it with one cached index.
+    so the nonzero entries are computed as scalars by :func:`_phi_md_values`
+    and both matrices are gathered from them with one cached index.
     """
     if dt <= 0.0:
         raise NonPositiveDtError("dt must be positive")
     idx = _gather_index(6 + 3 * n, md_mode)
-    x, y, z = omega0.tolist()
+    phi, md = np.array(_phi_md_values(*omega0.tolist(), dt, noise))[idx]
+    return phi, md
+
+
+def _phi_md_values(x: float, y: float, z: float, dt: float, noise: NoiseConfig
+                   ) -> list[float]:
+    """The value vector of :func:`phi_and_md` for origin input (x, y, z):
+    the blocks -dt J_l(v) and E = exp(v) of Phi and Md_11, Md_12 of Md,
+    row-major, then the scalar entries (see _gather_index)."""
     vx, vy, vz = x * dt, y * dt, z * dt
     angle = math.sqrt(vx * vx + vy * vy + vz * vz)
     phi22 = _rodrigues(vx, vy, vz, *_exp_coefficients(angle))
@@ -313,16 +321,14 @@ def phi_and_md(omega0: np.ndarray, dt: float, noise: NoiseConfig, n: int,
     gamma = st2 * dt * dt / 2.0
     ca = st2 * c12a
     cb = st2 * c12b
-    values = np.array(phi12 + phi22 + [
+    return phi12 + phi22 + [
         alpha + b11 * q00, b11 * xy, b11 * xz,
         b11 * xy, alpha + b11 * q11, b11 * yz,
         b11 * xz, b11 * yz, alpha + b11 * q22,
         -gamma - cb * q00, -ca * z - cb * xy, ca * y - cb * xz,
         ca * z - cb * xy, -gamma - cb * q11, -ca * x - cb * yz,
         -ca * y - cb * xz, ca * x - cb * yz, -gamma - cb * q22,
-        0.0, 1.0, st2 * dt, sk2 * dt, sw2 * dt])
-    phi, md = values[idx]
-    return phi, md
+        0.0, 1.0, st2 * dt, sk2 * dt, sw2 * dt]
 
 
 def sigma_u(noise: NoiseConfig, n: int) -> np.ndarray:
@@ -438,6 +444,16 @@ def _measured_sensors(meas: list[DirectionMeasurement], sensors: list[SensorMode
 _CERTIFIED_TRACE_RATIO = 1e-2 * S_CONDITION_LIMIT
 
 
+def _condition_number(s_mat: np.ndarray) -> float:
+    """cond(S) of a symmetric S from eigvalsh: NaN for a non-finite S (eigvalsh
+    does not report NaN, so that is tested first), inf when S is not
+    positive definite."""
+    if not np.isfinite(s_mat).all():
+        return math.nan
+    eig = np.linalg.eigvalsh(s_mat)
+    return eig[-1] / eig[0] if eig[0] > 0.0 else math.inf
+
+
 def _kalman_step(sigma: np.ndarray, h: np.ndarray, var, residual: np.ndarray,
                  t: float) -> tuple[np.ndarray, np.ndarray] | None:
     """Correction K r and symmetrized updated covariance of either filter, for
@@ -445,9 +461,7 @@ def _kalman_step(sigma: np.ndarray, h: np.ndarray, var, residual: np.ndarray,
 
     S = H Sigma H^T + diag(var), var added to its diagonal in place.  Returns
     None, with a warning, when S is non-finite, not positive definite or has
-    cond(S) > S_CONDITION_LIMIT.  S is symmetric, so cond(S) is the ratio of
-    its extreme eigenvalues from eigvalsh; the finite check comes first, as
-    eigvalsh does not report NaN.
+    cond(S) > S_CONDITION_LIMIT (:func:`_condition_number`).
 
     A scalar certificate accepts S before that rule: the sum of its entries
     is finite (so is every entry), every variance is positive, and
@@ -472,10 +486,7 @@ def _kalman_step(sigma: np.ndarray, h: np.ndarray, var, residual: np.ndarray,
     var_min = min(var)
     if not (var_min > 0.0 and math.isfinite(sum(entries))
             and sum(entries[::m + 1]) <= _CERTIFIED_TRACE_RATIO * var_min):
-        cond = math.nan
-        if np.isfinite(s_mat).all():
-            eig = np.linalg.eigvalsh(s_mat)
-            cond = eig[-1] / eig[0] if eig[0] > 0.0 else math.inf
+        cond = _condition_number(s_mat)
         if not cond <= S_CONDITION_LIMIT:
             logger.warning("update at t=%.6f skipped: S condition number %.3e", t, cond)
             return None

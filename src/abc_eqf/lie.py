@@ -106,15 +106,21 @@ def exp_so3(v: np.ndarray) -> np.ndarray:
     v may be one (3,) vector or a stack (k, 3); the result has shape (3, 3)
     or (k, 3, 3).  A stack is built with one array conversion.
     """
-    if v.ndim == 1:
+    if v.ndim == 1:      # every gyro step of both filters: no extra call
         x, y, z = v.tolist()
         c1, c2 = _exp_coefficients(math.sqrt(x * x + y * y + z * z))
         return np.array(_rodrigues(x, y, z, c1, c2)).reshape(3, 3)
     entries = []
     for x, y, z in v.tolist():
-        c1, c2 = _exp_coefficients(math.sqrt(x * x + y * y + z * z))
-        entries += _rodrigues(x, y, z, c1, c2)
+        entries += _exp_entries(x, y, z)
     return np.array(entries).reshape(-1, 3, 3)
+
+
+def _exp_entries(x: float, y: float, z: float) -> list[float]:
+    """Row-major entries of exp_so3((x, y, z)), for a caller that assembles
+    many exponentials into one array."""
+    c1, c2 = _exp_coefficients(math.sqrt(x * x + y * y + z * z))
+    return _rodrigues(x, y, z, c1, c2)
 
 
 def log_so3(r: np.ndarray) -> np.ndarray:
@@ -178,26 +184,36 @@ def exp_sdp(omega: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The rotation equals exp_so3(omega); the vector matches
     left_jacobian(omega) @ v to rounding.
     """
-    x, y, z = omega.tolist()
-    vx, vy, vz = v.tolist()
+    entries = _sdp_entries(*omega.tolist(), *v.tolist())
+    return np.array(entries[:9]).reshape(3, 3), np.array(entries[9:])
+
+
+def _sdp_entries(x: float, y: float, z: float, vx: float, vy: float, vz: float
+                 ) -> list[float]:
+    """The 9 row-major entries of exp_so3((x, y, z)), then the 3 of
+    J_l((x, y, z)) (vx, vy, vz): :func:`exp_sdp` on floats."""
     angle = math.sqrt(x * x + y * y + z * z)
     c1, c2 = _exp_coefficients(angle)
     j1, j2 = _jl_coefficients(angle)
     # J_l v = v + j1 (omega x v) + j2 omega x (omega x v)
     kx, ky, kz = y * vz - z * vy, z * vx - x * vz, x * vy - y * vx
     qx, qy, qz = y * kz - z * ky, z * kx - x * kz, x * ky - y * kx
-    vec = np.array([vx + j1 * kx + j2 * qx, vy + j1 * ky + j2 * qy,
-                    vz + j1 * kz + j2 * qz])
-    return np.array(_rodrigues(x, y, z, c1, c2)).reshape(3, 3), vec
+    return _rodrigues(x, y, z, c1, c2) + [vx + j1 * kx + j2 * qx, vy + j1 * ky + j2 * qy,
+                                          vz + j1 * kz + j2 * qz]
 
 
 def project_to_so3(m: np.ndarray) -> np.ndarray:
-    """Nearest rotation to m in Frobenius norm (orthogonal polar factor)."""
-    if np.linalg.det(m) <= 1e-12:
+    """Nearest rotation to m in Frobenius norm (orthogonal polar factor).
+
+    m may be one (3, 3) matrix or a stack (..., 3, 3), projected with one
+    batched SVD.  The sign fix multiplies the last column of U by
+    det(U V^T), which is U diag(1, 1, det(U V^T)) entry for entry.
+    """
+    if np.any(np.linalg.det(m) <= 1e-12):
         raise DegenerateError("matrix determinant is not positive")
     u, _, vt = np.linalg.svd(m)
-    d = np.sign(np.linalg.det(u @ vt))
-    return u @ np.diag([1.0, 1.0, d]) @ vt
+    u[..., 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
+    return u @ vt
 
 
 def is_rotation(m: np.ndarray, tol: float = ORTHONORMALITY_TOL) -> bool:

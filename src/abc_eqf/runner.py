@@ -1,17 +1,22 @@
 """Drivers: single-run filtering and Monte-Carlo campaigns.
 
 The measurement loop propagates on every gyro sample and applies direction
-measurements sequentially at their own timestamps; measurements that share a
-timestamp (within 1e-6 s) are applied as one stacked update, and
-measurements later than the last gyro sample are ignored.  The loop only
-filters and records estimates; the evaluation against truth (interpolation,
-error series, attitude NEES) runs after it, so `FilterRun.wall_s`, the
-`wall_s` column of per-run reports and the runtime row of comparison tables
-cover filtering only.
+measurements sequentially at their own timestamps (:func:`tick_groups`);
+measurements that share a timestamp (within 1e-6 s) are applied as one
+stacked update, and measurements later than the last gyro sample are
+ignored.  The loop only filters and records estimates; the evaluation
+against truth (interpolation, error series, attitude NEES) runs after it, in
+:func:`finish_run`, so `FilterRun.wall_s`, the `wall_s` column of per-run
+reports and the runtime row of comparison tables cover filtering only.
 
-Monte-Carlo runs execute on a process pool (worker count from the
-ABC_EQF_THREADS environment variable when set) with per-run seeds derived as
-base seed + run index, so results do not depend on the pool size.
+Monte-Carlo runs use per-run seeds derived as base seed + run index.  The
+runs are split into contiguous run-index slices, one per worker of a process
+pool (worker count from the ABC_EQF_THREADS environment variable when set),
+and each worker filters its slice in lockstep batches (:mod:`abc_eqf.batch`).
+A run's estimates do not depend on which runs share its batch, so results do
+not depend on the pool size.  A batched run's `wall_s` is the batch's
+filtering wall time divided by the number of runs in it.  A single log goes
+through the scalar :func:`drive_filter`, the faster path for one stream.
 """
 
 from __future__ import annotations
@@ -110,6 +115,32 @@ class FilterRun:
         return window_mean(self.est.nees_att, self.est.t, window)
 
 
+def tick_groups(gyro_t: np.ndarray, measurements: list[DirectionMeasurement]
+                ) -> list[tuple[int, list[DirectionMeasurement]]]:
+    """The updates of one log in replay order, as (gyro step, group) pairs.
+
+    A measurement is due at the first gyro step k with t <= gyro_t[k] + 1e-12.
+    A group starts at the next due measurement and takes every following
+    measurement stamped within STACK_TIME_TOL of it; the groups due at one
+    step are applied in order.  Measurements later than the last gyro sample
+    are in no group.
+    """
+    groups = []
+    mi = 0
+    m_total = len(measurements)
+    for k, tk in enumerate(gyro_t.tolist()):
+        if mi == m_total:
+            break
+        while mi < m_total and measurements[mi].t <= tk + 1e-12:
+            group = [measurements[mi]]
+            mi += 1
+            while mi < m_total and measurements[mi].t - group[0].t <= STACK_TIME_TOL:
+                group.append(measurements[mi])
+                mi += 1
+            groups.append((k, group))
+    return groups
+
+
 def drive_filter(kind: str, gyro_t: np.ndarray, gyro_omega: np.ndarray,
                  measurements: list[DirectionMeasurement], cfg: RunConfig,
                  truth: GroundTruth | None = None) -> FilterRun:
@@ -129,19 +160,16 @@ def drive_filter(kind: str, gyro_t: np.ndarray, gyro_omega: np.ndarray,
     sig_diag = np.empty((k_total, 6 + 3 * n))
     sig_att = np.empty((k_total, 3, 3))
 
-    mi = 0
-    m_total = len(measurements)
+    groups = tick_groups(gyro_t, measurements)
+    groups.append((k_total, []))        # sentinel: due after the last step
+    gi = 0
     t_start = time.perf_counter()
     for k in range(k_total):
         if k > 0:
             state = propagate(state, gyro_omega[k], gyro_t[k] - gyro_t[k - 1])
-        while mi < m_total and measurements[mi].t <= gyro_t[k] + 1e-12:
-            group = [measurements[mi]]
-            mi += 1
-            while mi < m_total and measurements[mi].t - group[0].t <= STACK_TIME_TOL:
-                group.append(measurements[mi])
-                mi += 1
-            state = update(state, group)
+        while groups[gi][0] == k:
+            state = update(state, groups[gi][1])
+            gi += 1
         xi = estimate(state)
         est_r[k] = xi.R
         est_b[k] = xi.b
@@ -151,18 +179,29 @@ def drive_filter(kind: str, gyro_t: np.ndarray, gyro_omega: np.ndarray,
         sig_diag[k] = sigma.diagonal()
         sig_att[k] = sigma[0:3, 0:3]
     wall = time.perf_counter() - t_start
+    est = EstimateSeries(gyro_t.copy(), est_r, est_b, est_c, sig_diag)
+    return finish_run(kind, est, sig_att, wall, truth)
 
-    finite = np.ones(k_total, dtype=bool)
-    for arr in (sig_diag, est_r, est_b, est_c):
+
+def finish_run(label: str, est: EstimateSeries, sig_att: np.ndarray, wall_s: float,
+               truth: GroundTruth | None) -> FilterRun:
+    """A run's FilterRun from its recorded estimates and attitude covariance
+    blocks: the finite check, then, with truth, the error series, attitude
+    NEES and RMSE report.  Shared by the single-run and the batched driver.
+
+    Raises NonFiniteEstimateError, naming label, the first gyro step and its
+    time, when an estimate or covariance diagonal is not finite.
+    """
+    finite = np.ones(est.t.size, dtype=bool)
+    for arr in (est.sigma_diag, est.R, est.b, est.C):
         finite &= np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
     if not finite.all():
         k = int(np.argmin(finite))
         raise NonFiniteEstimateError(
-            f"{kind}: first non-finite estimate or covariance at gyro step {k} "
-            f"(t = {gyro_t[k]:.6g} s)")
+            f"{label}: first non-finite estimate or covariance at gyro step {k} "
+            f"(t = {est.t[k]:.6g} s)")
 
-    est = EstimateSeries(gyro_t.copy(), est_r, est_b, est_c, sig_diag)
-    run = FilterRun(est, wall_s=wall)
+    run = FilterRun(est, wall_s=wall_s)
     if truth is not None:
         run.err = error_series(truth, est)
         eps = run.err.att_vec
@@ -194,18 +233,25 @@ class McResult:
     runtimes: dict[str, float]               # mean filtering wall time per run [s]
 
 
-def _mc_task(args: tuple[RunConfig, int]) -> dict:
-    cfg, run_idx = args
-    run_cfg = with_seed(cfg, cfg.seed + run_idx)
-    sim = simulate_run(run_cfg)
+def _mc_task(args: tuple[RunConfig, int, int]) -> list[dict]:
+    """Simulate runs start..stop - 1 of the campaign and filter them in one
+    lockstep batch per filter."""
+    from .batch import build_schedule, drive_batch    # batch imports this module
+
+    cfg, start, stop = args
+    sims = [simulate_run(with_seed(cfg, cfg.seed + r)) for r in range(start, stop)]
+    schedule = build_schedule(cfg, [s.gyro_t for s in sims], [s.gyro_omega for s in sims],
+                              [s.measurements for s in sims], first_run=start)
     split = 0.5 * cfg.duration
-    out: dict = {"run": run_idx}
-    for kind, result in run_filters(sim, run_cfg).items():
-        out[kind] = {
-            "report": result.report,
-            "nees": result.nees_mean((split, np.inf)),
-            "wall_s": result.wall_s,
-        }
+    out = [{"run": r} for r in range(start, stop)]
+    for kind in selected_filters(cfg):
+        results = drive_batch(kind, schedule, cfg, [s.truth for s in sims])
+        for row, result in zip(out, results):
+            row[kind] = {
+                "report": result.report,
+                "nees": result.nees_mean((split, np.inf)),
+                "wall_s": result.wall_s,
+            }
     return out
 
 
@@ -217,18 +263,23 @@ def resolve_workers(runs: int, workers: int | None = None) -> int:
 
 
 def montecarlo(cfg: RunConfig, runs: int, workers: int | None = None) -> McResult:
-    """Parallel Monte-Carlo campaign; deterministic for a given base seed."""
+    """Parallel Monte-Carlo campaign; deterministic for a given base seed.
+
+    Each worker simulates one contiguous slice of the run indices and filters
+    it as one lockstep batch per filter.
+    """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     validate_config(cfg)
-    tasks = [(cfg, r) for r in range(runs)]
     nworkers = resolve_workers(runs, workers)
+    tasks = [(cfg, int(part[0]), int(part[-1]) + 1)
+             for part in np.array_split(np.arange(runs), nworkers)]
     if nworkers == 1:
-        results = [_mc_task(t) for t in tasks]
+        chunks = [_mc_task(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            results = list(pool.map(_mc_task, tasks, chunksize=1))
-    results.sort(key=lambda r: r["run"])
+            chunks = list(pool.map(_mc_task, tasks, chunksize=1))
+    results = [row for chunk in chunks for row in chunk]
 
     aggregate: dict[str, RmseReport] = {}
     nees: dict[str, float] = {}
