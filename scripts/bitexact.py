@@ -1,10 +1,10 @@
-"""Bit-identity check of the simulator and the filters: sim.simulate_run and
-runner.drive_filter on a base revision and on this checkout, compared array
-by array with np.array_equal.
+"""Bit-identity check of the simulator, the filters and campaigns:
+sim.simulate_run, runner.drive_filter and runner.montecarlo on a base
+revision and on this checkout, compared array by array with np.array_equal.
 
     python3 scripts/bitexact.py --base HEAD
 
-Two scenarios, each through both filters:
+Two single-run scenarios, each through both filters:
 
 - `default`: `config.default_config(seed=3)`, the 70 s two-sensor run;
 - `cal3`: the `replay_cal3` config `CAL3_INI` of `perfbench/workloads.py`
@@ -14,7 +14,9 @@ For each, the simulator's own arrays are compared: truth t, R, bias and cal,
 the gyro log's t and omega, and each sensor's measurement times, directions
 y and (for a gnss sensor) references.  So are, per filter, the estimated
 attitude R, bias b, calibrations C and the diagonal of Sigma at every gyro
-step.  The base side is exported with
+step.  A third scenario, `campaign`, is `runner.montecarlo` over 3 runs of
+the default config with one worker: per run and filter, the transient and
+asymptotic report values and the attitude NEES.  The base side is exported with
 `git archive` into a temporary directory; the change side is the working
 tree this script lives in.  Each side simulates and filters in its own
 Python process, importing `abc_eqf` from its own `src/`.  `CAL3_INI` is read
@@ -101,6 +103,14 @@ def dump(src: Path, out: Path) -> None:
                                       data.measurements, cfg).est
             for field in ARRAYS:
                 arrays[f"{name}/{kind}/{field}"] = getattr(est, field)
+    campaign = runner.montecarlo(config.default_config(seed=3), runs=3, workers=1)
+    for row in campaign.per_run:
+        for kind in FILTERS:
+            rep = row[kind]["report"]
+            key = f"campaign/run{row['run']}/{kind}"
+            arrays[f"{key}/report"] = np.array([*rep.transient.values(),
+                                                *rep.asymptotic.values()])
+            arrays[f"{key}/nees"] = np.array(row[kind]["nees"])
     np.savez(out, **arrays)
 
 

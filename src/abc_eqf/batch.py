@@ -1,7 +1,9 @@
-"""Lockstep batched filtering of runs that share one gyro clock.
+"""Lockstep batched filtering of runs that share one gyro clock: the one
+driver loop.
 
 A Monte-Carlo worker filters its slice of a campaign in one loop over the
-gyro steps.  Run r is row r of stacked arrays: (R, 1 + n, 3, 3) rotation
+gyro steps, and :func:`runner.drive_filter` filters a single log as a batch
+of one run.  Run r is row r of stacked arrays: (R, 1 + n, 3, 3) rotation
 factors, (R, 3) vectors and (R, d, d) covariances, and every step propagates
 all runs with one set of numpy calls.  The updates due at a step are taken
 slot by slot (slot j holds the j-th measurement group of each run at that
@@ -10,32 +12,29 @@ measures the same sensors form one bucket, gathered, updated as a stack and
 scattered back.  Dropout, jitter and missing GNSS rows only change which
 runs sit in which bucket.
 
-The formulas are the scalar filters' own.  The per-run scalar entries of
-Phi, Md and of every exponential come from the functions the scalar path
+The formulas are the library filters' own.  The per-run scalar entries of
+Phi, Md and of every exponential come from the functions the library path
 uses (:func:`eqf._phi_md_values`, :func:`lie._exp_entries`,
 :func:`lie._sdp_entries`); the output matrix has :func:`eqf.compute_C0`'s
 entries; the covariance and Kalman products are the same matrix products
 over a stack.  No step mixes numbers of two runs, so a run's estimates do
-not depend on the other runs of its batch, and they agree with
-:func:`runner.drive_filter` to rounding.
+not depend on the other runs of its batch, and they agree with the library
+per-step loop (eqf_propagate/eqf_update, iekf_*) to rounding.
 
-Every check of the scalar path is kept and names the run: the gyro steps
-(:func:`eqf._check_step`'s rules) and the measurements (known sensor,
-reference, unit norm, time) are checked once, when the schedule is built; an
-S that fails the condition rule skips the update of its run only; the
-REPROJECT_EVERY re-projection is one batched SVD; a non-finite estimate
-raises NonFiniteEstimateError after the loop.
-
-For a single log the scalar loop of :func:`runner.drive_filter` is faster,
-so it stays the path of `run` and of the on-line filters.
+Every check of the library path is kept and names the run (a single log's
+messages name none): the gyro steps (:func:`eqf._check_step`'s rules) and
+the measurements (known sensor, reference, unit norm, time) are checked
+once, when the schedule is built; an S that fails the condition rule skips
+the update of its run only, with the library's warning; a non-finite S ends
+the loop, and a non-finite estimate raises NonFiniteEstimateError; the
+REPROJECT_EVERY re-projection is one batched SVD.
 """
 
 from __future__ import annotations
 
-import logging
+import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -49,17 +48,17 @@ from .eqf import (
     S_CONDITION_LIMIT,
     BadDimensionError,
     DirectionMeasurement,
-    InputRangeError,
     NoiseConfig,
+    NonFiniteEstimateError,
     SensorModel,
-    UnknownSensorError,
     _check_sigma0,
     _check_step,
     _condition_number,
     _gather_index,
-    _is_unit,
     _MAX_STEP_TURN_SQ,
+    _measured_sensors,
     _phi_md_values,
+    logger,
 )
 from .iekf import _propagation_constants
 from .lie import DegenerateError, _exp_entries, _sdp_entries, exp_so3, project_to_so3
@@ -74,23 +73,23 @@ from .runner import (
 )
 from .sim import GroundTruth
 
-logger = logging.getLogger(__name__)
-
 
 @dataclass
 class Bucket:
     """One stacked update: the runs whose measurement group at one step and
-    slot comes from the same sensors, in the same order."""
+    slot comes from the same sensors, in the same order.  y, refs and h are
+    views of the schedule's whole-log arrays."""
 
     rows: np.ndarray            # (Rb,) rows of the batch, ascending
     sel: np.ndarray | slice     # rows, or slice(None) when it holds every row
-    runs: np.ndarray            # (Rb,) the run numbers of those rows
-    sensors: list[SensorModel]
+    names: np.ndarray           # (R,) the schedule's names of all runs, indexed by rows
     factor: np.ndarray          # (m,) rotation factor of each sensor: 0, or 1 + cal index
+    cal_cols: list[int]         # first column of each measured calibration block
+    var: np.ndarray             # (3m,) sigma_y^2 of each row
+    bound: float                # trace certificate's bound on tr S, NaN if a var is not > 0
     y: np.ndarray               # (Rb, m, 3) measured directions
     refs: np.ndarray            # (Rb, m, 3) reference directions
     h: np.ndarray               # (Rb, 3m, d) compute_C0 of each run
-    var: np.ndarray             # (3m,) sigma_y^2 of each row
 
 
 @dataclass
@@ -101,23 +100,24 @@ class Schedule:
     omega: np.ndarray           # (K, R, 3) gyro samples
     t: list[float]              # filter time at each step
     updates: list               # per step, its buckets in slot order
-    first_run: int = 0          # run number of row 0, for messages
-
-    @property
-    def runs(self) -> int:
-        return self.omega.shape[1]
+    first_run: int | None       # run number of row 0, for messages; None for one log
+    names: np.ndarray           # (R,) "run r: " naming each run in messages, "" for one log
 
 
 def build_schedule(cfg: RunConfig, gyro_ts: list[np.ndarray], omegas: list[np.ndarray],
                    measurements: list[list[DirectionMeasurement]],
-                   first_run: int = 0) -> Schedule:
+                   first_run: int | None = 0) -> Schedule:
     """Check and arrange the logs of R runs of one configuration, numbered
-    first_run, first_run + 1, ...
+    first_run, first_run + 1, ..., or of one log when first_run is None.
 
     Every run must have the same gyro times (ValueError otherwise).  A gyro
     step that :func:`eqf._check_step` rejects raises its error, and a
-    measurement the scalar update would reject raises the scalar error; both
-    messages start with the run number.
+    measurement the library update would reject raises the library's error;
+    both messages start with the run number, unless first_run is None.
+
+    The measurements of all runs are grouped once (:func:`runner.tick_groups`),
+    laid out bucket by bucket, and checked and converted as whole-log arrays,
+    so that each bucket's y, refs and h are contiguous slices (views) of them.
     """
     gyro_t = np.asarray(gyro_ts[0], dtype=float)
     for r, other in enumerate(gyro_ts):
@@ -128,12 +128,13 @@ def build_schedule(cfg: RunConfig, gyro_ts: list[np.ndarray], omegas: list[np.nd
     if omega.shape != (gyro_t.size, len(omegas), 3):
         raise BadDimensionError(f"gyro samples of shape {omega.shape[::-1]} per run do not "
                                 f"match {gyro_t.size} gyro times")
+    names = np.array([""] * len(omegas) if first_run is None
+                     else [f"run {first_run + r}: " for r in range(len(omegas))])
     dts = np.diff(gyro_t)
-    # the scalar filters' time: t0 plus the steps, added one at a time
-    t = np.cumsum(np.concatenate((gyro_t[:1], dts))).tolist()
-    _check_steps(omega[1:], dts, t, first_run)
+    # the library filters' time: t0 plus the steps, added one at a time
+    t = np.cumsum(np.concatenate((gyro_t[:1], dts)))
+    _check_steps(omega[1:], dts, t, names)
 
-    by_id = {s.sensor_id: s for s in build_sensors(cfg)}
     slots: dict[tuple, list] = {}
     for r, meas in enumerate(measurements):
         last_k = slot = -1
@@ -141,19 +142,36 @@ def build_schedule(cfg: RunConfig, gyro_ts: list[np.ndarray], omegas: list[np.nd
             slot = slot + 1 if k == last_k else 0
             last_k = k
             key = (k, slot, tuple(m.sensor_id for m in group))
-            slots.setdefault(key, []).append((first_run + r, group))
+            slots.setdefault(key, []).append((r, group))
+    # the buckets by step and slot, and their measurements in that order, run by run
+    buckets = sorted(slots.items(), key=lambda item: item[0][:2])
+    meas = [m for _, members in buckets for _, group in members for m in group]
+    run, step = np.array([(r, k) for (k, _, _), members in buckets
+                          for r, group in members for _ in group], dtype=np.intp).reshape(-1, 2).T
+    y, refs, sensors = _checked_arrays(cfg, meas, t[step], names[run])
+    h = _output_matrix(sensors, refs[None], cfg.n_cal).reshape(len(meas), 3, 6 + 3 * cfg.n_cal)
+
+    layouts: dict[tuple, tuple] = {}
     updates: list = [()] * gyro_t.size
-    for (k, _, ids), members in sorted(slots.items(), key=lambda item: item[0][:2]):
+    m0 = 0
+    for (k, _, ids), members in buckets:
+        m1 = m0 + len(members) * len(ids)
+        rows = run[m0:m1:len(ids)]
+        if ids not in layouts:
+            layouts[ids] = _layout(sensors[m0:m0 + len(ids)])
         if not updates[k]:
             updates[k] = []
-        updates[k].append(_bucket(ids, members, by_id, t[k], cfg.n_cal, first_run,
-                                  len(omegas)))
-    return Schedule(gyro_t, omega, t, updates, first_run)
+        updates[k].append(Bucket(rows, slice(None) if len(rows) == len(omegas) else rows,
+                                 names, *layouts[ids], y[m0:m1].reshape(len(rows), -1, 3),
+                                 refs[m0:m1].reshape(len(rows), -1, 3),
+                                 h[m0:m1].reshape(len(rows), 3 * len(ids), -1)))
+        m0 = m1
+    return Schedule(gyro_t, omega, t.tolist(), updates, first_run, names)
 
 
-def _check_steps(omega: np.ndarray, dts: np.ndarray, t: list[float], first_run: int) -> None:
+def _check_steps(omega: np.ndarray, dts: np.ndarray, t: np.ndarray, names: np.ndarray) -> None:
     """_check_step's rule on every step of every run at once; the first
-    failing step (earliest, then lowest run) raises the scalar error."""
+    failing step (earliest, then lowest run) raises the library's error."""
     x, y, z = omega[..., 0], omega[..., 1], omega[..., 2]
     dt = dts[:, None]
     with np.errstate(over="ignore", invalid="ignore"):    # inf and NaN fail the test
@@ -162,79 +180,71 @@ def _check_steps(omega: np.ndarray, dts: np.ndarray, t: list[float], first_run: 
         return
     k, r = np.argwhere(~ok)[0]
     try:
-        _check_step(omega[k, r], dts[k], t[k])
+        _check_step(omega[k, r], dts[k], float(t[k]))
     except ValueError as exc:
-        raise type(exc)(f"run {first_run + r}: {exc}") from None
+        raise type(exc)(f"{names[r]}{exc}") from None
 
 
-def _bucket(ids: tuple[str, ...], members: list, by_id: dict[str, SensorModel],
-            t: float, n: int, first_run: int, n_rows: int) -> Bucket:
-    """The Bucket of the (run number, group) members, after
-    _measured_sensors' checks on every measurement."""
-    r0, g0 = members[0]
-    for m in g0:
-        if m.sensor_id not in by_id:
-            raise UnknownSensorError(
-                f"run {r0}: measurement at t={m.t} names sensor {m.sensor_id!r}, not one "
-                f"of the configured sensors {list(by_id)} (filter time t={t})")
-    sensors = [by_id[i] for i in ids]
-    for r, group in members:
-        for m, s in zip(group, sensors):
-            if m.t > t + MEASUREMENT_SLACK:
-                raise ValueError(f"run {r}: measurement at t={m.t} is ahead of the "
-                                 f"filter time {t}")
-            if s.reference is None and m.reference is None:
-                raise BadDimensionError(f"run {r}: sensor {s.sensor_id}: measurement "
-                                        f"carries no reference")
-    y = np.array([[m.y for m in group] for _, group in members], dtype=float)
-    refs = np.array([[m.reference if s.reference is None else s.reference
-                      for m, s in zip(group, sensors)] for _, group in members], dtype=float)
-    arriving = np.array([s.reference is None for s in sensors])
-    near = _near_unit(y) & (_near_unit(refs) | ~arriving)
-    for i, j in np.argwhere(~near):
-        if not (_is_unit(y[i, j].tolist())
-                and (not arriving[j] or _is_unit(refs[i, j].tolist()))):
-            r, group = members[i]
-            raise InputRangeError(
-                f"run {r}: measurement at t={group[j].t} from sensor {group[j].sensor_id!r}: "
-                f"direction or reference is not a unit vector (filter time t={t})")
-    var = np.repeat([s.sigma_y ** 2 for s in sensors], 3)
-    factor = np.array([1 + s.cal_index if s.calibrated else 0 for s in sensors])
-    runs = np.array([r for r, _ in members])
-    rows = runs - first_run
-    sel = slice(None) if len(rows) == n_rows else rows
-    return Bucket(rows, sel, runs, sensors, factor, y, refs, _output_matrix(sensors, refs, n),
-                  var)
+def _checked_arrays(cfg: RunConfig, meas: list[DirectionMeasurement], filter_t: np.ndarray,
+                    names: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[SensorModel]]:
+    """Directions y (M, 3), references (M, 3) and sensors of the measurements
+    meas, applied at the filter times filter_t by the runs named names.  The
+    first measurement that :func:`eqf._measured_sensors` rejects raises its
+    error, prefixed by its run's name; the vectorized tests below pass every
+    other one to it only when in doubt."""
+    configured = build_sensors(cfg)
+    by_id = {s.sensor_id: s for s in configured}
+    sensors = [by_id.get(m.sensor_id) for m in meas]
+    refs = [m.reference if s is None or s.reference is None else s.reference
+            for m, s in zip(meas, sensors)]
+    no_ref = np.array([r is None for r in refs], dtype=bool)
+    y = np.array([m.y for m in meas], dtype=float).reshape(-1, 3)
+    refs = np.array([(math.nan,) * 3 if missing else r for r, missing in zip(refs, no_ref)],
+                    dtype=float).reshape(-1, 3)
+    arriving = np.array([s is not None and s.reference is None for s in sensors], dtype=bool)
+    bad = np.array([m.t for m in meas], dtype=float) > filter_t + MEASUREMENT_SLACK
+    bad |= np.array([s is None for s in sensors], dtype=bool) | no_ref
+    bad |= ~(_near_unit(y) & (_near_unit(refs) | ~arriving))
+    for i in np.flatnonzero(bad).tolist():
+        try:
+            _measured_sensors([meas[i]], configured, float(filter_t[i]))
+        except ValueError as exc:
+            raise type(exc)(f"{names[i]}{exc}") from None
+    return y, refs, sensors
 
 
 def _near_unit(v: np.ndarray) -> np.ndarray:
     """Mask of the vectors v (..., 3) whose norm is within 0.5e-6 of 1.  These
-    pass eqf._is_unit whatever the rounding; the others are decided by it."""
-    return np.abs(np.sqrt((v * v).sum(axis=-1)) - 1.0) <= 0.5e-6
+    pass eqf._is_unit whatever the rounding; the others are decided by it,
+    through _measured_sensors."""
+    with np.errstate(over="ignore", invalid="ignore"):    # inf and NaN fail the test
+        return np.abs(np.sqrt((v * v).sum(axis=-1)) - 1.0) <= 0.5e-6
 
 
-@lru_cache(maxsize=64)
-def _c0_index(blocks: tuple[tuple[int, ...], ...], dim: int) -> np.ndarray:
-    """Index (3m, dim) of every entry of compute_C0 into the vector
-    (0, refs, -refs) of m references; blocks holds the columns of each
-    sensor's wedge(d) blocks."""
-    m = len(blocks)
-    idx = np.zeros((3 * m, dim), dtype=np.intp)
-    for k, cols in enumerate(blocks):
-        x, y, z = 1 + 3 * k + np.arange(3)
-        nx, ny, nz = x + 3 * m, y + 3 * m, z + 3 * m
-        for j in cols:
-            idx[3 * k:3 * k + 3, j:j + 3] = [[0, nz, y], [z, 0, nx], [ny, x, 0]]
-    idx.flags.writeable = False
-    return idx
+def _layout(sensors: list[SensorModel]) -> tuple:
+    """The Bucket fields factor, cal_cols, var and bound of a group
+    measuring sensors."""
+    factor = np.array([1 + s.cal_index if s.calibrated else 0 for s in sensors])
+    cal_cols = sorted({6 + 3 * s.cal_index for s in sensors if s.calibrated})
+    var = np.repeat([s.sigma_y ** 2 for s in sensors], 3)
+    var_min = var.min()
+    return (factor, cal_cols, var,
+            _CERTIFIED_TRACE_RATIO * var_min if var_min > 0.0 else math.nan)
 
 
 def _output_matrix(sensors: list[SensorModel], refs: np.ndarray, n: int) -> np.ndarray:
-    """compute_C0(sensors, refs[i], n) for every row i of refs (Rb, m, 3)."""
-    blocks = tuple((0, 6 + 3 * s.cal_index) if s.calibrated else (0,) for s in sensors)
-    flat = refs.reshape(len(refs), -1)
-    vals = np.concatenate((np.zeros((len(refs), 1)), flat, -flat), axis=1)
-    return vals[:, _c0_index(blocks, 6 + 3 * n)]
+    """compute_C0(sensors, refs[i], n) for every row i of refs (N, m, 3)."""
+    x, y, z = refs[..., 0], refs[..., 1], refs[..., 2]
+    w = np.zeros(refs.shape + (3,))
+    w[..., 0, 1], w[..., 0, 2] = -z, y
+    w[..., 1, 0], w[..., 1, 2] = z, -x
+    w[..., 2, 0], w[..., 2, 1] = -y, x
+    h = np.zeros(refs.shape[:2] + (3, 6 + 3 * n))
+    h[..., 0:3] = w
+    cols = np.array([6 + 3 * s.cal_index if s.calibrated else 0 for s in sensors])
+    for j in np.unique(cols[cols > 0]).tolist():
+        h[:, cols == j, :, j:j + 3] = w[:, cols == j]
+    return h.reshape(len(refs), 3 * len(sensors), 6 + 3 * n)
 
 
 # ---------------------------------------------------------------------------
@@ -250,51 +260,55 @@ def _eqf_transition(omega0: np.ndarray, dt: float, noise: NoiseConfig, idx: np.n
     return vals[:, 9:18].reshape(-1, 3, 3), phi_md[:, 0], phi_md[:, 1]
 
 
-def _reproject(f: np.ndarray, first_run: int) -> np.ndarray:
+def _reproject(f: np.ndarray, names: np.ndarray) -> np.ndarray:
     """project_to_so3 of every factor (R, 1 + n, 3, 3), naming the first
     run with a degenerate factor."""
     try:
         return project_to_so3(f)
     except DegenerateError as exc:
         r = np.argwhere(np.linalg.det(f) <= 1e-12)[0][0]
-        raise DegenerateError(f"run {first_run + r}: {exc}") from None
+        raise DegenerateError(f"{names[r]}{exc}") from None
 
 
-def _kalman(sigma: np.ndarray, h: np.ndarray, var: np.ndarray, residual: np.ndarray,
-            t: float, runs: np.ndarray):
-    """_kalman_step over a stack: (keep, K r, sigma+), where keep is None when
-    every run's S passes the condition rule, and otherwise the mask of the
-    runs that pass, the only ones K r and sigma+ then hold.
+def _kalman(sigma: np.ndarray, h: np.ndarray, residual: np.ndarray, t: float, b: Bucket):
+    """_kalman_step over a stack, with the bucket's variances: (keep, K r,
+    sigma+), where keep is None when every run's S passes the condition
+    rule, and otherwise the mask of the runs that pass, the only ones K r
+    and sigma+ then hold.
 
-    The trace certificate is tested for all runs at once; a run it does not
-    accept goes through the eigenvalue rule alone, and is skipped, with a
-    warning naming it, when that rule fails.
+    The trace certificate is first tested for the whole stack (every entry
+    finite, the largest trace within the bound), then, when that fails, run
+    by run; a run it does not accept goes through the eigenvalue rule alone,
+    and is skipped, with a warning naming it, when that rule fails.  A
+    non-finite S raises NonFiniteEstimateError, as in _kalman_step.
     """
-    sht = sigma @ h.transpose(0, 2, 1)
+    sht = sigma @ h.mT
     s = h @ sht
-    m = s.shape[1]
-    s.reshape(len(s), m * m)[:, ::m + 1] += var
-    var_min = var.min()
-    if var_min > 0.0:
-        keep = (np.isfinite(s.sum(axis=(1, 2)))
-                & (np.trace(s, axis1=1, axis2=2) <= _CERTIFIED_TRACE_RATIO * var_min))
-    else:
-        keep = np.zeros(len(s), dtype=bool)
-    if keep.all():
+    flat = s.reshape(len(s), -1)
+    diag = flat[:, ::s.shape[1] + 1]
+    diag += b.var
+    # the traces as floats: one conversion costs less than numpy's reductions
+    if (math.isfinite(np.add.reduce(flat, axis=None))
+            and max(map(sum, diag.tolist())) <= b.bound):
         keep = None
     else:
+        keep = (np.isfinite(np.add.reduce(flat, axis=1))
+                & (np.add.reduce(diag, axis=1) <= b.bound))
         for i in np.flatnonzero(~keep):
             cond = _condition_number(s[i])
+            if math.isnan(cond):
+                raise NonFiniteEstimateError(f"{b.names[b.rows[i]]}update at t={t:.6f}: "
+                                             f"S is not finite")
             keep[i] = cond <= S_CONDITION_LIMIT
             if not keep[i]:
-                logger.warning("run %d: update at t=%.6f skipped: S condition number %.3e",
-                               runs[i], t, cond)
+                logger.warning("%supdate at t=%.6f skipped: S condition number %.3e",
+                               b.names[b.rows[i]], t, cond)
         if not keep.any():
             return keep, None, None
         sigma, sht, s, h, residual = sigma[keep], sht[keep], s[keep], h[keep], residual[keep]
-    gain = np.linalg.solve(s, sht.transpose(0, 2, 1)).transpose(0, 2, 1)
+    gain = np.linalg.solve(s, sht.mT).mT
     sigma = sigma - gain @ h @ sigma
-    sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
+    sigma = 0.5 * (sigma + sigma.mT)
     return keep, (gain @ residual[..., None])[..., 0], sigma
 
 
@@ -327,8 +341,7 @@ def _eqf_update(st: _State, b: Bucket, t: float, subtract: bool) -> None:
     residual = (f[:, b.factor] @ b.y[..., None])[..., 0]
     if subtract:
         residual -= b.refs
-    keep, r, sigma = _kalman(st.sigma[sel], b.h, b.var, residual.reshape(len(f), -1),
-                             t, b.runs)
+    keep, r, sigma = _kalman(st.sigma[sel], b.h, residual.reshape(len(f), -1), t, b)
     if keep is not None:
         if r is None:
             return
@@ -368,13 +381,13 @@ def _iekf_update(st: _State, b: Bucket, t: float) -> None:
     sel = b.sel
     f = st.f[sel]
     rot = f[:, 0]
-    prods = np.concatenate((f[:, :1], rot[:, None] @ f[:, 1:]), axis=1)   # R, R C_i
+    prods = rot[:, None] @ f      # R C_i; the first, R R, is replaced by R
+    prods[:, 0] = rot
     residual = (prods[:, b.factor] @ b.y[..., None])[..., 0] - b.refs
     h = b.h.copy()
-    for j in {6 + 3 * s.cal_index for s in b.sensors if s.calibrated}:
+    for j in b.cal_cols:
         h[:, :, j:j + 3] = h[:, :, j:j + 3] @ rot
-    keep, r, sigma = _kalman(st.sigma[sel], h, b.var, residual.reshape(len(f), -1),
-                             t, b.runs)
+    keep, r, sigma = _kalman(st.sigma[sel], h, residual.reshape(len(f), -1), t, b)
     if keep is not None:
         if r is None:
             return
@@ -394,20 +407,25 @@ def drive_batch(kind: str, schedule: Schedule, cfg: RunConfig,
                 truths: list[GroundTruth] | None = None) -> list[FilterRun]:
     """Filter every run of the schedule with one filter, in lockstep.
 
-    Returns one FilterRun per run, as :func:`runner.drive_filter` gives it:
-    the same estimates to rounding, evaluated against truths[r] when given.
+    Returns one FilterRun per run, evaluated against truths[r] when given.
     A run's wall_s is the loop's wall time divided by the number of runs.
+
+    An update whose S is not finite ends the loop at its step: the first
+    non-finite estimate or covariance up to that step raises
+    NonFiniteEstimateError (:func:`runner.finish_run`), or, when there is
+    none, the update's own error.
     """
     if kind not in ("eqf", "iekf"):
         raise ValueError(f"unknown filter kind: {kind!r}")
     n = cfg.n_cal
-    k_total, runs = schedule.gyro_t.size, schedule.runs
+    d = 6 + 3 * n
+    k_total, runs = schedule.omega.shape[:2]
     noise = noise_config(cfg)
     # Both filters start at the identity, where iekf_init's rotation of
     # sigma0 leaves it as it is.
     sigma0 = _check_sigma0(initial_sigma(cfg), n)
     if kind == "eqf":
-        idx = _gather_index(6 + 3 * n, cfg.md_mode)
+        idx = _gather_index(d, cfg.md_mode)
         if cfg.residual_mode not in (RESIDUAL_SUBTRACT, RESIDUAL_LITERAL):
             raise ValueError(f"unknown residual mode: {cfg.residual_mode!r}")
         subtract = cfg.residual_mode == RESIDUAL_SUBTRACT
@@ -419,10 +437,11 @@ def drive_batch(kind: str, schedule: Schedule, cfg: RunConfig,
 
     rec_f = np.empty((runs, k_total, 1 + n, 3, 3))
     rec_v = np.empty((runs, k_total, 3))
-    sig_diag = np.empty((runs, k_total, 6 + 3 * n))
+    sig_diag = np.empty((runs, k_total, d))
     sig_att = np.empty((runs, k_total, 3, 3))
     omega, t, updates = schedule.omega, schedule.t, schedule.updates
     dts = np.diff(schedule.gyro_t).tolist()
+    stop = None
     t_start = time.perf_counter()
     for k in range(k_total):
         if k > 0:
@@ -431,16 +450,25 @@ def drive_batch(kind: str, schedule: Schedule, cfg: RunConfig,
             else:
                 _iekf_propagate(st, omega[k], dts[k - 1], s_u, phi)
             if k % REPROJECT_EVERY == 0:
-                st.f = _reproject(st.f, schedule.first_run)
-        for b in updates[k]:
-            if kind == "eqf":
-                _eqf_update(st, b, t[k], subtract)
-            else:
-                _iekf_update(st, b, t[k])
+                st.f = _reproject(st.f, schedule.names)
+        try:
+            for b in updates[k]:
+                if kind == "eqf":
+                    _eqf_update(st, b, t[k], subtract)
+                else:
+                    _iekf_update(st, b, t[k])
+        except NonFiniteEstimateError as exc:
+            stop = exc
         rec_f[:, k] = st.f
         rec_v[:, k] = st.v
-        sig_diag[:, k] = np.diagonal(st.sigma, axis1=1, axis2=2)
+        sig_diag[:, k] = st.sigma.reshape(runs, d * d)[:, ::d + 1]
         sig_att[:, k] = st.sigma[:, 0:3, 0:3]
+        if stop is not None:        # the records end at this step
+            k_total = k + 1
+            rec_f, rec_v, sig_diag, sig_att = (a[:, :k_total]
+                                               for a in (rec_f, rec_v, sig_diag, sig_att))
+            truths = None
+            break
     rot = rec_f[:, :, 0]
     if kind == "eqf":
         # state_from_group: (A, -A^T a, A^T B_i)
@@ -453,8 +481,11 @@ def drive_batch(kind: str, schedule: Schedule, cfg: RunConfig,
 
     out = []
     for r in range(runs):
-        est = EstimateSeries(schedule.gyro_t.copy(), rot[r].copy(), est_b[r].copy(),
+        est = EstimateSeries(schedule.gyro_t[:k_total].copy(), rot[r].copy(), est_b[r].copy(),
                              est_c[r].copy(), sig_diag[r])
-        out.append(finish_run(f"{kind} run {schedule.first_run + r}", est, sig_att[r],
-                              wall / runs, truths[r] if truths is not None else None))
+        label = kind if schedule.first_run is None else f"{kind} run {schedule.first_run + r}"
+        out.append(finish_run(label, est, sig_att[r], wall / runs,
+                              truths[r] if truths is not None else None))
+    if stop is not None:
+        raise stop
     return out

@@ -75,6 +75,10 @@ class InputRangeError(ValueError):
     """Raised on a gyro step turning more than pi or a non-unit direction."""
 
 
+class NonFiniteEstimateError(ArithmeticError):
+    """Raised when a filter's estimate or covariance is not finite."""
+
+
 @dataclass
 class NoiseConfig:
     """Continuous-time noise densities driving the filter gains.
@@ -460,8 +464,9 @@ def _kalman_step(sigma: np.ndarray, h: np.ndarray, var, residual: np.ndarray,
     output matrix h, output noise variances var (one per row) and residual r.
 
     S = H Sigma H^T + diag(var), var added to its diagonal in place.  Returns
-    None, with a warning, when S is non-finite, not positive definite or has
-    cond(S) > S_CONDITION_LIMIT (:func:`_condition_number`).
+    None, with a warning, when S is not positive definite or has
+    cond(S) > S_CONDITION_LIMIT (:func:`_condition_number`); a non-finite S
+    raises NonFiniteEstimateError, since no later update can recover it.
 
     A scalar certificate accepts S before that rule: the sum of its entries
     is finite (so is every entry), every variance is positive, and
@@ -487,6 +492,8 @@ def _kalman_step(sigma: np.ndarray, h: np.ndarray, var, residual: np.ndarray,
     if not (var_min > 0.0 and math.isfinite(sum(entries))
             and sum(entries[::m + 1]) <= _CERTIFIED_TRACE_RATIO * var_min):
         cond = _condition_number(s_mat)
+        if math.isnan(cond):
+            raise NonFiniteEstimateError(f"update at t={t:.6f}: S is not finite")
         if not cond <= S_CONDITION_LIMIT:
             logger.warning("update at t=%.6f skipped: S condition number %.3e", t, cond)
             return None

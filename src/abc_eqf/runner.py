@@ -1,32 +1,31 @@
 """Drivers: single-run filtering and Monte-Carlo campaigns.
 
-The measurement loop propagates on every gyro sample and applies direction
-measurements sequentially at their own timestamps (:func:`tick_groups`);
-measurements that share a timestamp (within 1e-6 s) are applied as one
-stacked update, and measurements later than the last gyro sample are
-ignored.  The loop only filters and records estimates; the evaluation
-against truth (interpolation, error series, attitude NEES) runs after it, in
-:func:`finish_run`, so `FilterRun.wall_s`, the `wall_s` column of per-run
-reports and the runtime row of comparison tables cover filtering only.
+Every log is filtered by the one loop of :func:`batch.drive_batch`: a single
+log (:func:`drive_filter`) as a batch of one run, a campaign slice as a
+batch of many.  The loop propagates on every gyro sample and applies
+direction measurements sequentially at their own timestamps
+(:func:`tick_groups`); measurements that share a timestamp (within 1e-6 s)
+are applied as one stacked update, and measurements later than the last gyro
+sample are ignored.  The loop only filters and records estimates; the
+evaluation against truth (interpolation, error series, attitude NEES) runs
+after it, in :func:`finish_run`, so `FilterRun.wall_s`, the `wall_s` column
+of per-run reports and the runtime row of comparison tables cover filtering
+only.
 
 Monte-Carlo runs use per-run seeds derived as base seed + run index.  The
 runs are split into contiguous run-index slices, one per worker of a process
 pool (worker count from the ABC_EQF_THREADS environment variable when set),
-and each worker filters its slice in lockstep batches (:mod:`abc_eqf.batch`).
-A run's estimates do not depend on which runs share its batch, so results do
-not depend on the pool size.  A batched run's `wall_s` is the batch's
-filtering wall time divided by the number of runs in it.  A single log goes
-through the scalar :func:`drive_filter`, the faster path for one stream.
+and each worker filters its slice as one batch per filter.  A run's
+estimates do not depend on which runs share its batch, so results do not
+depend on the pool size.  A batched run's `wall_s` is the batch's filtering
+wall time divided by the number of runs in it.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
-from operator import attrgetter
 
 import numpy as np
 
@@ -34,13 +33,10 @@ from .config import RunConfig, validate_config, with_seed
 from .eqf import (
     DirectionMeasurement,
     NoiseConfig,
+    NonFiniteEstimateError,
     SensorModel,
-    eqf_init,
-    eqf_propagate,
-    eqf_update,
     validate_layout,
 )
-from .iekf import iekf_init, iekf_propagate, iekf_update
 from .metrics import (
     EstimateSeries,
     RmseReport,
@@ -50,13 +46,8 @@ from .metrics import (
     window_mean,
 )
 from .sim import GroundTruth, SimData, simulate_run
-from .symmetry import identity_state, state_from_group
 
 STACK_TIME_TOL = 1e-6
-
-
-class NonFiniteEstimateError(ArithmeticError):
-    """Raised when a filter's estimate or covariance diagonal is not finite."""
 
 
 def build_sensors(cfg: RunConfig) -> list[SensorModel]:
@@ -76,28 +67,6 @@ def initial_sigma(cfg: RunConfig) -> np.ndarray:
     att = np.deg2rad(cfg.sigma0_att_deg) ** 2
     cal = np.deg2rad(cfg.sigma0_cal_deg) ** 2
     return np.diag([att] * 3 + [cfg.sigma0_bias ** 2] * 3 + [cal] * 3 * cfg.n_cal)
-
-
-def _filter_callables(kind: str, cfg: RunConfig, sensors: list[SensorModel], t0: float):
-    """Initial state at time t0 and the propagate, update and estimate
-    callables of one filter, bound to the config.
-
-    Built per call and through module globals, so that functions patched on
-    this module (by a tracer, say) are the ones that run.
-    """
-    noise = noise_config(cfg)
-    sigma0 = initial_sigma(cfg)
-    if kind == "eqf":
-        return (eqf_init(cfg.n_cal, sensors, noise, sigma0, t0),
-                partial(eqf_propagate, noise=noise, md_mode=cfg.md_mode),
-                partial(eqf_update, sensors=sensors, residual_mode=cfg.residual_mode),
-                lambda state: state_from_group(state.xhat))
-    if kind == "iekf":
-        return (iekf_init(identity_state(cfg.n_cal), sigma0, t0),
-                partial(iekf_propagate, noise=noise),
-                partial(iekf_update, sensors=sensors),
-                attrgetter("xi"))
-    raise ValueError(f"unknown filter kind: {kind!r}")
 
 
 @dataclass
@@ -144,50 +113,23 @@ def tick_groups(gyro_t: np.ndarray, measurements: list[DirectionMeasurement]
 def drive_filter(kind: str, gyro_t: np.ndarray, gyro_omega: np.ndarray,
                  measurements: list[DirectionMeasurement], cfg: RunConfig,
                  truth: GroundTruth | None = None) -> FilterRun:
-    """Replay one gyro + measurement log through one filter.
+    """Replay one gyro + measurement log through one filter, as a batch of
+    one run whose messages name no run.
 
     The filter starts at the first gyro time.  Measurements later than the
     last gyro sample are ignored: no estimate is recorded after them.
     """
-    t0 = float(gyro_t[0]) if gyro_t.size else 0.0
-    state, propagate, update, estimate = _filter_callables(kind, cfg, build_sensors(cfg), t0)
+    from .batch import build_schedule, drive_batch    # batch imports this module
 
-    k_total = gyro_t.size
-    n = cfg.n_cal
-    est_r = np.empty((k_total, 3, 3))
-    est_b = np.empty((k_total, 3))
-    est_c = np.empty((k_total, n, 3, 3))
-    sig_diag = np.empty((k_total, 6 + 3 * n))
-    sig_att = np.empty((k_total, 3, 3))
-
-    groups = tick_groups(gyro_t, measurements)
-    groups.append((k_total, []))        # sentinel: due after the last step
-    gi = 0
-    t_start = time.perf_counter()
-    for k in range(k_total):
-        if k > 0:
-            state = propagate(state, gyro_omega[k], gyro_t[k] - gyro_t[k - 1])
-        while groups[gi][0] == k:
-            state = update(state, groups[gi][1])
-            gi += 1
-        xi = estimate(state)
-        est_r[k] = xi.R
-        est_b[k] = xi.b
-        for j in range(n):
-            est_c[k, j] = xi.C[j]
-        sigma = state.sigma
-        sig_diag[k] = sigma.diagonal()
-        sig_att[k] = sigma[0:3, 0:3]
-    wall = time.perf_counter() - t_start
-    est = EstimateSeries(gyro_t.copy(), est_r, est_b, est_c, sig_diag)
-    return finish_run(kind, est, sig_att, wall, truth)
+    schedule = build_schedule(cfg, [gyro_t], [gyro_omega], [measurements], first_run=None)
+    return drive_batch(kind, schedule, cfg, None if truth is None else [truth])[0]
 
 
 def finish_run(label: str, est: EstimateSeries, sig_att: np.ndarray, wall_s: float,
                truth: GroundTruth | None) -> FilterRun:
-    """A run's FilterRun from its recorded estimates and attitude covariance
-    blocks: the finite check, then, with truth, the error series, attitude
-    NEES and RMSE report.  Shared by the single-run and the batched driver.
+    """A run's FilterRun from the estimates and attitude covariance blocks
+    that :func:`batch.drive_batch` recorded: the finite check, then, with
+    truth, the error series, attitude NEES and RMSE report.
 
     Raises NonFiniteEstimateError, naming label, the first gyro step and its
     time, when an estimate or covariance diagonal is not finite.

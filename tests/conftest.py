@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
 
+from abc_eqf.eqf import eqf_init, eqf_propagate, eqf_update
+from abc_eqf.iekf import iekf_init, iekf_propagate, iekf_update
 from abc_eqf.lie import exp_so3
-from abc_eqf.symmetry import AlgebraElement, GroupElement, SystemState
+from abc_eqf.metrics import EstimateSeries
+from abc_eqf.runner import STACK_TIME_TOL, build_sensors, initial_sigma, noise_config
+from abc_eqf.symmetry import (
+    AlgebraElement,
+    GroupElement,
+    SystemState,
+    identity_state,
+    state_from_group,
+)
 
 
 @pytest.fixture
@@ -48,3 +58,46 @@ def max_state_gap(a, b):
     gaps = [np.max(np.abs(a.R - b.R)), np.max(np.abs(a.b - b.b))]
     gaps += [np.max(np.abs(ca - cb)) for ca, cb in zip(a.C, b.C)]
     return max(gaps)
+
+
+def library_loop(kind, gyro_t, gyro_omega, measurements, cfg):
+    """The reference replay of one log: the library calls (eqf_* or iekf_*)
+    one gyro step at a time, as the README's on-line loop makes them.
+
+    The filter starts at gyro_t[0].  A measurement is due at the first gyro
+    step k with t <= gyro_t[k] + 1e-12; a group takes the next due
+    measurement and every following one stamped within STACK_TIME_TOL of
+    it, and the groups due at a step are applied in order.  Returns the
+    estimates as an EstimateSeries and Sigma (K, d, d) at every step.
+    """
+    sensors = build_sensors(cfg)
+    noise = noise_config(cfg)
+    t0 = float(gyro_t[0])
+    if kind == "eqf":
+        state = eqf_init(cfg.n_cal, sensors, noise, initial_sigma(cfg), t0)
+    else:
+        state = iekf_init(identity_state(cfg.n_cal), initial_sigma(cfg), t0)
+    estimates, sigmas = [], []
+    mi = 0
+    for k in range(gyro_t.size):
+        if k > 0:
+            dt = gyro_t[k] - gyro_t[k - 1]
+            state = (eqf_propagate(state, gyro_omega[k], dt, noise, cfg.md_mode)
+                     if kind == "eqf" else iekf_propagate(state, gyro_omega[k], dt, noise))
+        while mi < len(measurements) and measurements[mi].t <= gyro_t[k] + 1e-12:
+            group = [measurements[mi]]
+            mi += 1
+            while (mi < len(measurements)
+                   and measurements[mi].t - group[0].t <= STACK_TIME_TOL):
+                group.append(measurements[mi])
+                mi += 1
+            state = (eqf_update(state, group, sensors, cfg.residual_mode)
+                     if kind == "eqf" else iekf_update(state, group, sensors))
+        estimates.append(state_from_group(state.xhat) if kind == "eqf" else state.xi)
+        sigmas.append(state.sigma)
+    sigma = np.array(sigmas)
+    est = EstimateSeries(gyro_t.copy(), np.array([x.R for x in estimates]),
+                         np.array([x.b for x in estimates]),
+                         np.array([x.C for x in estimates]).reshape(gyro_t.size, cfg.n_cal, 3, 3),
+                         np.diagonal(sigma, axis1=1, axis2=2).copy())
+    return est, sigma

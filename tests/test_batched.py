@@ -1,6 +1,6 @@
-"""The lockstep batched driver against the scalar one, its formulas against
-the scalar kernels and criterion 3's oracles, batch-composition invariance,
-and its typed errors."""
+"""The lockstep batched driver against the library per-step loop
+(conftest.library_loop), its formulas against the scalar kernels and
+criterion 3's oracles, batch-composition invariance, and its typed errors."""
 
 import logging
 import math
@@ -29,11 +29,13 @@ from abc_eqf.eqf import (
 from abc_eqf.runner import (
     NonFiniteEstimateError,
     STACK_TIME_TOL,
-    drive_filter,
+    finish_run,
     montecarlo,
     tick_groups,
 )
 from abc_eqf.sim import simulate_run
+
+from conftest import library_loop
 
 REFS = ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.6, -0.8])
 RTOL = 1e-10
@@ -75,9 +77,15 @@ def _assert_close(got, want, what):
     np.testing.assert_allclose(got, want, rtol=RTOL, atol=RTOL * scale, err_msg=what)
 
 
+def _reference(kind, cfg, s):
+    """Run s through the library per-step loop, evaluated as a driver's run."""
+    est, sigma = library_loop(kind, s.gyro_t, s.gyro_omega, s.measurements, cfg)
+    return finish_run(kind, est, sigma[:, 0:3, 0:3], 0.0, s.truth)
+
+
 def _assert_runs_match(kind, cfg, sims, results):
     for r, (s, got) in enumerate(zip(sims, results)):
-        want = drive_filter(kind, s.gyro_t, s.gyro_omega, s.measurements, cfg, s.truth)
+        want = _reference(kind, cfg, s)
         for name in ("R", "b", "C"):
             _assert_close(getattr(got.est, name), getattr(want.est, name), f"run {r} {name}")
         np.testing.assert_allclose(got.est.sigma_diag, want.est.sigma_diag, rtol=RTOL,
@@ -92,7 +100,7 @@ def _assert_runs_match(kind, cfg, sims, results):
 
 
 # ---------------------------------------------------------------------------
-# Batched against scalar
+# Batched against the library per-step loop
 
 
 @pytest.mark.parametrize("ragged", [False, True], ids=["identical", "dropout-jitter"])
@@ -132,16 +140,16 @@ def test_batch_skips_the_same_updates_as_drive_filter(caplog):
         with caplog.at_level(logging.WARNING):
             results = drive_batch(kind, schedule, cfg, [s.truth for s in sims])
         batched = sorted(rec.getMessage() for rec in caplog.records
-                         if rec.name == "abc_eqf.batch")
-        _assert_runs_match(kind, cfg, sims, results)
+                         if rec.name == "abc_eqf.eqf")
         scalar = []
         for r, s in enumerate(sims):
             caplog.clear()
             with caplog.at_level(logging.WARNING):
-                drive_filter(kind, s.gyro_t, s.gyro_omega, s.measurements, cfg)
+                library_loop(kind, s.gyro_t, s.gyro_omega, s.measurements, cfg)
             scalar += [f"run {r}: {rec.getMessage()}" for rec in caplog.records
                        if rec.name == "abc_eqf.eqf"]
         assert batched == sorted(scalar)
+        _assert_runs_match(kind, cfg, sims, results)
         skipped = {msg.split(":")[0] for msg in batched}
         assert batched and len(skipped) == len(sims), "every run skips some updates"
         # a skip that affects only some runs of a bucket
@@ -157,8 +165,7 @@ def test_montecarlo_matches_drive_filter():
         run_cfg = with_seed(cfg, cfg.seed + row["run"])
         s = simulate_run(run_cfg)
         for kind in ("eqf", "iekf"):
-            want = drive_filter(kind, s.gyro_t, s.gyro_omega, s.measurements, run_cfg,
-                                s.truth)
+            want = _reference(kind, run_cfg, s)
             got = row[kind]["report"]
             for phase in ("transient", "asymptotic"):
                 np.testing.assert_allclose(list(getattr(got, phase).values()),
@@ -293,7 +300,7 @@ def test_bad_gyro_sample_raises_the_scalar_error_naming_the_run(four_runs, run, 
     omegas[run][step] = omega
     s = sims[run]
     with pytest.raises(error) as scalar:
-        drive_filter("eqf", s.gyro_t, omegas[run], s.measurements, cfg)
+        library_loop("eqf", s.gyro_t, omegas[run], s.measurements, cfg)
     for first_run in (0, 10):      # the runs of a campaign slice are numbered from its first
         with pytest.raises(error) as batched:
             build_schedule(cfg, [s.gyro_t for s in sims], omegas,
@@ -307,13 +314,12 @@ def test_ill_conditioned_s_skips_only_its_run(four_runs, caplog):
     cfg, sims = four_runs
     schedule = _schedule(cfg, sims)
     bucket = next(b for step in schedule.updates for b in step
-                  if len(b.sensors) == 1 and b.sensors[0].calibrated)
+                  if b.factor.tolist() == [1])      # the calibrated sensor alone
     sigma = np.tile(np.diag([0.01] * 3 + [1e-4] * 3 + [0.02] * 3), (4, 1, 1))
     sigma[1] = 1e12 * np.eye(9)       # S = 2e12 (d^ d^T) + 0.01 I: cond 2e14
     residual = np.full((4, 3), 1e-3)
-    with caplog.at_level(logging.WARNING, logger="abc_eqf.batch"):
-        keep, corr, sigma_new = batch._kalman(sigma, bucket.h, bucket.var, residual, 0.25,
-                                              bucket.runs)
+    with caplog.at_level(logging.WARNING, logger="abc_eqf.eqf"):
+        keep, corr, sigma_new = batch._kalman(sigma, bucket.h, residual, 0.25, bucket)
     assert keep.tolist() == [True, False, True, True]
     assert [rec.getMessage() for rec in caplog.records] == [
         "run 1: update at t=0.250000 skipped: S condition number 2.000e+14"]
@@ -324,9 +330,10 @@ def test_ill_conditioned_s_skips_only_its_run(four_runs, caplog):
         np.testing.assert_allclose(sigma_new[i], want_sigma, rtol=RTOL, atol=1e-18)
 
 
-def test_non_finite_covariance_names_run_and_step(four_runs, monkeypatch):
-    """A NaN in run 2's Md at gyro step 10 ends the batch with
-    NonFiniteEstimateError naming run 2 and step 10."""
+def test_non_finite_covariance_names_run_and_step(four_runs, monkeypatch, caplog):
+    """A NaN in run 2's Md at gyro step 10 ends the batch at the first update
+    after it, without a skip warning, with NonFiniteEstimateError naming run
+    2 and step 10."""
     cfg, sims = four_runs
     schedule = _schedule(cfg, sims)
     calls = []
@@ -340,10 +347,14 @@ def test_non_finite_covariance_names_run_and_step(four_runs, monkeypatch):
         return out
 
     monkeypatch.setattr(batch, "_phi_md_values", poisoned)
-    with pytest.raises(NonFiniteEstimateError,
-                       match=r"^eqf run 2: first non-finite estimate or covariance at "
-                             r"gyro step 10 \(t = 0\.05 s\)"):
+    with caplog.at_level(logging.WARNING), pytest.raises(
+            NonFiniteEstimateError,
+            match=r"^eqf run 2: first non-finite estimate or covariance at "
+                  r"gyro step 10 \(t = 0\.05 s\)"):
         drive_batch("eqf", schedule, cfg)
+    assert not caplog.records
+    next_update = next(k for k in range(10, len(schedule.updates)) if schedule.updates[k])
+    assert len(calls) == 4 * next_update
 
 
 def test_batch_rejects_runs_with_different_gyro_times(four_runs):

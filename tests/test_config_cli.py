@@ -1,6 +1,7 @@
 import configparser
 import hashlib
 import io
+import logging
 import os
 import re
 import subprocess
@@ -18,6 +19,10 @@ from abc_eqf.config import (
     load_config,
     validate_config,
 )
+from abc_eqf.csvio import read_directions, read_gyro
+from abc_eqf.eqf import InputRangeError
+
+from conftest import library_loop
 
 CONFIG_TEXT = """
 [run]
@@ -332,14 +337,99 @@ def test_cli_exit_codes(tmp_path, config_file):
     (logs / "gyro.csv").write_text("t,wx,wy\n")
     assert main(["run", "--config", str(config_file), "--logs", str(logs),
                  "--out", str(tmp_path / "y")]) == 2
-    # usage error -> 1; the child imports abc_eqf from this checkout's src
+    # usage error -> 1
+    code, err = _cli_child("--nope")
+    assert code == 1
+    assert any("usage: abc-eqf" in line for line in err)
+
+
+def _cli_child(*argv):
+    """abc-eqf in a child process that imports abc_eqf from this checkout's
+    src: its exit code and the lines it writes to stderr, as a user sees
+    them (log records and campaign workers included)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "abc_eqf.cli", "--nope"],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 1
-    assert "usage: abc-eqf" in proc.stderr
+    proc = subprocess.run([sys.executable, "-m", "abc_eqf.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=600)
+    return proc.returncode, proc.stderr.splitlines()
+
+
+def _read_logs(logs, cfg):
+    """The gyro log and the sorted measurements of logs, as `run` reads them."""
+    gyro_t, gyro_omega = read_gyro(logs / "gyro.csv")
+    meas = [m for s in cfg.sensors
+            for m in read_directions(logs / f"dir_{s.sensor_id}.csv", s.sensor_id)]
+    meas.sort(key=lambda m: (m.t, m.sensor_id))
+    return gyro_t, gyro_omega, meas
+
+
+# The update's S grows past the condition limit and then overflows within a
+# second: every update is skipped until the first S that is not finite,
+# which ends the run (or the campaign) there.
+@pytest.mark.parametrize("argv", [["run", "--filter", "eqf", "--logs", "logs"],
+                                  ["run", "--filter", "iekf", "--logs", "logs"],
+                                  ["montecarlo", "--runs", "4"]],
+                         ids=["run-eqf", "run-iekf", "montecarlo-4"])
+def test_cli_stops_at_first_non_finite_s(tmp_path, config_file, argv):
+    logs = tmp_path / "logs"
+    assert main(["simulate", "--config", str(config_file), "--out", str(logs)]) == 0
+    bad = tmp_path / "bad.ini"
+    bad.write_text(_config_with("noise", "sigma_kappa", "1e154"))
+    argv = [str(logs) if arg == "logs" else arg for arg in argv]
+    code, err = _cli_child(*argv, "--config", str(bad), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert re.fullmatch(r"data error: (eqf|iekf)( run \d)?: first non-finite estimate or "
+                        r"covariance at gyro step \d+ \(t = [0-9.e+-]+ s\)", err[-1])
+    skipped = [line for line in err if "skipped" in line]
+    assert skipped, "the ill-conditioned updates before the overflow are skipped"
+    assert not [line for line in skipped if "condition number nan" in line]
+
+
+@pytest.mark.parametrize("name, col, value", [
+    ("dir_mag.csv", 1, "2.0"),       # a direction of norm 2
+    ("gyro.csv", 1, "1000.0"),       # 5 rad in one 5 ms step
+], ids=["non-unit-direction", "turn-over-pi"])
+def test_cli_run_data_error_text_names_no_run(tmp_path, config_file, capsys, name, col,
+                                              value):
+    """The data error of `run` is the library loop's own message."""
+    logs = tmp_path / "logs"
+    assert main(["simulate", "--config", str(config_file), "--out", str(logs)]) == 0
+    lines = (logs / name).read_text().splitlines()
+    fields = lines[10].split(",")
+    fields[col] = value
+    lines[10] = ",".join(fields)
+    (logs / name).write_text("\n".join(lines) + "\n")
+    cfg = load_config(config_file)
+    with pytest.raises(InputRangeError) as want:
+        library_loop("eqf", *_read_logs(logs, cfg), cfg)
+    capsys.readouterr()
+    assert main(["run", "--config", str(config_file), "--logs", str(logs),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"data error: {want.value}"]
+
+
+def test_cli_run_skip_warnings_are_the_library_loops(tmp_path, config_file, caplog):
+    """A sensor with sigma_y = 1e-7 fails the condition rule while the
+    attitude variance is large: `run` writes one stderr line per skipped
+    update, the library loop's warning under the abc_eqf.eqf logger."""
+    ini = tmp_path / "sharp.ini"
+    ini.write_text(CONFIG_TEXT + "\n[sensor.sharp]\nkind = fixed\ncalibrated = false\n"
+                   "sigma_y = 1e-7\nrate = 50.0\nreference = 0 0 1\n")
+    logs = tmp_path / "logs"
+    assert main(["simulate", "--config", str(ini), "--out", str(logs)]) == 0
+    cfg = load_config(ini)
+    want = []
+    for kind in ("eqf", "iekf"):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            library_loop(kind, *_read_logs(logs, cfg), cfg)
+        want += [f"WARNING {rec.name}: {rec.getMessage()}" for rec in caplog.records]
+    assert want and all("skipped" in line for line in want)
+    code, err = _cli_child("run", "--config", str(ini), "--logs", str(logs),
+                           "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert [line for line in err if line.startswith("WARNING")] == want
 
 
 def test_cli_run_duplicate_gyro_time_is_data_error(tmp_path, config_file, capsys):

@@ -9,6 +9,7 @@ from abc_eqf.eqf import (
     FilterState,
     InputRangeError,
     NoiseConfig,
+    NonFiniteEstimateError,
     NonFiniteInputError,
     NonPositiveDtError,
     SensorModel,
@@ -557,16 +558,16 @@ def test_update_applied_below_condition_limit(caplog):
     assert out is not fs
 
 
-def test_update_non_finite_s_skipped(caplog):
+def test_update_non_finite_s_raises(caplog):
+    """A non-finite S ends the filter: no later update could recover it."""
     sensors = make_sensors(0, 1)
     sigma = np.eye(6)
     sigma[0, 0] = np.nan
     fs = FilterState(group_identity(0), sigma, 0.0)
-    with caplog.at_level("WARNING"):
-        out = eqf_update(fs, [DirectionMeasurement(0.0, "s0", np.array([0.0, 1.0, 0.0]))],
-                         sensors)
-    assert "skipped" in caplog.text
-    assert out is fs
+    with caplog.at_level("WARNING"), pytest.raises(
+            NonFiniteEstimateError, match=r"^update at t=0\.000000: S is not finite$"):
+        eqf_update(fs, [DirectionMeasurement(0.0, "s0", np.array([0.0, 1.0, 0.0]))], sensors)
+    assert "skipped" not in caplog.text
 
 
 def test_back_to_back_updates_stay_on_so3(rng):

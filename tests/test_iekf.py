@@ -7,6 +7,7 @@ from abc_eqf.eqf import (
     BadDimensionError,
     DirectionMeasurement,
     NoiseConfig,
+    NonFiniteEstimateError,
     NonFiniteInputError,
     NonPositiveDtError,
     SensorModel,
@@ -208,17 +209,17 @@ def test_update_applied_below_condition_limit(caplog):
     assert out is not s
 
 
-def test_update_non_finite_s_skipped(caplog):
+def test_update_non_finite_s_raises(caplog):
+    """A non-finite S ends the filter: no later update could recover it."""
     sensors = [SensorModel("u", False, 0.1, np.array([1.0, 0.0, 0.0]))]
     validate_layout(sensors)
     sigma = np.eye(6)
     sigma[0, 0] = np.nan
     s = IekfState(identity_state(0), sigma, 0.0)
-    with caplog.at_level("WARNING"):
-        out = iekf_update(s, [DirectionMeasurement(0.0, "u", np.array([0.0, 1.0, 0.0]))],
-                          sensors)
-    assert "skipped" in caplog.text
-    assert out is s
+    with caplog.at_level("WARNING"), pytest.raises(
+            NonFiniteEstimateError, match=r"^update at t=0\.000000: S is not finite$"):
+        iekf_update(s, [DirectionMeasurement(0.0, "u", np.array([0.0, 1.0, 0.0]))], sensors)
+    assert "skipped" not in caplog.text
 
 
 def test_back_to_back_updates_stay_on_so3(rng):

@@ -2,22 +2,20 @@ import numpy as np
 import pytest
 
 from abc_eqf.config import default_config
-from abc_eqf.eqf import DirectionMeasurement, eqf_init, eqf_propagate, eqf_update
-from abc_eqf.iekf import iekf_init, iekf_propagate, iekf_update
+from abc_eqf.eqf import DirectionMeasurement, UnknownSensorError
 from abc_eqf.lie import log_so3
 from abc_eqf.metrics import interpolate_truth
 from abc_eqf.runner import (
-    build_sensors,
     drive_filter,
     initial_sigma,
     montecarlo,
-    noise_config,
     resolve_workers,
     run_filters,
 )
 from abc_eqf.sim import simulate_run
 from abc_eqf.study import bench_phi
-from abc_eqf.symmetry import identity_state, state_from_group
+
+from conftest import library_loop
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +62,18 @@ def test_drive_handles_trailing_and_stacked_measurements(short_sim):
     assert res.est.t.size == sim.gyro_t.size
 
 
+def test_drive_unknown_sensor_error_names_no_run(short_sim):
+    """drive_filter's data errors are the library loop's own messages."""
+    cfg, sim = short_sim
+    meas = list(sim.measurements)
+    meas.insert(10, DirectionMeasurement(meas[10].t, "bogus", np.array([1.0, 0.0, 0.0])))
+    with pytest.raises(UnknownSensorError) as want:
+        library_loop("eqf", sim.gyro_t, sim.gyro_omega, meas, cfg)
+    with pytest.raises(UnknownSensorError) as got:
+        drive_filter("eqf", sim.gyro_t, sim.gyro_omega, meas, cfg)
+    assert str(got.value) == str(want.value)
+
+
 def test_drive_rejects_unknown_filter(short_sim):
     cfg, sim = short_sim
     with pytest.raises(ValueError, match="ekf"):
@@ -72,36 +82,15 @@ def test_drive_rejects_unknown_filter(short_sim):
 
 @pytest.mark.parametrize("kind", ["eqf", "iekf"])
 def test_drive_nees_matches_per_step_loop(short_sim, kind):
-    """eps^T Sigma_att^-1 eps with eps = log(R_true Rhat^T), by a hand-written
-    loop over the library calls."""
+    """eps^T Sigma_att^-1 eps with eps = log(R_true Rhat^T), from the library
+    per-step loop."""
     cfg, sim = short_sim
     res = drive_filter(kind, sim.gyro_t, sim.gyro_omega, sim.measurements, cfg, sim.truth)
-    sensors = build_sensors(cfg)
-    noise = noise_config(cfg)
-    if kind == "eqf":
-        state = eqf_init(cfg.n_cal, sensors, noise, initial_sigma(cfg))
-    else:
-        state = iekf_init(identity_state(cfg.n_cal), initial_sigma(cfg))
+    est, sigma = library_loop(kind, sim.gyro_t, sim.gyro_omega, sim.measurements, cfg)
     r_true, _ = interpolate_truth(sim.truth, sim.gyro_t)
-    # No jitter in this scenario: the measurements due at a gyro sample share
-    # its timestamp, so they form one stacked update, as in drive_filter.
-    mi = 0
     for k in range(sim.gyro_t.size):
-        if k > 0:
-            dt = sim.gyro_t[k] - sim.gyro_t[k - 1]
-            state = (eqf_propagate(state, sim.gyro_omega[k], dt, noise, cfg.md_mode)
-                     if kind == "eqf" else iekf_propagate(state, sim.gyro_omega[k], dt, noise))
-        group = []
-        while (mi < len(sim.measurements)
-               and sim.measurements[mi].t <= sim.gyro_t[k] + 1e-12):
-            group.append(sim.measurements[mi])
-            mi += 1
-        if group:
-            state = (eqf_update(state, group, sensors, cfg.residual_mode)
-                     if kind == "eqf" else iekf_update(state, group, sensors))
-        r_hat = state_from_group(state.xhat).R if kind == "eqf" else state.xi.R
-        eps = log_so3(r_true[k] @ r_hat.T)
-        nees = eps @ np.linalg.solve(state.sigma[0:3, 0:3], eps)
+        eps = log_so3(r_true[k] @ est.R[k].T)
+        nees = eps @ np.linalg.solve(sigma[k, 0:3, 0:3], eps)
         assert abs(res.est.nees_att[k] - nees) <= 1e-12 * nees
 
 

@@ -15,6 +15,7 @@ from abc_eqf.eqf import (
     S_CONDITION_LIMIT,
     DirectionMeasurement,
     FilterState,
+    NonFiniteEstimateError,
     SensorModel,
     _kalman_step,
     compute_C0,
@@ -30,14 +31,14 @@ from conftest import random_group_element, random_state
 
 def kalman_step_eigvalsh(sigma, h, var, residual):
     """_kalman_step with the eigenvalue rule alone, as it was written before
-    the trace certificate: skip unless S is finite and positive definite with
-    cond(S) <= S_CONDITION_LIMIT."""
+    the trace certificate: NonFiniteEstimateError for a non-finite S, a skip
+    unless S is positive definite with cond(S) <= S_CONDITION_LIMIT."""
     sht = sigma @ h.T
     s_mat = h @ sht + np.diag(var)
-    cond = math.nan
-    if np.isfinite(s_mat).all():
-        eig = np.linalg.eigvalsh(s_mat)
-        cond = eig[-1] / eig[0] if eig[0] > 0.0 else math.inf
+    if not np.isfinite(s_mat).all():
+        raise NonFiniteEstimateError("S is not finite")
+    eig = np.linalg.eigvalsh(s_mat)
+    cond = eig[-1] / eig[0] if eig[0] > 0.0 else math.inf
     if not cond <= S_CONDITION_LIMIT:
         return None
     gain = np.linalg.solve(s_mat, sht.T).T
@@ -82,11 +83,19 @@ def kalman_inputs(draw):
 @given(kalman_inputs())
 def test_certified_kalman_step_matches_eigvalsh_rule(inputs):
     sigma, h, var, residual = inputs
+
+    def outcome(step, *args):
+        try:
+            return step(*args)
+        except NonFiniteEstimateError:
+            return NonFiniteEstimateError
+
     with np.errstate(all="ignore"):
-        expected = kalman_step_eigvalsh(sigma, h, var, residual)
-        got = _kalman_step(sigma, h, var, residual, 0.0)
+        expected = outcome(kalman_step_eigvalsh, sigma, h, var, residual)
+        got = outcome(_kalman_step, sigma, h, var, residual, 0.0)
     assert (got is None) == (expected is None)
-    if got is not None:
+    assert (got is NonFiniteEstimateError) == (expected is NonFiniteEstimateError)
+    if got is not None and got is not NonFiniteEstimateError:
         assert np.array_equal(got[0], expected[0])
         assert np.array_equal(got[1], expected[1])
 
