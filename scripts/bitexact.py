@@ -1,6 +1,7 @@
 """Bit-identity check of the simulator, the filters and campaigns:
-sim.simulate_run, runner.drive_filter and runner.montecarlo on a base
-revision and on this checkout, compared array by array with np.array_equal.
+sim.simulate_run, runner.drive_filter, the library's per-step calls and
+runner.montecarlo on a base revision and on this checkout, compared array
+by array with np.array_equal.
 
     python3 scripts/bitexact.py --base HEAD
 
@@ -14,7 +15,11 @@ For each, the simulator's own arrays are compared: truth t, R, bias and cal,
 the gyro log's t and omega, and each sensor's measurement times, directions
 y and (for a gnss sensor) references.  So are, per filter, the estimated
 attitude R, bias b, calibrations C and the diagonal of Sigma at every gyro
-step.  A third scenario, `campaign`, is `runner.montecarlo` over 3 runs of
+step.  The `library` scenario replays the `cal3` log through the README's
+per-step loop instead of `drive_filter`: `eqf_init`/`iekf_init`, then at
+each gyro step `*_propagate` and `*_update` of each group that
+`runner.tick_groups` puts at that step, and compares the same four arrays
+per filter.  The `campaign` scenario is `runner.montecarlo` over 3 runs of
 the default config with one worker: per run and filter, the transient and
 asymptotic report values and the attitude NEES.  The base side is exported with
 `git archive` into a temporary directory; the change side is the working
@@ -71,8 +76,44 @@ def cal3_ini() -> str:
     raise SystemExit("perfbench/workloads.py defines no CAL3_INI")
 
 
+def library_loop(kind: str, data, cfg) -> dict:
+    """The README's on-line loop over one simulated log: the arrays of
+    ARRAYS at every gyro step."""
+    from abc_eqf import eqf, iekf, runner, symmetry
+
+    sensors = runner.build_sensors(cfg)
+    noise = runner.noise_config(cfg)
+    sigma0 = runner.initial_sigma(cfg)
+    gyro_t, omega = data.gyro_t, data.gyro_omega
+    if kind == "eqf":
+        state = eqf.eqf_init(cfg.n_cal, sensors, noise, sigma0, float(gyro_t[0]))
+    else:
+        state = iekf.iekf_init(symmetry.identity_state(cfg.n_cal), sigma0, float(gyro_t[0]))
+    groups: dict[int, list] = {}
+    for k, group in runner.tick_groups(gyro_t, data.measurements):
+        groups.setdefault(k, []).append(group)
+    rows = {field: [] for field in ARRAYS}
+    for k in range(gyro_t.size):
+        if kind == "eqf":
+            if k:
+                state = eqf.eqf_propagate(state, omega[k], gyro_t[k] - gyro_t[k - 1], noise,
+                                          cfg.md_mode)
+            for group in groups.get(k, ()):
+                state = eqf.eqf_update(state, group, sensors, cfg.residual_mode)
+            est = symmetry.state_from_group(state.xhat)
+        else:
+            if k:
+                state = iekf.iekf_propagate(state, omega[k], gyro_t[k] - gyro_t[k - 1], noise)
+            for group in groups.get(k, ()):
+                state = iekf.iekf_update(state, group, sensors)
+            est = state.xi
+        for field, value in zip(ARRAYS, (est.R, est.b, est.C, np.diag(state.sigma))):
+            rows[field].append(np.asarray(value, dtype=float))
+    return {field: np.array(values) for field, values in rows.items()}
+
+
 def dump(src: Path, out: Path) -> None:
-    """Run both scenarios with the abc_eqf of src and save the simulated logs
+    """Run every scenario with the abc_eqf of src and save the simulated logs
     and the estimates."""
     sys.path.insert(0, str(src))
     from abc_eqf import config, runner, sim
@@ -103,6 +144,9 @@ def dump(src: Path, out: Path) -> None:
                                       data.measurements, cfg).est
             for field in ARRAYS:
                 arrays[f"{name}/{kind}/{field}"] = getattr(est, field)
+            if name == "cal3":
+                for field, value in library_loop(kind, data, cfg).items():
+                    arrays[f"library/{kind}/{field}"] = value
     campaign = runner.montecarlo(config.default_config(seed=3), runs=3, workers=1)
     for row in campaign.per_run:
         for kind in FILTERS:

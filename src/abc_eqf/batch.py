@@ -16,10 +16,12 @@ The formulas are the library filters' own.  The per-run scalar entries of
 Phi, Md and of every exponential come from the functions the library path
 uses (:func:`eqf._phi_md_values`, :func:`lie._exp_entries`,
 :func:`lie._sdp_entries`); the output matrix has :func:`eqf.compute_C0`'s
-entries; the covariance and Kalman products are the same matrix products
-over a stack.  No step mixes numbers of two runs, so a run's estimates do
-not depend on the other runs of its batch, and they agree with the library
-per-step loop (eqf_propagate/eqf_update, iekf_*) to rounding.
+entries; the covariance products are the same matrix products over a
+stack, and each bucket's Kalman step is :func:`eqf._kalman`, the one the
+library updates call on 2-D arrays.  No step mixes numbers of two runs, so
+a run's estimates do not depend on the other runs of its batch, and they
+agree with the library per-step loop (eqf_propagate/eqf_update, iekf_*) to
+rounding.
 
 Every check of the library path is kept and names the run (a single log's
 messages name none): the gyro steps (:func:`eqf._check_step`'s rules) and
@@ -40,12 +42,10 @@ import numpy as np
 
 from .config import RunConfig
 from .eqf import (
-    _CERTIFIED_TRACE_RATIO,
     MEASUREMENT_SLACK,
     REPROJECT_EVERY,
     RESIDUAL_LITERAL,
     RESIDUAL_SUBTRACT,
-    S_CONDITION_LIMIT,
     BadDimensionError,
     DirectionMeasurement,
     NoiseConfig,
@@ -53,12 +53,12 @@ from .eqf import (
     SensorModel,
     _check_sigma0,
     _check_step,
-    _condition_number,
     _gather_index,
+    _kalman,
     _MAX_STEP_TURN_SQ,
     _measured_sensors,
     _phi_md_values,
-    logger,
+    _trace_bound,
 )
 from .iekf import _propagation_constants
 from .lie import DegenerateError, _exp_entries, _sdp_entries, exp_so3, project_to_so3
@@ -82,7 +82,7 @@ class Bucket:
 
     rows: np.ndarray            # (Rb,) rows of the batch, ascending
     sel: np.ndarray | slice     # rows, or slice(None) when it holds every row
-    names: np.ndarray           # (R,) the schedule's names of all runs, indexed by rows
+    names: np.ndarray           # (Rb,) the schedule's names of the runs in rows
     factor: np.ndarray          # (m,) rotation factor of each sensor: 0, or 1 + cal index
     cal_cols: list[int]         # first column of each measured calibration block
     var: np.ndarray             # (3m,) sigma_y^2 of each row
@@ -161,8 +161,9 @@ def build_schedule(cfg: RunConfig, gyro_ts: list[np.ndarray], omegas: list[np.nd
             layouts[ids] = _layout(sensors[m0:m0 + len(ids)])
         if not updates[k]:
             updates[k] = []
-        updates[k].append(Bucket(rows, slice(None) if len(rows) == len(omegas) else rows,
-                                 names, *layouts[ids], y[m0:m1].reshape(len(rows), -1, 3),
+        sel = slice(None) if len(rows) == len(omegas) else rows
+        updates[k].append(Bucket(rows, sel, names[sel], *layouts[ids],
+                                 y[m0:m1].reshape(len(rows), -1, 3),
                                  refs[m0:m1].reshape(len(rows), -1, 3),
                                  h[m0:m1].reshape(len(rows), 3 * len(ids), -1)))
         m0 = m1
@@ -227,9 +228,7 @@ def _layout(sensors: list[SensorModel]) -> tuple:
     factor = np.array([1 + s.cal_index if s.calibrated else 0 for s in sensors])
     cal_cols = sorted({6 + 3 * s.cal_index for s in sensors if s.calibrated})
     var = np.repeat([s.sigma_y ** 2 for s in sensors], 3)
-    var_min = var.min()
-    return (factor, cal_cols, var,
-            _CERTIFIED_TRACE_RATIO * var_min if var_min > 0.0 else math.nan)
+    return factor, cal_cols, var, _trace_bound(var)
 
 
 def _output_matrix(sensors: list[SensorModel], refs: np.ndarray, n: int) -> np.ndarray:
@@ -270,48 +269,6 @@ def _reproject(f: np.ndarray, names: np.ndarray) -> np.ndarray:
         raise DegenerateError(f"{names[r]}{exc}") from None
 
 
-def _kalman(sigma: np.ndarray, h: np.ndarray, residual: np.ndarray, t: float, b: Bucket):
-    """_kalman_step over a stack, with the bucket's variances: (keep, K r,
-    sigma+), where keep is None when every run's S passes the condition
-    rule, and otherwise the mask of the runs that pass, the only ones K r
-    and sigma+ then hold.
-
-    The trace certificate is first tested for the whole stack (every entry
-    finite, the largest trace within the bound), then, when that fails, run
-    by run; a run it does not accept goes through the eigenvalue rule alone,
-    and is skipped, with a warning naming it, when that rule fails.  A
-    non-finite S raises NonFiniteEstimateError, as in _kalman_step.
-    """
-    sht = sigma @ h.mT
-    s = h @ sht
-    flat = s.reshape(len(s), -1)
-    diag = flat[:, ::s.shape[1] + 1]
-    diag += b.var
-    # the traces as floats: one conversion costs less than numpy's reductions
-    if (math.isfinite(np.add.reduce(flat, axis=None))
-            and max(map(sum, diag.tolist())) <= b.bound):
-        keep = None
-    else:
-        keep = (np.isfinite(np.add.reduce(flat, axis=1))
-                & (np.add.reduce(diag, axis=1) <= b.bound))
-        for i in np.flatnonzero(~keep):
-            cond = _condition_number(s[i])
-            if math.isnan(cond):
-                raise NonFiniteEstimateError(f"{b.names[b.rows[i]]}update at t={t:.6f}: "
-                                             f"S is not finite")
-            keep[i] = cond <= S_CONDITION_LIMIT
-            if not keep[i]:
-                logger.warning("%supdate at t=%.6f skipped: S condition number %.3e",
-                               b.names[b.rows[i]], t, cond)
-        if not keep.any():
-            return keep, None, None
-        sigma, sht, s, h, residual = sigma[keep], sht[keep], s[keep], h[keep], residual[keep]
-    gain = np.linalg.solve(s, sht.mT).mT
-    sigma = sigma - gain @ h @ sigma
-    sigma = 0.5 * (sigma + sigma.mT)
-    return keep, (gain @ residual[..., None])[..., 0], sigma
-
-
 @dataclass
 class _State:
     """Stacked filter state: rotation factors f (R, 1 + n, 3, 3), the vector
@@ -341,7 +298,8 @@ def _eqf_update(st: _State, b: Bucket, t: float, subtract: bool) -> None:
     residual = (f[:, b.factor] @ b.y[..., None])[..., 0]
     if subtract:
         residual -= b.refs
-    keep, r, sigma = _kalman(st.sigma[sel], b.h, residual.reshape(len(f), -1), t, b)
+    keep, r, sigma = _kalman(st.sigma[sel], b.h, residual.reshape(len(f), -1), b.var,
+                             b.bound, t, b.names)
     if keep is not None:
         if r is None:
             return
@@ -387,7 +345,8 @@ def _iekf_update(st: _State, b: Bucket, t: float) -> None:
     h = b.h.copy()
     for j in b.cal_cols:
         h[:, :, j:j + 3] = h[:, :, j:j + 3] @ rot
-    keep, r, sigma = _kalman(st.sigma[sel], h, residual.reshape(len(f), -1), t, b)
+    keep, r, sigma = _kalman(st.sigma[sel], h, residual.reshape(len(f), -1), b.var, b.bound,
+                             t, b.names)
     if keep is not None:
         if r is None:
             return
@@ -443,32 +402,34 @@ def drive_batch(kind: str, schedule: Schedule, cfg: RunConfig,
     dts = np.diff(schedule.gyro_t).tolist()
     stop = None
     t_start = time.perf_counter()
-    for k in range(k_total):
-        if k > 0:
-            if kind == "eqf":
-                _eqf_propagate(st, omega[k], dts[k - 1], noise, idx)
-            else:
-                _iekf_propagate(st, omega[k], dts[k - 1], s_u, phi)
-            if k % REPROJECT_EVERY == 0:
-                st.f = _reproject(st.f, schedule.names)
-        try:
-            for b in updates[k]:
+    # a non-finite S ends the loop, finish_run raises: numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(k_total):
+            if k > 0:
                 if kind == "eqf":
-                    _eqf_update(st, b, t[k], subtract)
+                    _eqf_propagate(st, omega[k], dts[k - 1], noise, idx)
                 else:
-                    _iekf_update(st, b, t[k])
-        except NonFiniteEstimateError as exc:
-            stop = exc
-        rec_f[:, k] = st.f
-        rec_v[:, k] = st.v
-        sig_diag[:, k] = st.sigma.reshape(runs, d * d)[:, ::d + 1]
-        sig_att[:, k] = st.sigma[:, 0:3, 0:3]
-        if stop is not None:        # the records end at this step
-            k_total = k + 1
-            rec_f, rec_v, sig_diag, sig_att = (a[:, :k_total]
-                                               for a in (rec_f, rec_v, sig_diag, sig_att))
-            truths = None
-            break
+                    _iekf_propagate(st, omega[k], dts[k - 1], s_u, phi)
+                if k % REPROJECT_EVERY == 0:
+                    st.f = _reproject(st.f, schedule.names)
+            try:
+                for b in updates[k]:
+                    if kind == "eqf":
+                        _eqf_update(st, b, t[k], subtract)
+                    else:
+                        _iekf_update(st, b, t[k])
+            except NonFiniteEstimateError as exc:
+                stop = exc
+            rec_f[:, k] = st.f
+            rec_v[:, k] = st.v
+            sig_diag[:, k] = st.sigma.reshape(runs, d * d)[:, ::d + 1]
+            sig_att[:, k] = st.sigma[:, 0:3, 0:3]
+            if stop is not None:        # the records end at this step
+                k_total = k + 1
+                rec_f, rec_v, sig_diag, sig_att = (a[:, :k_total]
+                                                   for a in (rec_f, rec_v, sig_diag, sig_att))
+                truths = None
+                break
     rot = rec_f[:, :, 0]
     if kind == "eqf":
         # state_from_group: (A, -A^T a, A^T B_i)

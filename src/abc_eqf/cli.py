@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -114,7 +115,8 @@ def _cmd_run(args) -> int:
     for sensor in cfg.sensors:
         path = logs / f"dir_{sensor.sensor_id}.csv"
         if path.exists():
-            measurements.extend(csvio.read_directions(path, sensor.sensor_id))
+            measurements.extend(csvio.read_directions(path, sensor.sensor_id,
+                                                      sensor.kind == "gnss"))
     measurements.sort(key=lambda m: (m.t, m.sensor_id))
     truth = None
     if (logs / "truth.csv").exists():
@@ -197,6 +199,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.steps < 1:
+        raise ConfigError("--steps must be >= 1")
+    if not (args.dt > 0.0 and math.isfinite(args.dt)):
+        raise ConfigError("--dt must be finite and > 0")
     result = bench_phi(steps=args.steps, dt=args.dt, seed=args.seed)
     labels = {
         "closed": "(i) closed form",

@@ -132,8 +132,11 @@ def write_directions(path: Path, meas: list[DirectionMeasurement]) -> None:
     _write_columns(path, direction_header(time_varying), *columns)
 
 
-def read_directions(path: Path, sensor_id: str) -> list[DirectionMeasurement]:
-    header, rows, file_rows = _read_table(path, ["t", "yx", "yy", "yz"])
+def read_directions(path: Path, sensor_id: str,
+                    references: bool = False) -> list[DirectionMeasurement]:
+    """The measurements of one sensor; references=True (a sensor whose
+    reference arrives with each measurement) requires the dx, dy, dz columns."""
+    header, rows, file_rows = _read_table(path, direction_header(references))
     time_varying = "dx" in header
     if time_varying:
         for col in ("dx", "dy", "dz"):

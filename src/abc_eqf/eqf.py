@@ -444,8 +444,15 @@ def _measured_sensors(meas: list[DirectionMeasurement], sensors: list[SensorMode
     return used, refs, var
 
 
-# Bound on tr S / min var under which _kalman_step accepts S without eigvalsh.
+# Bound on tr S / min var under which _kalman accepts S without eigvalsh.
 _CERTIFIED_TRACE_RATIO = 1e-2 * S_CONDITION_LIMIT
+
+
+def _trace_bound(var) -> float:
+    """The certificate's bound on tr S in :func:`_kalman` for the output noise
+    variances var; NaN, which fails the certificate, unless all are positive."""
+    var_min = min(var)
+    return _CERTIFIED_TRACE_RATIO * var_min if var_min > 0.0 else math.nan
 
 
 def _condition_number(s_mat: np.ndarray) -> float:
@@ -458,15 +465,23 @@ def _condition_number(s_mat: np.ndarray) -> float:
     return eig[-1] / eig[0] if eig[0] > 0.0 else math.inf
 
 
-def _kalman_step(sigma: np.ndarray, h: np.ndarray, var, residual: np.ndarray,
-                 t: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """Correction K r and symmetrized updated covariance of either filter, for
-    output matrix h, output noise variances var (one per row) and residual r.
+def _kalman(sigma: np.ndarray, h: np.ndarray, residual: np.ndarray, var, bound: float,
+            t: float, names=("",)):
+    """The Kalman step of every update, library and batch: correction K r and
+    symmetrized updated covariance for covariances sigma (..., d, d), output
+    matrices h (..., k, d), residuals (..., k) and the output noise variances
+    var (k,) of every row, with bound = _trace_bound(var).
 
-    S = H Sigma H^T + diag(var), var added to its diagonal in place.  Returns
-    None, with a warning, when S is not positive definite or has
-    cond(S) > S_CONDITION_LIMIT (:func:`_condition_number`); a non-finite S
-    raises NonFiniteEstimateError, since no later update can recover it.
+    Returns (keep, K r, sigma+).  keep is None when every row's S passes the
+    condition rule.  Otherwise it is the mask of the rows that pass, the
+    only ones K r and sigma+ then hold (both None when no row passes).
+
+    S = H Sigma H^T + diag(var), var added to its diagonal in place.  A row
+    is skipped, with a warning naming it by names (indexed by row, in the
+    order of the leading dimensions), when its S is not positive definite or
+    has cond(S) > S_CONDITION_LIMIT (:func:`_condition_number`); a
+    non-finite S raises NonFiniteEstimateError, since no later update can
+    recover it.
 
     A scalar certificate accepts S before that rule: the sum of its entries
     is finite (so is every entry), every variance is positive, and
@@ -477,30 +492,42 @@ def _kalman_step(sigma: np.ndarray, h: np.ndarray, var, residual: np.ndarray,
     becomes (tr S + (m - 1) delta) / (min var - delta), still below the
     limit for every delta <= 0.9 min var; rounding leaves a symmetric PSD
     Sigma within about 1e-16 tr S <= 1e-6 min var of that, so the
-    certificate cannot change a skip decision.  Every S it does not accept
-    goes through the eigenvalue rule unchanged.
+    certificate cannot change a skip decision.  It is first tested for the
+    whole stack, then, when that fails, row by row; every S it does not
+    accept goes through the eigenvalue rule unchanged.
 
-    The products use ndarray.dot, the same BLAS call as the @ operator at
-    about half its dispatch cost on matrices this small.
+    On 2-D inputs the products use np.dot, the same BLAS call as np.matmul
+    at about half its dispatch cost on matrices this small.
     """
-    sht = sigma.dot(h.T)
-    s_mat = h.dot(sht)
-    m = s_mat.shape[0]
-    s_mat.flat[::m + 1] += var
-    entries = s_mat.ravel().tolist()
-    var_min = min(var)
-    if not (var_min > 0.0 and math.isfinite(sum(entries))
-            and sum(entries[::m + 1]) <= _CERTIFIED_TRACE_RATIO * var_min):
-        cond = _condition_number(s_mat)
-        if math.isnan(cond):
-            raise NonFiniteEstimateError(f"update at t={t:.6f}: S is not finite")
-        if not cond <= S_CONDITION_LIMIT:
-            logger.warning("update at t=%.6f skipped: S condition number %.3e", t, cond)
-            return None
-    gain = np.linalg.solve(s_mat, sht.T).T
-    sigma = sigma - gain.dot(h).dot(sigma)
-    sigma = 0.5 * (sigma + sigma.T)
-    return gain.dot(residual), sigma
+    dot = np.dot if sigma.ndim == 2 else np.matmul
+    sht = dot(sigma, h.mT)
+    s = dot(h, sht)
+    m = s.shape[-1]
+    flat = s.reshape(-1, m * m)
+    diag = flat[:, ::m + 1]
+    diag += var
+    keep = None
+    # the traces as floats: one conversion costs less than numpy's reductions
+    if not (math.isfinite(np.add.reduce(flat, axis=None))
+            and max(map(sum, diag.tolist())) <= bound):
+        keep = (np.isfinite(np.add.reduce(flat, axis=1))
+                & (np.add.reduce(diag, axis=1) <= bound))
+        for i in np.flatnonzero(~keep).tolist():
+            cond = _condition_number(flat[i].reshape(m, m))
+            if math.isnan(cond):
+                raise NonFiniteEstimateError(f"{names[i]}update at t={t:.6f}: S is not finite")
+            keep[i] = cond <= S_CONDITION_LIMIT
+            if not keep[i]:
+                logger.warning("%supdate at t=%.6f skipped: S condition number %.3e",
+                               names[i], t, cond)
+        keep = None if keep.all() else keep.reshape(s.shape[:-2])
+        if keep is not None:
+            if not keep.any():
+                return keep, None, None
+            sigma, sht, s, h, residual = sigma[keep], sht[keep], s[keep], h[keep], residual[keep]
+    gain = np.linalg.solve(s, sht.mT).mT
+    sigma = sigma - dot(dot(gain, h), sigma)
+    return keep, dot(gain, residual[..., None])[..., 0], 0.5 * (sigma + sigma.mT)
 
 
 def eqf_update(fs: FilterState, meas: list[DirectionMeasurement],
@@ -511,11 +538,12 @@ def eqf_update(fs: FilterState, meas: list[DirectionMeasurement],
     The equivariant residual of measurement y is Bhat_i y (calibrated sensor)
     or Ahat y; in the default residual mode the reference direction is
     subtracted so a perfect measurement leaves the state unchanged.  The
-    correction r from :func:`_kalman_step` enters as Xhat+ = exp(Delta) Xhat
-    through :func:`group_exp` and :func:`group_mul`, with Delta from the
-    exponential chart at the identity origin: nav part (r_att, -r_bias),
-    calibration i r_cal_i + r_att.  When _kalman_step skips the update (a
-    bad S), the input state is returned.
+    correction r from :func:`_kalman`, the Kalman step of every update path,
+    here on 2-D arrays, enters as Xhat+ = exp(Delta) Xhat through
+    :func:`group_exp` and :func:`group_mul`, with Delta from the exponential
+    chart at the identity origin: nav part (r_att, -r_bias), calibration i
+    r_cal_i + r_att.  When _kalman skips the update (a bad S), the input
+    state is returned.
     """
     if not meas:
         return fs
@@ -532,9 +560,9 @@ def eqf_update(fs: FilterState, meas: list[DirectionMeasurement],
         residual -= flat_refs
     elif residual_mode != RESIDUAL_LITERAL:
         raise ValueError(f"unknown residual mode: {residual_mode!r}")
-    step = _kalman_step(fs.sigma, compute_C0(used, refs, x.n), var, residual, fs.t)
-    if step is None:
+    keep, r, sigma = _kalman(fs.sigma, compute_C0(used, refs, x.n), residual, var,
+                             _trace_bound(var), fs.t)
+    if keep is not None:
         return fs
-    r, sigma = step
     delta = AlgebraElement(r[0:3], -r[3:6], r[6:].reshape(-1, 3) + r[0:3])
     return FilterState(group_mul(group_exp(delta), x), sigma, fs.t, fs.steps)

@@ -25,8 +25,9 @@ from .eqf import (
     SensorModel,
     _check_sigma0,
     _check_step,
-    _kalman_step,
+    _kalman,
     _measured_sensors,
+    _trace_bound,
     compute_C0,
     sigma_u,
 )
@@ -95,9 +96,10 @@ def iekf_update(s: IekfState, meas: list[DirectionMeasurement],
     [d^ 0 0] for an uncalibrated one.  Only the blocks of the measured
     calibrated sensors are multiplied; the others are zero.  The residual of
     sensor i is Rhat Chat_i y - d (calibrated) or Rhat y - d.  The correction
-    r from the shared :func:`_kalman_step`, which skips the update by its rule
-    on S, maps to R <- exp(r_att) Rhat, b <- bhat + r_bias,
-    C_i <- exp(r_cal_i) Chat_i.
+    r from :func:`eqf._kalman`, the Kalman step every update path shares,
+    called here on 2-D arrays, maps to R <- exp(r_att) Rhat,
+    b <- bhat + r_bias, C_i <- exp(r_cal_i) Chat_i; when _kalman skips the
+    update by its rule on S, the input state is returned.
     """
     if not meas:
         return s
@@ -113,10 +115,9 @@ def iekf_update(s: IekfState, meas: list[DirectionMeasurement],
     else:
         residual = np.concatenate([rot.dot(m.y) for rot, m in zip(rots, meas)])
         residual -= [c for ref in refs for c in ref]
-    step = _kalman_step(s.sigma, h, var, residual, s.t)
-    if step is None:
+    keep, delta, sigma = _kalman(s.sigma, h, residual, var, _trace_bound(var), s.t)
+    if keep is not None:
         return s
-    delta, sigma = step
     r_new = exp_so3(delta[0:3]).dot(xi.R)
     b_new = xi.b + delta[3:6]
     c_new = [e.dot(c) for e, c in zip(exp_so3(delta[6:].reshape(-1, 3)), xi.C)]

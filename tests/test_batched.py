@@ -19,7 +19,7 @@ from abc_eqf.eqf import (
     NonFiniteInputError,
     SensorModel,
     _gather_index,
-    _kalman_step,
+    _kalman,
     compute_A0,
     compute_C0,
     phi_and_md,
@@ -319,13 +319,14 @@ def test_ill_conditioned_s_skips_only_its_run(four_runs, caplog):
     sigma[1] = 1e12 * np.eye(9)       # S = 2e12 (d^ d^T) + 0.01 I: cond 2e14
     residual = np.full((4, 3), 1e-3)
     with caplog.at_level(logging.WARNING, logger="abc_eqf.eqf"):
-        keep, corr, sigma_new = batch._kalman(sigma, bucket.h, residual, 0.25, bucket)
+        keep, corr, sigma_new = _kalman(sigma, bucket.h, residual, bucket.var, bucket.bound,
+                                        0.25, bucket.names)
     assert keep.tolist() == [True, False, True, True]
     assert [rec.getMessage() for rec in caplog.records] == [
         "run 1: update at t=0.250000 skipped: S condition number 2.000e+14"]
     for i, r in enumerate([0, 2, 3]):
-        want_corr, want_sigma = _kalman_step(sigma[r], bucket.h[r], bucket.var.tolist(),
-                                             residual[r], 0.25)
+        _, want_corr, want_sigma = _kalman(sigma[r], bucket.h[r], residual[r], bucket.var,
+                                           bucket.bound, 0.25)
         np.testing.assert_allclose(corr[i], want_corr, rtol=RTOL)
         np.testing.assert_allclose(sigma_new[i], want_sigma, rtol=RTOL, atol=1e-18)
 

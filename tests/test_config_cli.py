@@ -384,6 +384,22 @@ def test_cli_stops_at_first_non_finite_s(tmp_path, config_file, argv):
     skipped = [line for line in err if "skipped" in line]
     assert skipped, "the ill-conditioned updates before the overflow are skipped"
     assert not [line for line in skipped if "condition number nan" in line]
+    assert not [line for line in err if "RuntimeWarning" in line]
+
+
+def test_cli_run_gnss_log_without_references(tmp_path, config_file, capsys):
+    """A gnss sensor's log must carry the reference columns dx, dy, dz: a
+    log without them is a data error naming the file and its header row."""
+    logs = tmp_path / "logs"
+    assert main(["simulate", "--config", str(config_file), "--out", str(logs)]) == 0
+    path = logs / "dir_gnss.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(",".join(line.split(",")[:4]) for line in lines) + "\n")
+    capsys.readouterr()
+    assert main(["run", "--config", str(config_file), "--logs", str(logs),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: {path}:1: missing column 'dx'"]
 
 
 @pytest.mark.parametrize("name, col, value", [
@@ -547,6 +563,17 @@ def test_mc_deterministic_across_worker_counts(config_file):
                 va = getattr(a.aggregate[kind], phase)[key]
                 vb = getattr(b.aggregate[kind], phase)[key]
                 assert va == vb
+
+
+@pytest.mark.parametrize("argv", [["--steps", "0"], ["--steps", "-3"], ["--dt", "0"],
+                                  ["--dt", "-0.01"], ["--dt", "nan"], ["--dt", "inf"]],
+                         ids=["steps-0", "steps-neg", "dt-0", "dt-neg", "dt-nan", "dt-inf"])
+def test_cli_bench_phi_rejects_out_of_range_arguments(capsys, argv):
+    assert main(["bench-phi", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"config error: {argv[0]} must be ")
 
 
 def test_cli_bench_phi_smoke(tmp_path, capsys):

@@ -14,7 +14,8 @@ from abc_eqf.eqf import (
     NonPositiveDtError,
     SensorModel,
     UnknownSensorError,
-    _kalman_step,
+    _kalman,
+    _trace_bound,
     compute_A0,
     compute_C0,
     compute_Md,
@@ -356,7 +357,7 @@ def _random_update(rng):
 def test_kalman_step_invariant_to_rotated_isotropic_noise(rng):
     """Each sensor's noise sigma_y^2 I is unchanged by a rotation D of its
     3-block, so the output-noise adaptation D diag(var) D^T of the EqF gives
-    the update of diag(var): _kalman_step, which adds var to the diagonal of
+    the update of diag(var): _kalman, which adds var to the diagonal of
     S and skips the rotation, matches a textbook update with the rotated
     noise matrix.  Sigma+ = Sigma - K H Sigma rounds at the scale of the
     prior, so its gap is measured against Sigma."""
@@ -367,7 +368,7 @@ def test_kalman_step_invariant_to_rotated_isotropic_noise(rng):
             d[k:k + 3, k:k + 3] = exp_so3(rng.normal(0.0, 2.0, 3))
         gain = sigma @ h.T @ np.linalg.inv(h @ sigma @ h.T + d @ np.diag(var) @ d.T)
         sigma_ref = sigma - gain @ h @ sigma
-        correction, sigma_new = _kalman_step(sigma, h, var, residual, 0.0)
+        _, correction, sigma_new = _kalman(sigma, h, residual, var, _trace_bound(var), 0.0)
         assert np.max(np.abs(correction - gain @ residual)) <= 1e-12 * np.max(np.abs(correction))
         assert np.max(np.abs(sigma_new - sigma_ref)) <= 1e-12 * np.max(np.abs(sigma))
 
@@ -380,7 +381,7 @@ def test_kalman_step_correction_is_gain_times_residual(rng):
         inputs = [a.copy() for a in (sigma, h, var, residual)]
         s_mat = h @ sigma @ h.T + np.diag(var)
         expected = sigma @ h.T @ np.linalg.solve(s_mat, residual)
-        correction, _ = _kalman_step(sigma, h, var, residual, 0.0)
+        _, correction, _ = _kalman(sigma, h, residual, var, _trace_bound(var), 0.0)
         assert np.max(np.abs(correction - expected)) <= 1e-12 * np.max(np.abs(expected))
         for a, b in zip(inputs, (sigma, h, var, residual)):
             assert np.array_equal(a, b)

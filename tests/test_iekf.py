@@ -260,7 +260,12 @@ def test_update_h_matches_residual_jacobian(rng, monkeypatch):
     C_i <- exp(d_cal_i) Chat_i, taken at a perfect measurement; this covers
     the d^ Rhat calibration blocks."""
     captured = []
-    monkeypatch.setattr(iekf, "_kalman_step", lambda sigma, h, *_: captured.append(h))
+
+    def capture(sigma, h, *_):
+        captured.append(h)
+        return np.array(False), None, None      # the update is skipped
+
+    monkeypatch.setattr(iekf, "_kalman", capture)
     for n in range(4):
         dim = 6 + 3 * n
         sensors = make_sensors(n, n + 2, rng)

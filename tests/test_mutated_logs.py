@@ -32,7 +32,8 @@ rate = 20.0
 """
 
 FILES = ("gyro.csv", "dir_mag.csv", "dir_gnss.csv", "truth.csv")
-KINDS = ("drop", "duplicate", "swap", "nan", "huge", "zero", "truncate", "header_only")
+KINDS = ("drop", "duplicate", "swap", "nan", "huge", "zero", "truncate", "header_only",
+         "drop_columns")
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +46,11 @@ def simulated(tmp_path_factory):
 
 
 def mutate(lines: list[str], kind: str, row: int, col: int) -> list[str]:
-    """Apply one mutation to the lines of a CSV file; row 0 is the header."""
+    """Apply one mutation to the lines of a CSV file; row 0 is the header.
+    drop_columns removes the last 1 + col % 3 columns of every line (with 3,
+    a gnss log's references dx, dy, dz)."""
+    if kind == "drop_columns":
+        return [",".join(line.split(",")[:-1 - col % 3]) for line in lines]
     i = 1 + row % max(len(lines) - 1, 1)
     if kind == "header_only" or len(lines) < 2:
         return lines[:1]

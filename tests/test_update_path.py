@@ -1,7 +1,9 @@
 """The measurement update path both filters share, against straightforward
-references: the certified skip test of _kalman_step against the
-eigenvalue-only rule, and eqf_update / iekf_update against textbook updates
-written with wedge, np.diag and np.concatenate."""
+references: the certified skip test of the one Kalman step (eqf._kalman),
+which every update of the library and of the batch driver calls, against
+the eigenvalue-only rule, on plain 2-D inputs and on stacks, and eqf_update
+/ iekf_update against textbook updates written with wedge, np.diag and
+np.concatenate."""
 
 import math
 
@@ -17,7 +19,8 @@ from abc_eqf.eqf import (
     FilterState,
     NonFiniteEstimateError,
     SensorModel,
-    _kalman_step,
+    _kalman,
+    _trace_bound,
     compute_C0,
     eqf_update,
     validate_layout,
@@ -30,9 +33,10 @@ from conftest import random_group_element, random_state
 
 
 def kalman_step_eigvalsh(sigma, h, var, residual):
-    """_kalman_step with the eigenvalue rule alone, as it was written before
-    the trace certificate: NonFiniteEstimateError for a non-finite S, a skip
-    unless S is positive definite with cond(S) <= S_CONDITION_LIMIT."""
+    """The Kalman step of one 2-D row with the eigenvalue rule alone, as it
+    was written before the trace certificate: NonFiniteEstimateError for a
+    non-finite S, None (a skip) unless S is positive definite with
+    cond(S) <= S_CONDITION_LIMIT, else (K r, sigma+)."""
     sht = sigma @ h.T
     s_mat = h @ sht + np.diag(var)
     if not np.isfinite(s_mat).all():
@@ -52,52 +56,84 @@ SCALES = [0.0, 1e-12, 1e-6, 1e-2, 1.0, 1e4, 1e200]
 
 @st.composite
 def kalman_inputs(draw):
+    """sigma, h, var and residual of one update: plain 2-D arrays, or stacks
+    of 1-4 rows, each with its own sigma, h and residual, sharing var."""
     n = draw(st.integers(0, 3))
     k = draw(st.integers(1, 3))
+    rows = draw(st.integers(0, 4))      # 0: plain 2-D inputs
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     dim = 6 + 3 * n
-    low_rank = draw(st.integers(1, dim))
-    factor = rng.normal(size=(dim, low_rank))
-    sigma = draw(st.sampled_from(SCALES)) * (factor @ factor.T)
-    if draw(st.booleans()):
-        # rounding-level asymmetry and indefiniteness, as the filters' Sigma has
-        noise = rng.normal(size=(dim, dim))
-        sigma = sigma + 1e-16 * np.max(np.abs(sigma)) * noise
-    poison = draw(st.sampled_from([None, math.nan, math.inf, -math.inf]))
-    if poison is not None:
-        i, j = rng.integers(0, dim, 2)
-        sigma[i, j] = poison
-    if draw(st.booleans()):
-        refs = rng.normal(size=(k, 3))
-        refs /= np.linalg.norm(refs, axis=1, keepdims=True)
-        sensors = [SensorModel(f"s{i}", i < min(n, k), 1.0) for i in range(k)]
-        validate_layout(sensors)
-        h = compute_C0(sensors, refs, n)
-    else:
-        h = rng.normal(size=(3 * k, dim))
+    use_c0 = draw(st.booleans())
     var = np.repeat([draw(st.sampled_from(SIGMA_Y)) ** 2 for _ in range(k)], 3)
-    return sigma, h, var, rng.normal(size=3 * k)
+    poison = draw(st.sampled_from([None, None, None, math.nan, math.inf, -math.inf]))
+    poisoned_row = draw(st.integers(0, max(rows, 1) - 1))
+    sigmas, hs = [], []
+    for row in range(max(rows, 1)):
+        low_rank = draw(st.integers(1, dim))
+        factor = rng.normal(size=(dim, low_rank))
+        sigma = draw(st.sampled_from(SCALES)) * (factor @ factor.T)
+        if draw(st.booleans()):
+            # rounding-level asymmetry and indefiniteness, as the filters' Sigma has
+            noise = rng.normal(size=(dim, dim))
+            sigma = sigma + 1e-16 * np.max(np.abs(sigma)) * noise
+        if poison is not None and row == poisoned_row:
+            i, j = rng.integers(0, dim, 2)
+            sigma[i, j] = poison
+        if use_c0:
+            refs = rng.normal(size=(k, 3))
+            refs /= np.linalg.norm(refs, axis=1, keepdims=True)
+            sensors = [SensorModel(f"s{i}", i < min(n, k), 1.0) for i in range(k)]
+            validate_layout(sensors)
+            hs.append(compute_C0(sensors, refs, n))
+        else:
+            hs.append(rng.normal(size=(3 * k, dim)))
+        sigmas.append(sigma)
+    residual = rng.normal(size=(len(sigmas), 3 * k))
+    if rows == 0:
+        return sigmas[0], hs[0], var, residual[0]
+    return np.stack(sigmas), np.stack(hs), var, residual
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(kalman_inputs())
 def test_certified_kalman_step_matches_eigvalsh_rule(inputs):
+    """Every row's outcome (raise, skip, or K r and sigma+) equals the
+    eigenvalue-only reference bit for bit, for 2-D inputs and stacks; a
+    stack with a non-finite row raises."""
     sigma, h, var, residual = inputs
-
-    def outcome(step, *args):
-        try:
-            return step(*args)
-        except NonFiniteEstimateError:
-            return NonFiniteEstimateError
-
+    dim = sigma.shape[-1]
+    names = [f"run {i}: " for i in range(max(sigma.size // dim ** 2, 1))]
+    expected = []
     with np.errstate(all="ignore"):
-        expected = outcome(kalman_step_eigvalsh, sigma, h, var, residual)
-        got = outcome(_kalman_step, sigma, h, var, residual, 0.0)
-    assert (got is None) == (expected is None)
-    assert (got is NonFiniteEstimateError) == (expected is NonFiniteEstimateError)
-    if got is not None and got is not NonFiniteEstimateError:
-        assert np.array_equal(got[0], expected[0])
-        assert np.array_equal(got[1], expected[1])
+        for row in zip(sigma.reshape(-1, dim, dim), h.reshape(-1, *h.shape[-2:]),
+                       residual.reshape(-1, residual.shape[-1])):
+            try:
+                expected.append(kalman_step_eigvalsh(row[0], row[1], var, row[2]))
+            except NonFiniteEstimateError:
+                expected.append(NonFiniteEstimateError)
+        if NonFiniteEstimateError in expected:
+            first = expected.index(NonFiniteEstimateError)
+            with pytest.raises(NonFiniteEstimateError, match=rf"^run {first}: update at "
+                                                               r"t=0\.000000: S is not finite$"):
+                _kalman(sigma, h, residual, var, _trace_bound(var), 0.0, names)
+            return
+        keep, corr, sigma_new = _kalman(sigma, h, residual, var, _trace_bound(var), 0.0,
+                                        names)
+    passed = [e is not None for e in expected]
+    if all(passed):
+        assert keep is None
+    else:
+        assert keep.shape == sigma.shape[:-2]
+        assert keep.ravel().tolist() == passed
+    if not any(passed):
+        assert corr is None and sigma_new is None
+        return
+    kept = [e for e in expected if e is not None]
+    assert corr.shape == ((len(kept), dim) if sigma.ndim == 3 else (dim,))
+    for got_r, got_sigma, (want_r, want_sigma) in zip(corr.reshape(-1, dim),
+                                                       sigma_new.reshape(-1, dim, dim), kept):
+        assert np.array_equal(got_r, want_r)
+        assert np.array_equal(got_sigma, want_sigma)
 
 
 @pytest.mark.parametrize("sigma_y_second, skipped", [(1e-5, False), (1e-7, True)])
@@ -109,9 +145,9 @@ def test_certified_kalman_step_at_the_condition_limit(sigma_y_second, skipped):
     validate_layout(sensors)
     h = compute_C0(sensors, np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]), 0)
     var = np.repeat([1.0, sigma_y_second ** 2], 3)
-    got = _kalman_step(np.zeros((6, 6)), h, var, np.ones(6), 0.0)
+    keep, _, _ = _kalman(np.zeros((6, 6)), h, np.ones(6), var, _trace_bound(var), 0.0)
     expected = kalman_step_eigvalsh(np.zeros((6, 6)), h, var, np.ones(6))
-    assert (got is None) == (expected is None) == skipped
+    assert (keep is not None) == (expected is None) == skipped
 
 
 def test_typical_update_needs_no_eigendecomposition(monkeypatch, rng):
@@ -120,7 +156,9 @@ def test_typical_update_needs_no_eigendecomposition(monkeypatch, rng):
                         lambda *_: pytest.fail("eigvalsh called"))
     sigma = 0.1 * np.eye(15)
     h = rng.normal(size=(6, 15))
-    assert _kalman_step(sigma, h, np.full(6, 0.01), rng.normal(size=6), 0.0) is not None
+    var = np.full(6, 0.01)
+    keep, _, _ = _kalman(sigma, h, rng.normal(size=6), var, _trace_bound(var), 0.0)
+    assert keep is None
 
 
 # ---------------------------------------------------------------------------
