@@ -1,7 +1,7 @@
-"""Bit-identity check of the simulator, the filters and campaigns:
-sim.simulate_run, runner.drive_filter, the library's per-step calls and
-runner.montecarlo on a base revision and on this checkout, compared array
-by array with np.array_equal.
+"""Bit-identity check of the simulator, the filters, campaigns and the CLI's
+files: sim.simulate_run, runner.drive_filter, the library's per-step calls,
+runner.montecarlo and `abc-eqf simulate`/`run` on a base revision and on
+this checkout, compared array by array with np.array_equal.
 
     python3 scripts/bitexact.py --base HEAD
 
@@ -21,7 +21,11 @@ each gyro step `*_propagate` and `*_update` of each group that
 `runner.tick_groups` puts at that step, and compares the same four arrays
 per filter.  The `campaign` scenario is `runner.montecarlo` over 3 runs of
 the default config with one worker: per run and filter, the transient and
-asymptotic report values and the attitude NEES.  The base side is exported with
+asymptotic report values and the attitude NEES.  The `cli` scenario runs
+`abc-eqf simulate` on the `cal3` config, then `abc-eqf run --filter both`
+twice into one --out, and keeps every file each command wrote as bytes:
+besides comparing them with the base side's, the change's second run is
+compared with its own first run.  The base side is exported with
 `git archive` into a temporary directory; the change side is the working
 tree this script lives in.  Each side simulates and filters in its own
 Python process, importing `abc_eqf` from its own `src/`.  `CAL3_INI` is read
@@ -33,6 +37,8 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -112,6 +118,28 @@ def library_loop(kind: str, data, cfg) -> dict:
     return {field: np.array(values) for field, values in rows.items()}
 
 
+def cli_files(ini: Path, tmp: Path) -> dict:
+    """The `cli` scenario: the bytes of every file written by `abc-eqf
+    simulate` (under cli/simulate/) and by each of two `abc-eqf run` into one
+    --out (cli/run1/, cli/run2/)."""
+    from abc_eqf import cli
+
+    logs, out = tmp / "logs", tmp / "out"
+    argvs = {"simulate": ["simulate", "--config", str(ini), "--out", str(logs)]}
+    for i in (1, 2):
+        argvs[f"run{i}"] = ["run", "--config", str(ini), "--logs", str(logs),
+                            "--out", str(out), "--filter", "both"]
+    files = {}
+    for step, argv in argvs.items():
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        if code != 0:
+            raise SystemExit(f"abc-eqf {' '.join(argv)} exited {code}")
+        for path in sorted((logs if step == "simulate" else out).iterdir()):
+            files[f"cli/{step}/{path.name}"] = np.frombuffer(path.read_bytes(), dtype=np.uint8)
+    return files
+
+
 def dump(src: Path, out: Path) -> None:
     """Run every scenario with the abc_eqf of src and save the simulated logs
     and the estimates."""
@@ -125,7 +153,7 @@ def dump(src: Path, out: Path) -> None:
         ini.write_text(cal3_ini().format(seed=7), encoding="utf-8")
         scenarios = {"default": config.default_config(seed=3),
                      "cal3": config.load_config(ini)}
-    arrays = {}
+        arrays = cli_files(ini, Path(tmp))
     for name, cfg in scenarios.items():
         data = sim.simulate_run(cfg)
         truth = data.truth
@@ -166,6 +194,16 @@ def run_side(checkout: Path, out: Path) -> dict:
         return {k: npz[k] for k in npz.files}
 
 
+def report(label: str, base, head) -> bool:
+    """Print whether two arrays are equal (and, for floats, by how much they
+    differ) and return it."""
+    equal = base is not None and np.array_equal(base, head)
+    gap = "" if equal or base is None or base.shape != head.shape or base.dtype.kind != "f" \
+        else f" (max |diff| {np.max(np.abs(base - head)):.3e})"
+    print(f"{label:30s} {'equal' if equal else 'DIFFERENT'}{gap}")
+    return equal
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     if args.dump:
@@ -186,11 +224,10 @@ def main(argv=None) -> int:
             all_equal = False
             print(f"{key:30s} missing on the {'base' if key not in base else 'change'} side")
             continue
-        equal = base[key].shape == head[key].shape and np.array_equal(base[key], head[key])
-        all_equal &= equal
-        gap = "" if equal or base[key].shape != head[key].shape else \
-            f" (max |diff| {np.max(np.abs(base[key] - head[key])):.3e})"
-        print(f"{key:30s} {'equal' if equal else 'DIFFERENT'}{gap}")
+        all_equal &= report(key, base[key], head[key])
+    for key in sorted(k for k in head if k.startswith("cli/run2/")):
+        first = key.replace("/run2/", "/run1/")
+        all_equal &= report(f"{key} vs change {first}", head.get(first), head[key])
     print("all arrays equal" if all_equal else "some arrays differ")
     return 0 if all_equal else 1
 

@@ -167,7 +167,8 @@ def _cmd_montecarlo(args) -> int:
 
     if len(filters) >= 2:
         text, _ = compare_report(result.aggregate, result.runtimes)
-        (out / "comparison.txt").write_text(text + "\n", encoding="utf-8")
+        with csvio.open_new(out / "comparison.txt") as fh:
+            fh.write(text + "\n")
         print(text)
     else:
         rep = result.aggregate[filters[0]]
@@ -192,7 +193,8 @@ def _cmd_compare(args) -> int:
     print(text)
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "comparison.txt").write_text(text + "\n", encoding="utf-8")
+        with csvio.open_new(args.out / "comparison.txt") as fh:
+            fh.write(text + "\n")
         csvio.write_table(args.out / "comparison.csv", list(rows[0]),
                           (row.values() for row in rows))
     return EXIT_OK

@@ -270,7 +270,9 @@ def echo_config(cfg: RunConfig, path: str | Path) -> None:
             key: _format_value(getattr(s, attr), kind)
             for key, (attr, kind) in _SENSOR_KEYS.items()
             if _KIND_ONLY.get(key, s.kind) == s.kind}
-    with open(path, "w", encoding="utf-8") as fh:
+    from .csvio import open_new   # not at the top: csvio imports sim, which imports config
+
+    with open_new(path) as fh:
         parser.write(fh)
 
 

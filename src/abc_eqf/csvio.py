@@ -34,10 +34,21 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def open_new(path: Path):
+    """The opener of every output file: a text handle, UTF-8 with no newline
+    translation, on a new file at path.  An existing file there is unlinked
+    first, not truncated: on ext4 (auto_da_alloc) truncating a file whose
+    earlier rewrite is still being written back waits for that writeback,
+    while a new file does not.  So a link at path is replaced, not written
+    through, and the old file's other names keep its bytes."""
+    Path(path).unlink(missing_ok=True)
+    return open(path, "x", newline="", encoding="utf-8")
+
+
 def write_table(path: Path, header: list[str], rows) -> None:
     """The CSV writer for rows of mixed cells: floats (numpy's too) get 17
     significant digits, None an empty cell, anything else its str()."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_new(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([_fmt(v) if isinstance(v, float) else "" if v is None else v
@@ -53,7 +64,7 @@ def _write_columns(path: Path, header: list[str], *arrays) -> None:
     table = np.column_stack([np.reshape(a, (len(a), math.prod(np.shape(a)[1:])))
                              for a in arrays])
     row_format = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_new(path) as fh:
         csv.writer(fh).writerow(header)
         fh.writelines(row_format % tuple(row) for row in table.tolist())
 

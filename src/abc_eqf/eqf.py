@@ -497,9 +497,11 @@ def _kalman(sigma: np.ndarray, h: np.ndarray, residual: np.ndarray, var, bound: 
     accept goes through the eigenvalue rule unchanged.
 
     On 2-D inputs the products use np.dot, the same BLAS call as np.matmul
-    at about half its dispatch cost on matrices this small.
+    at about half its dispatch cost on matrices this small; S's entries are
+    summed as Python floats, and K r is one matrix-vector dot.
     """
-    dot = np.dot if sigma.ndim == 2 else np.matmul
+    single = sigma.ndim == 2
+    dot = np.dot if single else np.matmul
     sht = dot(sigma, h.mT)
     s = dot(h, sht)
     m = s.shape[-1]
@@ -507,9 +509,9 @@ def _kalman(sigma: np.ndarray, h: np.ndarray, residual: np.ndarray, var, bound: 
     diag = flat[:, ::m + 1]
     diag += var
     keep = None
-    # the traces as floats: one conversion costs less than numpy's reductions
-    if not (math.isfinite(np.add.reduce(flat, axis=None))
-            and max(map(sum, diag.tolist())) <= bound):
+    # sums and traces as floats: one conversion costs less than numpy's reductions
+    total = sum(flat.tolist()[0]) if single else np.add.reduce(flat, axis=None)
+    if not (math.isfinite(total) and max(map(sum, diag.tolist())) <= bound):
         keep = (np.isfinite(np.add.reduce(flat, axis=1))
                 & (np.add.reduce(diag, axis=1) <= bound))
         for i in np.flatnonzero(~keep).tolist():
@@ -527,7 +529,8 @@ def _kalman(sigma: np.ndarray, h: np.ndarray, residual: np.ndarray, var, bound: 
             sigma, sht, s, h, residual = sigma[keep], sht[keep], s[keep], h[keep], residual[keep]
     gain = np.linalg.solve(s, sht.mT).mT
     sigma = sigma - dot(dot(gain, h), sigma)
-    return keep, dot(gain, residual[..., None])[..., 0], 0.5 * (sigma + sigma.mT)
+    correction = gain.dot(residual) if single else dot(gain, residual[..., None])[..., 0]
+    return keep, correction, 0.5 * (sigma + sigma.mT)
 
 
 def eqf_update(fs: FilterState, meas: list[DirectionMeasurement],

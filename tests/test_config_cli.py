@@ -326,6 +326,56 @@ def test_cli_run_single_filter(tmp_path, config_file):
     assert not (out / "est_iekf.csv").exists()
 
 
+def _run_into(config_file, logs, out):
+    assert main(["run", "--config", str(config_file), "--logs", str(logs),
+                 "--out", str(out), "--filter", "eqf"]) == 0
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def test_cli_rerun_into_one_out_matches_fresh_run(tmp_path, config_file):
+    logs = tmp_path / "logs"
+    main(["simulate", "--config", str(config_file), "--out", str(logs)])
+    fresh = _run_into(config_file, logs, tmp_path / "fresh")
+    assert sorted(fresh) == ["config_resolved.ini", "err_eqf.csv", "est_eqf.csv"]
+    _run_into(config_file, logs, tmp_path / "out")
+    assert _run_into(config_file, logs, tmp_path / "out") == fresh
+
+
+@pytest.mark.parametrize("link", ["hard", "symbolic"])
+def test_cli_run_replaces_a_link_at_an_output_path(tmp_path, config_file, link):
+    """Each output is written as a new file: a link at its path is replaced,
+    and the file it named keeps its bytes (nothing is truncated in place)."""
+    logs = tmp_path / "logs"
+    main(["simulate", "--config", str(config_file), "--out", str(logs)])
+    fresh = _run_into(config_file, logs, tmp_path / "fresh")
+    out = tmp_path / "out"
+    out.mkdir()
+    garbage = {}
+    for name, data in fresh.items():
+        garbage[name] = b"stale row\r\n" * (len(data) // 10 + 100)
+        keep = tmp_path / f"keep_{name}"
+        keep.write_bytes(garbage[name])
+        if link == "hard":
+            os.link(keep, out / name)
+        else:
+            (out / name).symlink_to(keep)
+    assert _run_into(config_file, logs, out) == fresh
+    for name in fresh:
+        assert not (out / name).is_symlink()
+        assert (tmp_path / f"keep_{name}").read_bytes() == garbage[name]
+
+
+def test_cli_run_directory_at_an_output_path_is_io_error(tmp_path, config_file):
+    logs = tmp_path / "logs"
+    main(["simulate", "--config", str(config_file), "--out", str(logs)])
+    (tmp_path / "out" / "est_eqf.csv").mkdir(parents=True)
+    code, err = _cli_child("run", "--config", str(config_file), "--logs", str(logs),
+                           "--out", str(tmp_path / "out"), "--filter", "eqf")
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("io error: ")
+    assert "est_eqf.csv" in err[0]
+
+
 def test_cli_exit_codes(tmp_path, config_file):
     # config error -> 1
     bad = tmp_path / "bad.ini"
