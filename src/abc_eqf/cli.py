@@ -16,8 +16,8 @@ from . import csvio
 from .config import (
     ConfigError,
     RunConfig,
+    config_text,
     default_config,
-    echo_config,
     load_config,
     validate_config,
 )
@@ -99,7 +99,8 @@ def _cmd_simulate(args) -> int:
         meas = [m for m in sim.measurements if m.sensor_id == sensor.sensor_id]
         csvio.write_directions(out / f"dir_{sensor.sensor_id}.csv", meas)
     csvio.write_truth(out / "truth.csv", sim.truth)
-    echo_config(cfg, out / "config_resolved.ini")
+    with csvio.open_new(out / "config_resolved.ini") as fh:
+        fh.write(config_text(cfg))
     print(f"wrote {len(sim.gyro_t)} gyro samples and "
           f"{len(sim.measurements)} direction measurements to {out}")
     return EXIT_OK
@@ -122,7 +123,8 @@ def _cmd_run(args) -> int:
     if (logs / "truth.csv").exists():
         truth = csvio.read_truth(logs / "truth.csv")
 
-    echo_config(cfg, out / "config_resolved.ini")
+    with csvio.open_new(out / "config_resolved.ini") as fh:
+        fh.write(config_text(cfg))
     for kind in selected_filters(cfg):
         result = drive_filter(kind, gyro_t, gyro_omega, measurements, cfg, truth)
         csvio.write_estimates(out / f"est_{kind}.csv", result.est)
@@ -143,7 +145,8 @@ def _cmd_montecarlo(args) -> int:
         raise ConfigError("--runs must be >= 1")
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
-    echo_config(cfg, out / "config_resolved.ini")
+    with csvio.open_new(out / "config_resolved.ini") as fh:
+        fh.write(config_text(cfg))
     result = montecarlo(cfg, args.runs)
 
     filters = selected_filters(cfg)
@@ -205,6 +208,8 @@ def _cmd_bench(args) -> int:
         raise ConfigError("--steps must be >= 1")
     if not (args.dt > 0.0 and math.isfinite(args.dt)):
         raise ConfigError("--dt must be finite and > 0")
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     result = bench_phi(steps=args.steps, dt=args.dt, seed=args.seed)
     labels = {
         "closed": "(i) closed form",

@@ -2,13 +2,15 @@
 
 The config file is a plain-text key-value format with sections ([run],
 [trajectory], [noise], [init], and one [sensor.<id>] section per direction
-sensor).  Every run writes back a fully resolved copy next to its outputs so
-results stay reproducible.
+sensor).  Every run writes back a fully resolved copy (:func:`config_text`)
+next to its outputs so results stay reproducible.  This module imports no
+other module of the package.
 """
 
 from __future__ import annotations
 
 import configparser
+import io
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -115,6 +117,8 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"[run] residual_mode must be one of {RESIDUAL_CHOICES}")
     if cfg.md_mode not in MD_CHOICES:
         raise ConfigError(f"[run] md_mode must be one of {MD_CHOICES}")
+    if cfg.seed < 0:
+        raise ConfigError("[run] seed must be non-negative")
     if cfg.duration <= 0.0:
         raise ConfigError("[run] duration must be positive")
     if cfg.gyro_rate <= 0.0 or cfg.traj_rate <= 0.0:
@@ -259,8 +263,8 @@ def _format_value(value, kind: type) -> str:
     return repr(value) if kind is float else str(value)
 
 
-def echo_config(cfg: RunConfig, path: str | Path) -> None:
-    """Write the fully resolved configuration (all defaults expanded)."""
+def config_text(cfg: RunConfig) -> str:
+    """The fully resolved configuration (all defaults expanded) as INI text."""
     parser = configparser.ConfigParser()
     for section, schema in _SECTIONS.items():
         parser[section] = {key: _format_value(getattr(cfg, attr), kind)
@@ -270,10 +274,9 @@ def echo_config(cfg: RunConfig, path: str | Path) -> None:
             key: _format_value(getattr(s, attr), kind)
             for key, (attr, kind) in _SENSOR_KEYS.items()
             if _KIND_ONLY.get(key, s.kind) == s.kind}
-    from .csvio import open_new   # not at the top: csvio imports sim, which imports config
-
-    with open_new(path) as fh:
-        parser.write(fh)
+    text = io.StringIO()
+    parser.write(text)
+    return text.getvalue()
 
 
 def with_seed(cfg: RunConfig, seed: int) -> RunConfig:

@@ -1,42 +1,90 @@
-"""Drivers: single-run filtering and Monte-Carlo campaigns.
+"""Drivers: the one driver loop, single-log replay and Monte-Carlo campaigns.
 
-Every log is filtered by the one loop of :func:`batch.drive_batch`: a single
-log (:func:`drive_filter`) as a batch of one run, a campaign slice as a
-batch of many.  The loop propagates on every gyro sample and applies
-direction measurements sequentially at their own timestamps
-(:func:`tick_groups`); measurements that share a timestamp (within 1e-6 s)
-are applied as one stacked update, and measurements later than the last gyro
-sample are ignored.  The loop only filters and records estimates; the
-evaluation against truth (interpolation, error series, attitude NEES) runs
-after it, in :func:`finish_run`, so `FilterRun.wall_s`, the `wall_s` column
-of per-run reports and the runtime row of comparison tables cover filtering
-only.
+Every log is filtered by the one loop of :func:`drive_batch`, which filters
+runs that share one gyro clock in lockstep: a single log
+(:func:`drive_filter`) as a batch of one run whose messages name no run, a
+campaign slice as a batch of many.  Run r is row r of stacked arrays:
+(R, 1 + n, 3, 3) rotation factors, (R, 3) vectors and (R, d, d)
+covariances, and every step propagates all runs with one set of numpy
+calls.
+
+The loop propagates on every gyro sample and applies direction measurements
+sequentially at their own timestamps (:func:`tick_groups`); measurements
+that share a timestamp (within 1e-6 s) are applied as one stacked update,
+and measurements later than the last gyro sample are ignored.  The updates
+due at a step are taken slot by slot (slot j holds the j-th measurement
+group of each run at that step), and within a slot the runs whose group
+measures the same sensors form one bucket, gathered, updated as a stack and
+scattered back.  Dropout, jitter and missing GNSS rows only change which
+runs sit in which bucket.
+
+The formulas are the library filters' own.  The per-run scalar entries of
+Phi, Md and of every exponential come from the functions the library path
+uses (:func:`eqf._phi_md_values`, :func:`lie._exp_entries`,
+:func:`lie._sdp_entries`); the output matrix has :func:`eqf.compute_C0`'s
+entries; the covariance products are the same matrix products over a
+stack, and each bucket's Kalman step is :func:`eqf._kalman`, the one the
+library updates call on 2-D arrays.  No step mixes numbers of two runs, so
+a run's estimates do not depend on the other runs of its batch, and they
+agree with the library per-step loop (eqf_propagate/eqf_update, iekf_*) to
+rounding.
+
+Every check of the library path is kept and names the run (a single log's
+messages name none): the gyro steps (:func:`eqf._check_step`'s rules) and
+the measurements (known sensor, reference, unit norm, time) are checked
+once, when the schedule is built (:func:`build_schedule`); an S that fails
+the condition rule skips the update of its run only, with the library's
+warning; a non-finite S ends the loop, and a non-finite estimate raises
+NonFiniteEstimateError; the REPROJECT_EVERY re-projection is one batched
+SVD.
+
+The loop only filters and records estimates; the evaluation against truth
+(interpolation, error series, attitude NEES) runs after it, in
+:func:`finish_run`, so `FilterRun.wall_s`, the `wall_s` column of per-run
+reports and the runtime row of comparison tables cover filtering only.
 
 Monte-Carlo runs use per-run seeds derived as base seed + run index.  The
 runs are split into contiguous run-index slices, one per worker of a process
 pool (worker count from the ABC_EQF_THREADS environment variable when set),
-and each worker filters its slice as one batch per filter.  A run's
-estimates do not depend on which runs share its batch, so results do not
-depend on the pool size.  A batched run's `wall_s` is the batch's filtering
-wall time divided by the number of runs in it.
+and each worker filters its slice as one batch per filter; since no run
+depends on the others of its batch, results do not depend on the pool size.
+A batched run's `wall_s` is the batch's filtering wall time divided by the
+number of runs in it.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig, validate_config, with_seed
+from .config import ConfigError, RunConfig, validate_config, with_seed
 from .eqf import (
+    MEASUREMENT_SLACK,
+    REPROJECT_EVERY,
+    RESIDUAL_LITERAL,
+    RESIDUAL_SUBTRACT,
+    BadDimensionError,
     DirectionMeasurement,
     NoiseConfig,
     NonFiniteEstimateError,
     SensorModel,
+    _check_sigma0,
+    _check_step,
+    _gather_index,
+    _kalman,
+    _MAX_STEP_TURN_SQ,
+    _measured_sensors,
+    _phi_md_values,
+    _trace_bound,
     validate_layout,
 )
+from .iekf import _propagation_constants
+from .lie import DegenerateError, _exp_entries, _sdp_entries, exp_so3, project_to_so3
 from .metrics import (
     EstimateSeries,
     RmseReport,
@@ -110,6 +158,390 @@ def tick_groups(gyro_t: np.ndarray, measurements: list[DirectionMeasurement]
     return groups
 
 
+# ---------------------------------------------------------------------------
+# Schedule
+
+
+@dataclass
+class Bucket:
+    """One stacked update: the runs whose measurement group at one step and
+    slot comes from the same sensors, in the same order.  y, refs and h are
+    views of the schedule's whole-log arrays."""
+
+    rows: np.ndarray            # (Rb,) rows of the batch, ascending
+    sel: np.ndarray | slice     # rows, or slice(None) when it holds every row
+    names: np.ndarray           # (Rb,) the schedule's names of the runs in rows
+    factor: np.ndarray          # (m,) rotation factor of each sensor: 0, or 1 + cal index
+    cal_cols: list[int]         # first column of each measured calibration block
+    var: np.ndarray             # (3m,) sigma_y^2 of each row
+    bound: float                # trace certificate's bound on tr S, NaN if a var is not > 0
+    y: np.ndarray               # (Rb, m, 3) measured directions
+    refs: np.ndarray            # (Rb, m, 3) reference directions
+    h: np.ndarray               # (Rb, 3m, d) compute_C0 of each run
+
+
+@dataclass
+class Schedule:
+    """The inputs of a batch, checked and arranged per gyro step."""
+
+    gyro_t: np.ndarray          # (K,) shared by every run
+    omega: np.ndarray           # (K, R, 3) gyro samples
+    t: list[float]              # filter time at each step
+    updates: list               # per step, its buckets in slot order
+    first_run: int | None       # run number of row 0, for messages; None for one log
+    names: np.ndarray           # (R,) "run r: " naming each run in messages, "" for one log
+
+
+def build_schedule(cfg: RunConfig, gyro_ts: list[np.ndarray], omegas: list[np.ndarray],
+                   measurements: list[list[DirectionMeasurement]],
+                   first_run: int | None = 0) -> Schedule:
+    """Check and arrange the logs of R runs of one configuration, numbered
+    first_run, first_run + 1, ..., or of one log when first_run is None.
+
+    Every run must have the same gyro times (ValueError otherwise).  A gyro
+    step that :func:`eqf._check_step` rejects raises its error, and a
+    measurement the library update would reject raises the library's error;
+    both messages start with the run number, unless first_run is None.
+
+    The measurements of all runs are grouped once (:func:`tick_groups`),
+    laid out bucket by bucket, and checked and converted as whole-log arrays,
+    so that each bucket's y, refs and h are contiguous slices (views) of them.
+    """
+    gyro_t = np.asarray(gyro_ts[0], dtype=float)
+    for r, other in enumerate(gyro_ts):
+        if not np.array_equal(other, gyro_t):
+            raise ValueError(f"run {first_run + r}: gyro times differ from run "
+                             f"{first_run}'s; the runs of a batch share one gyro clock")
+    names = np.array([""] * len(omegas) if first_run is None
+                     else [f"run {first_run + r}: " for r in range(len(omegas))])
+    omegas = [np.asarray(w, dtype=float) for w in omegas]
+    for name, w in zip(names, omegas):
+        if w.shape != (gyro_t.size, 3):
+            raise BadDimensionError(f"{name}gyro samples of shape {w.shape} do not match "
+                                    f"{gyro_t.size} gyro times")
+    omega = np.stack(omegas, axis=1)
+    dts = np.diff(gyro_t)
+    # the library filters' time: t0 plus the steps, added one at a time
+    t = np.cumsum(np.concatenate((gyro_t[:1], dts)))
+    _check_steps(omega[1:], dts, t, names)
+
+    slots: dict[tuple, list] = {}
+    for r, meas in enumerate(measurements):
+        last_k = slot = -1
+        for k, group in tick_groups(gyro_t, meas):
+            slot = slot + 1 if k == last_k else 0
+            last_k = k
+            key = (k, slot, tuple(m.sensor_id for m in group))
+            slots.setdefault(key, []).append((r, group))
+    # the buckets by step and slot, and their measurements in that order, run by run
+    buckets = sorted(slots.items(), key=lambda item: item[0][:2])
+    meas = [m for _, members in buckets for _, group in members for m in group]
+    run, step = np.array([(r, k) for (k, _, _), members in buckets
+                          for r, group in members for _ in group], dtype=np.intp).reshape(-1, 2).T
+    y, refs, sensors = _checked_arrays(cfg, meas, t[step], names[run])
+    h = _output_matrix(sensors, refs[None], cfg.n_cal).reshape(len(meas), 3, 6 + 3 * cfg.n_cal)
+
+    layouts: dict[tuple, tuple] = {}
+    updates: list = [()] * gyro_t.size
+    m0 = 0
+    for (k, _, ids), members in buckets:
+        m1 = m0 + len(members) * len(ids)
+        rows = run[m0:m1:len(ids)]
+        if ids not in layouts:
+            layouts[ids] = _layout(sensors[m0:m0 + len(ids)])
+        if not updates[k]:
+            updates[k] = []
+        sel = slice(None) if len(rows) == len(omegas) else rows
+        updates[k].append(Bucket(rows, sel, names[sel], *layouts[ids],
+                                 y[m0:m1].reshape(len(rows), -1, 3),
+                                 refs[m0:m1].reshape(len(rows), -1, 3),
+                                 h[m0:m1].reshape(len(rows), 3 * len(ids), -1)))
+        m0 = m1
+    return Schedule(gyro_t, omega, t.tolist(), updates, first_run, names)
+
+
+def _check_steps(omega: np.ndarray, dts: np.ndarray, t: np.ndarray, names: np.ndarray) -> None:
+    """_check_step's rule on every step of every run at once; the first
+    failing step (earliest, then lowest run) raises the library's error."""
+    x, y, z = omega[..., 0], omega[..., 1], omega[..., 2]
+    dt = dts[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):    # inf and NaN fail the test
+        ok = (dt > 0.0) & ((x * x + y * y + z * z) * dt * dt <= _MAX_STEP_TURN_SQ)
+    if ok.all():
+        return
+    k, r = np.argwhere(~ok)[0]
+    try:
+        _check_step(omega[k, r], dts[k], float(t[k]))
+    except ValueError as exc:
+        raise type(exc)(f"{names[r]}{exc}") from None
+
+
+def _checked_arrays(cfg: RunConfig, meas: list[DirectionMeasurement], filter_t: np.ndarray,
+                    names: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[SensorModel]]:
+    """Directions y (M, 3), references (M, 3) and sensors of the measurements
+    meas, applied at the filter times filter_t by the runs named names.  The
+    first measurement that :func:`eqf._measured_sensors` rejects raises its
+    error, prefixed by its run's name; the vectorized tests below pass every
+    other one to it only when in doubt."""
+    configured = build_sensors(cfg)
+    by_id = {s.sensor_id: s for s in configured}
+    sensors = [by_id.get(m.sensor_id) for m in meas]
+    refs = [m.reference if s is None or s.reference is None else s.reference
+            for m, s in zip(meas, sensors)]
+    no_ref = np.array([r is None for r in refs], dtype=bool)
+    y = np.array([m.y for m in meas], dtype=float).reshape(-1, 3)
+    refs = np.array([(math.nan,) * 3 if missing else r for r, missing in zip(refs, no_ref)],
+                    dtype=float).reshape(-1, 3)
+    arriving = np.array([s is not None and s.reference is None for s in sensors], dtype=bool)
+    bad = np.array([m.t for m in meas], dtype=float) > filter_t + MEASUREMENT_SLACK
+    bad |= np.array([s is None for s in sensors], dtype=bool) | no_ref
+    bad |= ~(_near_unit(y) & (_near_unit(refs) | ~arriving))
+    for i in np.flatnonzero(bad).tolist():
+        try:
+            _measured_sensors([meas[i]], configured, float(filter_t[i]))
+        except ValueError as exc:
+            raise type(exc)(f"{names[i]}{exc}") from None
+    return y, refs, sensors
+
+
+def _near_unit(v: np.ndarray) -> np.ndarray:
+    """Mask of the vectors v (..., 3) whose norm is within 0.5e-6 of 1.  These
+    pass eqf._is_unit whatever the rounding; the others are decided by it,
+    through _measured_sensors."""
+    with np.errstate(over="ignore", invalid="ignore"):    # inf and NaN fail the test
+        return np.abs(np.sqrt((v * v).sum(axis=-1)) - 1.0) <= 0.5e-6
+
+
+def _layout(sensors: list[SensorModel]) -> tuple:
+    """The Bucket fields factor, cal_cols, var and bound of a group
+    measuring sensors."""
+    factor = np.array([1 + s.cal_index if s.calibrated else 0 for s in sensors])
+    cal_cols = sorted({6 + 3 * s.cal_index for s in sensors if s.calibrated})
+    var = np.repeat([s.sigma_y ** 2 for s in sensors], 3)
+    return factor, cal_cols, var, _trace_bound(var)
+
+
+def _output_matrix(sensors: list[SensorModel], refs: np.ndarray, n: int) -> np.ndarray:
+    """compute_C0(sensors, refs[i], n) for every row i of refs (N, m, 3)."""
+    x, y, z = refs[..., 0], refs[..., 1], refs[..., 2]
+    w = np.zeros(refs.shape + (3,))
+    w[..., 0, 1], w[..., 0, 2] = -z, y
+    w[..., 1, 0], w[..., 1, 2] = z, -x
+    w[..., 2, 0], w[..., 2, 1] = -y, x
+    h = np.zeros(refs.shape[:2] + (3, 6 + 3 * n))
+    h[..., 0:3] = w
+    cols = np.array([6 + 3 * s.cal_index if s.calibrated else 0 for s in sensors])
+    for j in np.unique(cols[cols > 0]).tolist():
+        h[:, cols == j, :, j:j + 3] = w[:, cols == j]
+    return h.reshape(len(refs), 3 * len(sensors), 6 + 3 * n)
+
+
+# ---------------------------------------------------------------------------
+# Stacked kernels
+
+
+def _eqf_transition(omega0: np.ndarray, dt: float, noise: NoiseConfig, idx: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """E = exp(omega0 dt), Phi and Md of every run, (R, 3, 3), (R, d, d) and
+    (R, d, d), gathered from _phi_md_values with phi_and_md's index."""
+    vals = np.array([_phi_md_values(x, y, z, dt, noise) for x, y, z in omega0.tolist()])
+    phi_md = vals[:, idx]
+    return vals[:, 9:18].reshape(-1, 3, 3), phi_md[:, 0], phi_md[:, 1]
+
+
+def _reproject(f: np.ndarray, names: np.ndarray) -> np.ndarray:
+    """project_to_so3 of every factor (R, 1 + n, 3, 3), naming the first
+    run with a degenerate factor."""
+    try:
+        return project_to_so3(f)
+    except DegenerateError as exc:
+        r = np.argwhere(np.linalg.det(f) <= 1e-12)[0][0]
+        raise DegenerateError(f"{names[r]}{exc}") from None
+
+
+@dataclass
+class _State:
+    """Stacked filter state: rotation factors f (R, 1 + n, 3, 3), the vector
+    v (R, 3) and sigma (R, d, d).  EqF: f = (Ahat, Bhat_i), v = ahat; IEKF:
+    f = (Rhat, Chat_i), v = bhat."""
+
+    f: np.ndarray
+    v: np.ndarray
+    sigma: np.ndarray
+
+
+def _eqf_propagate(st: _State, omega: np.ndarray, dt: float, noise: NoiseConfig,
+                   idx: np.ndarray) -> None:
+    """eqf_propagate of every run, without the re-projection."""
+    omega0 = (st.f[:, 0] @ omega[:, :, None])[:, :, 0] + st.v
+    e, phi, md = _eqf_transition(omega0, dt, noise, idx)
+    st.f = e[:, None] @ st.f
+    st.v = (e @ st.v[:, :, None])[:, :, 0]
+    sigma = phi @ st.sigma @ phi.transpose(0, 2, 1) + md
+    st.sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
+
+
+def _eqf_update(st: _State, b: Bucket, t: float, subtract: bool) -> None:
+    """eqf_update of the bucket's runs."""
+    sel = b.sel
+    f, v = st.f[sel], st.v[sel]
+    residual = (f[:, b.factor] @ b.y[..., None])[..., 0]
+    if subtract:
+        residual -= b.refs
+    keep, r, sigma = _kalman(st.sigma[sel], b.h, residual.reshape(len(f), -1), b.var,
+                             b.bound, t, b.names)
+    if keep is not None:
+        if r is None:
+            return
+        sel, f, v = b.rows[keep], f[keep], v[keep]
+    # Xhat+ = exp(Delta) Xhat, Delta = (r_att, -r_bias; r_cal_i + r_att); the
+    # entries of exp(Delta) per run: the nav rotation, each calibration
+    # rotation, then the nav vector
+    n = f.shape[1] - 1
+    cal = r[:, 6:].reshape(len(r), n, 3) + r[:, None, 0:3]
+    rows = []
+    for rot, vec, cals in zip(r[:, 0:3].tolist(), (-r[:, 3:6]).tolist(), cal.tolist()):
+        nav = _sdp_entries(*rot, *vec)
+        row = nav[:9]
+        for c in cals:
+            row += _exp_entries(*c)
+        rows.append(row + nav[9:])
+    vals = np.array(rows)
+    g = vals[:, :-3].reshape(-1, n + 1, 3, 3)
+    st.f[sel] = g @ f
+    st.v[sel] = vals[:, -3:] + (g[:, 0] @ v[:, :, None])[:, :, 0]
+    st.sigma[sel] = sigma
+
+
+def _iekf_propagate(st: _State, omega: np.ndarray, dt: float, s_u: np.ndarray,
+                    phi: np.ndarray) -> None:
+    """iekf_propagate of every run, without the re-projection; phi is an
+    (R, d, d) identity whose bias-to-attitude block this step overwrites."""
+    rot = st.f[:, 0]
+    phi[:, 0:3, 3:6] = -rot * dt
+    sigma = phi @ st.sigma @ phi.transpose(0, 2, 1) + s_u * dt
+    st.sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
+    st.f[:, 0] = rot @ exp_so3((omega - st.v) * dt)
+
+
+def _iekf_update(st: _State, b: Bucket, t: float) -> None:
+    """iekf_update of the bucket's runs."""
+    sel = b.sel
+    f = st.f[sel]
+    rot = f[:, 0]
+    prods = rot[:, None] @ f      # R C_i; the first, R R, is replaced by R
+    prods[:, 0] = rot
+    residual = (prods[:, b.factor] @ b.y[..., None])[..., 0] - b.refs
+    h = b.h.copy()
+    for j in b.cal_cols:
+        h[:, :, j:j + 3] = h[:, :, j:j + 3] @ rot
+    keep, r, sigma = _kalman(st.sigma[sel], h, residual.reshape(len(f), -1), b.var, b.bound,
+                             t, b.names)
+    if keep is not None:
+        if r is None:
+            return
+        sel, f = b.rows[keep], f[keep]
+    # R <- exp(r_att) R, b <- b + r_bias, C_i <- exp(r_cal_i) C_i
+    rots = np.concatenate((r[:, 0:3], r[:, 6:]), axis=1).reshape(-1, 3)
+    st.f[sel] = exp_so3(rots).reshape(f.shape) @ f
+    st.v[sel] = st.v[sel] + r[:, 3:6]
+    st.sigma[sel] = sigma
+
+
+# ---------------------------------------------------------------------------
+# Driver
+
+
+def drive_batch(kind: str, schedule: Schedule, cfg: RunConfig,
+                truths: list[GroundTruth] | None = None) -> list[FilterRun]:
+    """Filter every run of the schedule with one filter, in lockstep.
+
+    Returns one FilterRun per run, evaluated against truths[r] when given.
+    A run's wall_s is the loop's wall time divided by the number of runs.
+
+    An update whose S is not finite ends the loop at its step: the first
+    non-finite estimate or covariance up to that step raises
+    NonFiniteEstimateError (:func:`finish_run`), or, when there is
+    none, the update's own error.
+    """
+    if kind not in ("eqf", "iekf"):
+        raise ValueError(f"unknown filter kind: {kind!r}")
+    n = cfg.n_cal
+    d = 6 + 3 * n
+    k_total, runs = schedule.omega.shape[:2]
+    noise = noise_config(cfg)
+    # Both filters start at the identity, where iekf_init's rotation of
+    # sigma0 leaves it as it is.
+    sigma0 = _check_sigma0(initial_sigma(cfg), n)
+    if kind == "eqf":
+        idx = _gather_index(d, cfg.md_mode)
+        if cfg.residual_mode not in (RESIDUAL_SUBTRACT, RESIDUAL_LITERAL):
+            raise ValueError(f"unknown residual mode: {cfg.residual_mode!r}")
+        subtract = cfg.residual_mode == RESIDUAL_SUBTRACT
+    else:
+        s_u, eye = _propagation_constants(noise.sigma_w, noise.sigma_bw, noise.sigma_kappa, n)
+        phi = np.tile(eye, (runs, 1, 1))
+    st = _State(np.tile(np.eye(3), (runs, 1 + n, 1, 1)), np.zeros((runs, 3)),
+                np.tile(sigma0, (runs, 1, 1)))
+
+    rec_f = np.empty((runs, k_total, 1 + n, 3, 3))
+    rec_v = np.empty((runs, k_total, 3))
+    sig_diag = np.empty((runs, k_total, d))
+    sig_att = np.empty((runs, k_total, 3, 3))
+    omega, t, updates = schedule.omega, schedule.t, schedule.updates
+    dts = np.diff(schedule.gyro_t).tolist()
+    stop = None
+    t_start = time.perf_counter()
+    # a non-finite S ends the loop, finish_run raises: numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(k_total):
+            if k > 0:
+                if kind == "eqf":
+                    _eqf_propagate(st, omega[k], dts[k - 1], noise, idx)
+                else:
+                    _iekf_propagate(st, omega[k], dts[k - 1], s_u, phi)
+                if k % REPROJECT_EVERY == 0:
+                    st.f = _reproject(st.f, schedule.names)
+            try:
+                for b in updates[k]:
+                    if kind == "eqf":
+                        _eqf_update(st, b, t[k], subtract)
+                    else:
+                        _iekf_update(st, b, t[k])
+            except NonFiniteEstimateError as exc:
+                stop = exc
+            rec_f[:, k] = st.f
+            rec_v[:, k] = st.v
+            sig_diag[:, k] = st.sigma.reshape(runs, d * d)[:, ::d + 1]
+            sig_att[:, k] = st.sigma[:, 0:3, 0:3]
+            if stop is not None:        # the records end at this step
+                k_total = k + 1
+                rec_f, rec_v, sig_diag, sig_att = (a[:, :k_total]
+                                                   for a in (rec_f, rec_v, sig_diag, sig_att))
+                truths = None
+                break
+    rot = rec_f[:, :, 0]
+    if kind == "eqf":
+        # state_from_group: (A, -A^T a, A^T B_i)
+        at = np.swapaxes(rot, -1, -2)
+        est_b = -(at @ rec_v[..., None])[..., 0]
+        est_c = at[:, :, None] @ rec_f[:, :, 1:]
+    else:
+        est_b, est_c = rec_v, rec_f[:, :, 1:]
+    wall = time.perf_counter() - t_start
+
+    out = []
+    for r in range(runs):
+        est = EstimateSeries(schedule.gyro_t[:k_total].copy(), rot[r].copy(), est_b[r].copy(),
+                             est_c[r].copy(), sig_diag[r])
+        label = kind if schedule.first_run is None else f"{kind} run {schedule.first_run + r}"
+        out.append(finish_run(label, est, sig_att[r], wall / runs,
+                              truths[r] if truths is not None else None))
+    if stop is not None:
+        raise stop
+    return out
+
+
 def drive_filter(kind: str, gyro_t: np.ndarray, gyro_omega: np.ndarray,
                  measurements: list[DirectionMeasurement], cfg: RunConfig,
                  truth: GroundTruth | None = None) -> FilterRun:
@@ -119,8 +551,6 @@ def drive_filter(kind: str, gyro_t: np.ndarray, gyro_omega: np.ndarray,
     The filter starts at the first gyro time.  Measurements later than the
     last gyro sample are ignored: no estimate is recorded after them.
     """
-    from .batch import build_schedule, drive_batch    # batch imports this module
-
     schedule = build_schedule(cfg, [gyro_t], [gyro_omega], [measurements], first_run=None)
     return drive_batch(kind, schedule, cfg, None if truth is None else [truth])[0]
 
@@ -128,7 +558,7 @@ def drive_filter(kind: str, gyro_t: np.ndarray, gyro_omega: np.ndarray,
 def finish_run(label: str, est: EstimateSeries, sig_att: np.ndarray, wall_s: float,
                truth: GroundTruth | None) -> FilterRun:
     """A run's FilterRun from the estimates and attitude covariance blocks
-    that :func:`batch.drive_batch` recorded: the finite check, then, with
+    that :func:`drive_batch` recorded: the finite check, then, with
     truth, the error series, attitude NEES and RMSE report.
 
     Raises NonFiniteEstimateError, naming label, the first gyro step and its
@@ -178,8 +608,6 @@ class McResult:
 def _mc_task(args: tuple[RunConfig, int, int]) -> list[dict]:
     """Simulate runs start..stop - 1 of the campaign and filter them in one
     lockstep batch per filter."""
-    from .batch import build_schedule, drive_batch    # batch imports this module
-
     cfg, start, stop = args
     sims = [simulate_run(with_seed(cfg, cfg.seed + r)) for r in range(start, stop)]
     schedule = build_schedule(cfg, [s.gyro_t for s in sims], [s.gyro_omega for s in sims],
@@ -200,7 +628,10 @@ def _mc_task(args: tuple[RunConfig, int, int]) -> list[dict]:
 def resolve_workers(runs: int, workers: int | None = None) -> int:
     if workers is None:
         env = os.environ.get("ABC_EQF_THREADS", "")
-        workers = int(env) if env else (os.cpu_count() or 1)
+        try:
+            workers = int(env) if env else (os.cpu_count() or 1)
+        except ValueError:
+            raise ConfigError(f"ABC_EQF_THREADS must be an integer, got {env!r}") from None
     return max(1, min(workers, runs))
 
 

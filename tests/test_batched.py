@@ -4,15 +4,16 @@ criterion 3's oracles, batch-composition invariance, and its typed errors."""
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from abc_eqf import batch
-from abc_eqf.batch import build_schedule, drive_batch
+from abc_eqf import runner
 from abc_eqf.config import RunConfig, SensorConfig, validate_config, with_seed
 from abc_eqf.eqf import (
+    BadDimensionError,
     DirectionMeasurement,
     InputRangeError,
     NoiseConfig,
@@ -29,6 +30,9 @@ from abc_eqf.eqf import (
 from abc_eqf.runner import (
     NonFiniteEstimateError,
     STACK_TIME_TOL,
+    build_schedule,
+    drive_batch,
+    drive_filter,
     finish_run,
     montecarlo,
     tick_groups,
@@ -194,7 +198,7 @@ def _sweep_omega0(dt):
 def test_batched_phi_md_match_scalar_and_expm(n):
     dt = 0.005
     omega0 = _sweep_omega0(dt)
-    e, phi, md = batch._eqf_transition(omega0, dt, NOISE, _gather_index(6 + 3 * n, "analytic"))
+    e, phi, md = runner._eqf_transition(omega0, dt, NOISE, _gather_index(6 + 3 * n, "analytic"))
     worst_expm = 0.0
     for r, w in enumerate(omega0):
         phi_s, md_s = phi_and_md(w, dt, NOISE, n)
@@ -218,10 +222,10 @@ def test_batched_md_matches_quadrature(n):
         omega0 = rng.normal(size=(4, 3))
         omega0 *= (np.array([0.0, 0.5, 4.0, 40.0])
                    / np.maximum(np.linalg.norm(omega0, axis=1), 1e-300))[:, None]
-        _, _, md = batch._eqf_transition(omega0, dt, NOISE, idx)
+        _, _, md = runner._eqf_transition(omega0, dt, NOISE, idx)
         quad = np.zeros_like(md)
         for node, weight in zip(0.5 * dt * (nodes + 1.0), 0.5 * dt * weights):
-            _, phi, _ = batch._eqf_transition(omega0, node, NOISE, idx)
+            _, phi, _ = runner._eqf_transition(omega0, node, NOISE, idx)
             quad += weight * phi @ mc @ phi.transpose(0, 2, 1)
         worst = max(worst, np.max(np.abs(md - quad) / np.max(np.abs(quad), axis=(1, 2),
                                                                 keepdims=True)))
@@ -237,7 +241,7 @@ def test_batched_output_matrix_matches_compute_c0(n):
     for used in (sensors, sensors[::-1], sensors[:1]):
         refs = rng.normal(size=(5, len(used), 3))
         refs /= np.linalg.norm(refs, axis=-1, keepdims=True)
-        h = batch._output_matrix(used, refs, n)
+        h = runner._output_matrix(used, refs, n)
         for r in range(len(refs)):
             np.testing.assert_allclose(h[r], compute_C0(used, refs[r], n), rtol=1e-13,
                                        atol=0.0)
@@ -338,7 +342,7 @@ def test_non_finite_covariance_names_run_and_step(four_runs, monkeypatch, caplog
     cfg, sims = four_runs
     schedule = _schedule(cfg, sims)
     calls = []
-    values = batch._phi_md_values
+    values = runner._phi_md_values
 
     def poisoned(*args):
         calls.append(None)
@@ -347,7 +351,7 @@ def test_non_finite_covariance_names_run_and_step(four_runs, monkeypatch, caplog
             out[18] = math.nan               # Md_11[0, 0], see eqf._gather_index
         return out
 
-    monkeypatch.setattr(batch, "_phi_md_values", poisoned)
+    monkeypatch.setattr(runner, "_phi_md_values", poisoned)
     with caplog.at_level(logging.WARNING), pytest.raises(
             NonFiniteEstimateError,
             match=r"^eqf run 2: first non-finite estimate or covariance at "
@@ -365,6 +369,22 @@ def test_batch_rejects_runs_with_different_gyro_times(four_runs):
     with pytest.raises(ValueError, match="run 3: gyro times differ"):
         build_schedule(cfg, gyro_ts, [s.gyro_omega for s in sims],
                        [s.measurements for s in sims])
+
+
+def test_gyro_samples_of_wrong_shape_name_their_own_shape(four_runs):
+    """Each run's gyro samples are checked before stacking: the message
+    names that run's shape, and the run in a campaign."""
+    cfg, sims = four_runs
+    s = sims[0]
+    k = s.gyro_t.size
+    want = re.escape(f"gyro samples of shape ({k - 1}, 3) do not match {k} gyro times")
+    with pytest.raises(BadDimensionError, match=f"^{want}$"):
+        drive_filter("eqf", s.gyro_t, s.gyro_omega[:-1], s.measurements, cfg)
+    omegas = [s.gyro_omega for s in sims]
+    omegas[2] = omegas[2][:-1]
+    with pytest.raises(BadDimensionError, match=f"^run 12: {want}$"):
+        build_schedule(cfg, [s.gyro_t for s in sims], omegas,
+                       [s.measurements for s in sims], first_run=10)
 
 
 def test_non_unit_direction_names_run(four_runs):

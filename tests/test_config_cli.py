@@ -14,8 +14,8 @@ import pytest
 from abc_eqf.cli import main
 from abc_eqf.config import (
     ConfigError,
+    config_text,
     default_config,
-    echo_config,
     load_config,
     validate_config,
 )
@@ -72,7 +72,7 @@ def test_load_config(config_file):
 def test_config_echo_round_trip(tmp_path, config_file):
     cfg = load_config(config_file)
     echoed = tmp_path / "resolved.ini"
-    echo_config(cfg, echoed)
+    echoed.write_text(config_text(cfg))
     cfg2 = load_config(echoed)
     assert cfg2.seed == cfg.seed
     assert cfg2.duration == cfg.duration
@@ -80,7 +80,7 @@ def test_config_echo_round_trip(tmp_path, config_file):
     assert cfg2.sensors[1].baseline == cfg.sensors[1].baseline
 
 
-# echo_config(default_config()): key order and float format are part of the
+# config_text(default_config()): key order and float format are part of the
 # provenance record that every run writes
 DEFAULT_ECHO = """\
 [run]
@@ -134,10 +134,8 @@ pos_std = 0.1
 """
 
 
-def test_config_echo_default_golden_text(tmp_path):
-    path = tmp_path / "resolved.ini"
-    echo_config(default_config(), path)
-    assert path.read_text() == DEFAULT_ECHO
+def test_config_echo_default_golden_text():
+    assert config_text(default_config()) == DEFAULT_ECHO
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -393,12 +391,13 @@ def test_cli_exit_codes(tmp_path, config_file):
     assert any("usage: abc-eqf" in line for line in err)
 
 
-def _cli_child(*argv):
+def _cli_child(*argv, env=None):
     """abc-eqf in a child process that imports abc_eqf from this checkout's
-    src: its exit code and the lines it writes to stderr, as a user sees
-    them (log records and campaign workers included)."""
+    src, with the variables env added to its environment: its exit code and
+    the lines it writes to stderr, as a user sees them (log records and
+    campaign workers included)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "abc_eqf.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=600)
@@ -435,6 +434,34 @@ def test_cli_stops_at_first_non_finite_s(tmp_path, config_file, argv):
     assert skipped, "the ill-conditioned updates before the overflow are skipped"
     assert not [line for line in skipped if "condition number nan" in line]
     assert not [line for line in err if "RuntimeWarning" in line]
+
+
+# A negative seed is a config error for every command, `run` included,
+# which reads the seed but does not use it.
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--config", "cfg", "--seed", "-1", "--out", "out"],
+     "[run] seed must be non-negative"),
+    (["montecarlo", "--config", "cfg", "--seed", "-1", "--runs", "2", "--out", "out"],
+     "[run] seed must be non-negative"),
+    (["run", "--config", "neg", "--logs", "logs", "--out", "out"],
+     "[run] seed must be non-negative"),
+    (["bench-phi", "--seed", "-1", "--steps", "10"], "--seed must be >= 0"),
+], ids=["simulate", "montecarlo", "run-config", "bench-phi"])
+def test_cli_negative_seed_is_config_error(tmp_path, config_file, argv, message):
+    paths = {"cfg": config_file, "neg": tmp_path / "neg.ini", "logs": tmp_path / "logs",
+             "out": tmp_path / "out"}
+    assert main(["simulate", "--config", str(config_file), "--out", str(paths["logs"])]) == 0
+    paths["neg"].write_text(_config_with("run", "seed", "-1"))
+    code, err = _cli_child(*(str(paths.get(arg, arg)) for arg in argv))
+    assert (code, err) == (1, [f"config error: {message}"])
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5"])
+def test_cli_non_integer_thread_count_is_config_error(tmp_path, config_file, value):
+    code, err = _cli_child("montecarlo", "--config", str(config_file), "--runs", "2",
+                           "--out", str(tmp_path / "out"), env={"ABC_EQF_THREADS": value})
+    assert (code, err) == (1, [f"config error: ABC_EQF_THREADS must be an integer, "
+                               f"got {value!r}"])
 
 
 def test_cli_run_gnss_log_without_references(tmp_path, config_file, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from abc_eqf.config import default_config
+from abc_eqf.config import ConfigError, default_config
 from abc_eqf.eqf import DirectionMeasurement, UnknownSensorError
 from abc_eqf.lie import log_so3
 from abc_eqf.metrics import interpolate_truth
@@ -107,6 +107,14 @@ def test_resolve_workers_env(monkeypatch):
     monkeypatch.setenv("ABC_EQF_THREADS", "3")
     assert resolve_workers(runs=10) == 3
     assert resolve_workers(runs=2) == 2
+    monkeypatch.setenv("ABC_EQF_THREADS", "0")        # clamped to one worker
+    assert resolve_workers(runs=10) == 1
+    monkeypatch.setenv("ABC_EQF_THREADS", "-2")
+    assert resolve_workers(runs=10) == 1
+    monkeypatch.setenv("ABC_EQF_THREADS", "abc")
+    with pytest.raises(ConfigError, match="^ABC_EQF_THREADS must be an integer, got 'abc'$"):
+        resolve_workers(runs=10)
+    assert resolve_workers(runs=10, workers=2) == 2     # an explicit count ignores it
     monkeypatch.delenv("ABC_EQF_THREADS")
     assert resolve_workers(runs=1) == 1
 
