@@ -23,7 +23,8 @@ from .config import (
 )
 from .eqf import InputRangeError
 from .metrics import METRIC_KEYS, EmptyWindowError, MisalignedError, RmseReport, compare_report
-from .runner import NonFiniteEstimateError, drive_filter, montecarlo, selected_filters
+from .runner import (NonFiniteEstimateError, drive_filter, montecarlo, resolve_workers,
+                     selected_filters)
 from .sim import simulate_run
 from .study import bench_phi
 
@@ -143,11 +144,12 @@ def _cmd_montecarlo(args) -> int:
     cfg = _load(args)
     if args.runs < 1:
         raise ConfigError("--runs must be >= 1")
+    workers = resolve_workers(args.runs)     # before any file is written
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     with csvio.open_new(out / "config_resolved.ini") as fh:
         fh.write(config_text(cfg))
-    result = montecarlo(cfg, args.runs)
+    result = montecarlo(cfg, args.runs, workers)
 
     filters = selected_filters(cfg)
     csvio.write_table(out / "per_run.csv",

@@ -4,9 +4,10 @@ Every log is filtered by the one loop of :func:`drive_batch`, which filters
 runs that share one gyro clock in lockstep: a single log
 (:func:`drive_filter`) as a batch of one run whose messages name no run, a
 campaign slice as a batch of many.  Run r is row r of stacked arrays:
-(R, 1 + n, 3, 3) rotation factors, (R, 3) vectors and (R, d, d)
+([R,] 1 + n, 3, 3) rotation factors, ([R,] 3) vectors and ([R,] d, d)
 covariances, and every step propagates all runs with one set of numpy
-calls.
+calls.  A batch of one run has no run axis R: the same kernels then
+multiply with 2-D np.dot, at half a stacked matmul's cost, and the same bits.
 
 The loop propagates on every gyro sample and applies direction measurements
 sequentially at their own timestamps (:func:`tick_groups`); measurements
@@ -175,9 +176,9 @@ class Bucket:
     cal_cols: list[int]         # first column of each measured calibration block
     var: np.ndarray             # (3m,) sigma_y^2 of each row
     bound: float                # trace certificate's bound on tr S, NaN if a var is not > 0
-    y: np.ndarray               # (Rb, m, 3) measured directions
-    refs: np.ndarray            # (Rb, m, 3) reference directions
-    h: np.ndarray               # (Rb, 3m, d) compute_C0 of each run
+    y: np.ndarray               # ([Rb,] m, 3) measured directions
+    refs: np.ndarray            # ([Rb,] m, 3) reference directions
+    h: np.ndarray               # ([Rb,] 3m, d) compute_C0 of each run
 
 
 @dataclass
@@ -206,6 +207,7 @@ def build_schedule(cfg: RunConfig, gyro_ts: list[np.ndarray], omegas: list[np.nd
     The measurements of all runs are grouped once (:func:`tick_groups`),
     laid out bucket by bucket, and checked and converted as whole-log arrays,
     so that each bucket's y, refs and h are contiguous slices (views) of them.
+    The buckets have no run axis when there is one run.
     """
     gyro_t = np.asarray(gyro_ts[0], dtype=float)
     for r, other in enumerate(gyro_ts):
@@ -252,10 +254,11 @@ def build_schedule(cfg: RunConfig, gyro_ts: list[np.ndarray], omegas: list[np.nd
         if not updates[k]:
             updates[k] = []
         sel = slice(None) if len(rows) == len(omegas) else rows
+        shape = (len(rows),) if len(omegas) > 1 else ()
         updates[k].append(Bucket(rows, sel, names[sel], *layouts[ids],
-                                 y[m0:m1].reshape(len(rows), -1, 3),
-                                 refs[m0:m1].reshape(len(rows), -1, 3),
-                                 h[m0:m1].reshape(len(rows), 3 * len(ids), -1)))
+                                 y[m0:m1].reshape(shape + (-1, 3)),
+                                 refs[m0:m1].reshape(shape + (-1, 3)),
+                                 h[m0:m1].reshape(shape + (3 * len(ids), -1))))
         m0 = m1
     return Schedule(gyro_t, omega, t.tolist(), updates, first_run, names)
 
@@ -342,53 +345,67 @@ def _output_matrix(sensors: list[SensorModel], refs: np.ndarray, n: int) -> np.n
 
 def _eqf_transition(omega0: np.ndarray, dt: float, noise: NoiseConfig, idx: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """E = exp(omega0 dt), Phi and Md of every run, (R, 3, 3), (R, d, d) and
-    (R, d, d), gathered from _phi_md_values with phi_and_md's index."""
-    vals = np.array([_phi_md_values(x, y, z, dt, noise) for x, y, z in omega0.tolist()])
-    phi_md = vals[:, idx]
-    return vals[:, 9:18].reshape(-1, 3, 3), phi_md[:, 0], phi_md[:, 1]
+    """Phi's bias block E = exp(omega0 dt) ([R,] 3, 3), Phi and Md ([R,] d, d)
+    of every run, gathered from _phi_md_values with phi_and_md's index."""
+    vals = np.array([_phi_md_values(x, y, z, dt, noise)
+                     for x, y, z in omega0.reshape(-1, 3).tolist()])
+    phi_md = vals.reshape(omega0.shape[:-1] + (-1,)).take(idx, axis=-1)
+    return phi_md[..., 0, 3:6, 3:6], phi_md[..., 0, :, :], phi_md[..., 1, :, :]
 
 
 def _reproject(f: np.ndarray, names: np.ndarray) -> np.ndarray:
-    """project_to_so3 of every factor (R, 1 + n, 3, 3), naming the first
+    """project_to_so3 of every factor ([R,] 1 + n, 3, 3), naming the first
     run with a degenerate factor."""
     try:
         return project_to_so3(f)
     except DegenerateError as exc:
-        r = np.argwhere(np.linalg.det(f) <= 1e-12)[0][0]
-        raise DegenerateError(f"{names[r]}{exc}") from None
+        bad = (np.linalg.det(f) <= 1e-12).reshape(len(names), -1).any(axis=1)
+        raise DegenerateError(f"{names[np.argmax(bad)]}{exc}") from None
+
+
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a x for matrices a (..., i, j) and vectors x (..., j)."""
+    return a.dot(x) if a.ndim == 2 else (a @ x[..., None])[..., 0]
 
 
 @dataclass
 class _State:
-    """Stacked filter state: rotation factors f (R, 1 + n, 3, 3), the vector
-    v (R, 3) and sigma (R, d, d).  EqF: f = (Ahat, Bhat_i), v = ahat; IEKF:
+    """Stacked filter state: rotation factors f ([R,] 1 + n, 3, 3), the
+    vector v ([R,] 3) and sigma ([R,] d, d), without the run axis R when the
+    batch holds one run.  EqF: f = (Ahat, Bhat_i), v = ahat; IEKF:
     f = (Rhat, Chat_i), v = bhat."""
 
     f: np.ndarray
     v: np.ndarray
     sigma: np.ndarray
 
+    def put(self, sel, f: np.ndarray, v: np.ndarray, sigma: np.ndarray) -> None:
+        """Store the updated rows sel; a slice (every row) rebinds the arrays."""
+        if isinstance(sel, slice):
+            self.f, self.v, self.sigma = f, v, sigma
+        else:
+            self.f[sel], self.v[sel], self.sigma[sel] = f, v, sigma
+
 
 def _eqf_propagate(st: _State, omega: np.ndarray, dt: float, noise: NoiseConfig,
                    idx: np.ndarray) -> None:
     """eqf_propagate of every run, without the re-projection."""
-    omega0 = (st.f[:, 0] @ omega[:, :, None])[:, :, 0] + st.v
-    e, phi, md = _eqf_transition(omega0, dt, noise, idx)
-    st.f = e[:, None] @ st.f
-    st.v = (e @ st.v[:, :, None])[:, :, 0]
-    sigma = phi @ st.sigma @ phi.transpose(0, 2, 1) + md
-    st.sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
+    dot = np.dot if st.sigma.ndim == 2 else np.matmul
+    e, phi, md = _eqf_transition(_matvec(st.f[..., 0, :, :], omega) + st.v, dt, noise, idx)
+    st.f = e[..., None, :, :] @ st.f
+    st.v = _matvec(e, st.v)
+    sigma = dot(dot(phi, st.sigma), phi.mT) + md
+    st.sigma = 0.5 * (sigma + sigma.mT)
 
 
 def _eqf_update(st: _State, b: Bucket, t: float, subtract: bool) -> None:
     """eqf_update of the bucket's runs."""
     sel = b.sel
     f, v = st.f[sel], st.v[sel]
-    residual = (f[:, b.factor] @ b.y[..., None])[..., 0]
+    residual = _matvec(f[..., b.factor, :, :], b.y)
     if subtract:
         residual -= b.refs
-    keep, r, sigma = _kalman(st.sigma[sel], b.h, residual.reshape(len(f), -1), b.var,
+    keep, r, sigma = _kalman(st.sigma[sel], b.h, residual.reshape(b.h.shape[:-1]), b.var,
                              b.bound, t, b.names)
     if keep is not None:
         if r is None:
@@ -397,8 +414,8 @@ def _eqf_update(st: _State, b: Bucket, t: float, subtract: bool) -> None:
     # Xhat+ = exp(Delta) Xhat, Delta = (r_att, -r_bias; r_cal_i + r_att); the
     # entries of exp(Delta) per run: the nav rotation, each calibration
     # rotation, then the nav vector
-    n = f.shape[1] - 1
-    cal = r[:, 6:].reshape(len(r), n, 3) + r[:, None, 0:3]
+    r = r.reshape(-1, r.shape[-1])
+    cal = r[:, 6:].reshape(len(r), -1, 3) + r[:, None, 0:3]
     rows = []
     for rot, vec, cals in zip(r[:, 0:3].tolist(), (-r[:, 3:6]).tolist(), cal.tolist()):
         nav = _sdp_entries(*rot, *vec)
@@ -407,45 +424,43 @@ def _eqf_update(st: _State, b: Bucket, t: float, subtract: bool) -> None:
             row += _exp_entries(*c)
         rows.append(row + nav[9:])
     vals = np.array(rows)
-    g = vals[:, :-3].reshape(-1, n + 1, 3, 3)
-    st.f[sel] = g @ f
-    st.v[sel] = vals[:, -3:] + (g[:, 0] @ v[:, :, None])[:, :, 0]
-    st.sigma[sel] = sigma
+    g = vals[:, :-3].reshape(f.shape)
+    st.put(sel, g @ f, vals[:, -3:].reshape(v.shape) + _matvec(g[..., 0, :, :], v), sigma)
 
 
 def _iekf_propagate(st: _State, omega: np.ndarray, dt: float, s_u: np.ndarray,
                     phi: np.ndarray) -> None:
-    """iekf_propagate of every run, without the re-projection; phi is an
-    (R, d, d) identity whose bias-to-attitude block this step overwrites."""
-    rot = st.f[:, 0]
-    phi[:, 0:3, 3:6] = -rot * dt
-    sigma = phi @ st.sigma @ phi.transpose(0, 2, 1) + s_u * dt
-    st.sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
-    st.f[:, 0] = rot @ exp_so3((omega - st.v) * dt)
+    """iekf_propagate of every run, without the re-projection; phi is a
+    ([R,] d, d) identity whose bias-to-attitude block this step overwrites."""
+    dot = np.dot if st.sigma.ndim == 2 else np.matmul
+    rot = st.f[..., 0, :, :]
+    phi[..., 0:3, 3:6] = -rot * dt
+    sigma = dot(dot(phi, st.sigma), phi.mT) + s_u * dt
+    st.sigma = 0.5 * (sigma + sigma.mT)
+    st.f[..., 0, :, :] = dot(rot, exp_so3((omega - st.v) * dt))
 
 
 def _iekf_update(st: _State, b: Bucket, t: float) -> None:
     """iekf_update of the bucket's runs."""
+    dot = np.dot if st.sigma.ndim == 2 else np.matmul
     sel = b.sel
     f = st.f[sel]
-    rot = f[:, 0]
-    prods = rot[:, None] @ f      # R C_i; the first, R R, is replaced by R
-    prods[:, 0] = rot
-    residual = (prods[:, b.factor] @ b.y[..., None])[..., 0] - b.refs
+    rot = f[..., 0, :, :]
+    prods = rot[..., None, :, :] @ f      # R C_i; the first, R R, is replaced by R
+    prods[..., 0, :, :] = rot
+    residual = _matvec(prods[..., b.factor, :, :], b.y) - b.refs
     h = b.h.copy()
     for j in b.cal_cols:
-        h[:, :, j:j + 3] = h[:, :, j:j + 3] @ rot
-    keep, r, sigma = _kalman(st.sigma[sel], h, residual.reshape(len(f), -1), b.var, b.bound,
+        h[..., j:j + 3] = dot(h[..., j:j + 3], rot)
+    keep, r, sigma = _kalman(st.sigma[sel], h, residual.reshape(h.shape[:-1]), b.var, b.bound,
                              t, b.names)
     if keep is not None:
         if r is None:
             return
         sel, f = b.rows[keep], f[keep]
     # R <- exp(r_att) R, b <- b + r_bias, C_i <- exp(r_cal_i) C_i
-    rots = np.concatenate((r[:, 0:3], r[:, 6:]), axis=1).reshape(-1, 3)
-    st.f[sel] = exp_so3(rots).reshape(f.shape) @ f
-    st.v[sel] = st.v[sel] + r[:, 3:6]
-    st.sigma[sel] = sigma
+    rots = np.concatenate((r[..., 0:3], r[..., 6:]), axis=-1).reshape(-1, 3)
+    st.put(sel, exp_so3(rots).reshape(f.shape) @ f, st.v[sel] + r[..., 3:6], sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -468,27 +483,29 @@ def drive_batch(kind: str, schedule: Schedule, cfg: RunConfig,
         raise ValueError(f"unknown filter kind: {kind!r}")
     n = cfg.n_cal
     d = 6 + 3 * n
-    k_total, runs = schedule.omega.shape[:2]
+    k_total, runs = schedule.gyro_t.size, len(schedule.names)
+    lead = () if runs == 1 else (runs,)      # a batch of one run has no run axis
     noise = noise_config(cfg)
     # Both filters start at the identity, where iekf_init's rotation of
     # sigma0 leaves it as it is.
     sigma0 = _check_sigma0(initial_sigma(cfg), n)
     if kind == "eqf":
-        idx = _gather_index(d, cfg.md_mode)
         if cfg.residual_mode not in (RESIDUAL_SUBTRACT, RESIDUAL_LITERAL):
             raise ValueError(f"unknown residual mode: {cfg.residual_mode!r}")
-        subtract = cfg.residual_mode == RESIDUAL_SUBTRACT
+        propagate, p_args = _eqf_propagate, (noise, _gather_index(d, cfg.md_mode))
+        update, u_args = _eqf_update, (cfg.residual_mode == RESIDUAL_SUBTRACT,)
     else:
         s_u, eye = _propagation_constants(noise.sigma_w, noise.sigma_bw, noise.sigma_kappa, n)
-        phi = np.tile(eye, (runs, 1, 1))
-    st = _State(np.tile(np.eye(3), (runs, 1 + n, 1, 1)), np.zeros((runs, 3)),
-                np.tile(sigma0, (runs, 1, 1)))
+        propagate, p_args = _iekf_propagate, (s_u, np.tile(eye, lead + (1, 1)))
+        update, u_args = _iekf_update, ()
+    st = _State(np.tile(np.eye(3), lead + (1 + n, 1, 1)), np.zeros(lead + (3,)),
+                np.tile(sigma0, lead + (1, 1)))
 
     rec_f = np.empty((runs, k_total, 1 + n, 3, 3))
     rec_v = np.empty((runs, k_total, 3))
     sig_diag = np.empty((runs, k_total, d))
     sig_att = np.empty((runs, k_total, 3, 3))
-    omega, t, updates = schedule.omega, schedule.t, schedule.updates
+    omega, t, updates = schedule.omega.reshape(k_total, *lead, 3), schedule.t, schedule.updates
     dts = np.diff(schedule.gyro_t).tolist()
     stop = None
     t_start = time.perf_counter()
@@ -496,24 +513,18 @@ def drive_batch(kind: str, schedule: Schedule, cfg: RunConfig,
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(k_total):
             if k > 0:
-                if kind == "eqf":
-                    _eqf_propagate(st, omega[k], dts[k - 1], noise, idx)
-                else:
-                    _iekf_propagate(st, omega[k], dts[k - 1], s_u, phi)
+                propagate(st, omega[k], dts[k - 1], *p_args)
                 if k % REPROJECT_EVERY == 0:
                     st.f = _reproject(st.f, schedule.names)
             try:
                 for b in updates[k]:
-                    if kind == "eqf":
-                        _eqf_update(st, b, t[k], subtract)
-                    else:
-                        _iekf_update(st, b, t[k])
+                    update(st, b, t[k], *u_args)
             except NonFiniteEstimateError as exc:
                 stop = exc
             rec_f[:, k] = st.f
             rec_v[:, k] = st.v
             sig_diag[:, k] = st.sigma.reshape(runs, d * d)[:, ::d + 1]
-            sig_att[:, k] = st.sigma[:, 0:3, 0:3]
+            sig_att[:, k] = st.sigma[..., 0:3, 0:3]
             if stop is not None:        # the records end at this step
                 k_total = k + 1
                 rec_f, rec_v, sig_diag, sig_att = (a[:, :k_total]

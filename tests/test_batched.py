@@ -13,6 +13,7 @@ from scipy.linalg import expm
 from abc_eqf import runner
 from abc_eqf.config import RunConfig, SensorConfig, validate_config, with_seed
 from abc_eqf.eqf import (
+    REPROJECT_EVERY,
     BadDimensionError,
     DirectionMeasurement,
     InputRangeError,
@@ -37,6 +38,7 @@ from abc_eqf.runner import (
     montecarlo,
     tick_groups,
 )
+from abc_eqf.lie import DegenerateError
 from abc_eqf.sim import simulate_run
 
 from conftest import library_loop
@@ -251,9 +253,12 @@ def test_batched_output_matrix_matches_compute_c0(n):
 # Batch composition
 
 
-@pytest.mark.parametrize("kind", ["eqf", "iekf"])
-def test_run_is_bit_equal_alone_and_at_every_position(kind):
-    cfg = _config(1, True, ragged=True, duration=1.5)
+@pytest.mark.parametrize("kind, n", [("eqf", 1), ("iekf", 1), ("eqf", 3), ("iekf", 3)],
+                         ids=["eqf", "iekf", "eqf-15-state", "iekf-15-state"])
+def test_run_is_bit_equal_alone_and_at_every_position(kind, n):
+    """Alone, the run is filtered without the run axis (2-D products); in a
+    batch, as one row of stacked arrays.  Both give the same bits."""
+    cfg = _config(n, True, ragged=True, duration=1.5)
     sims = _sims(cfg, 8)
     target = 3
 
@@ -360,6 +365,32 @@ def test_non_finite_covariance_names_run_and_step(four_runs, monkeypatch, caplog
     assert not caplog.records
     next_update = next(k for k in range(10, len(schedule.updates)) if schedule.updates[k])
     assert len(calls) == 4 * next_update
+
+
+@pytest.mark.parametrize("runs, bad_run, prefix", [(3, 1, "run 1: "), (1, 0, "")],
+                         ids=["batch", "single-log"])
+def test_degenerate_factor_at_reprojection_names_its_run(monkeypatch, runs, bad_run, prefix):
+    """A calibration factor zeroed by the propagation before step
+    REPROJECT_EVERY fails the re-projection at that step, naming the run
+    that holds it in a batch and no run for a single log."""
+    cfg = _config(2, False, duration=REPROJECT_EVERY * 0.005 + 0.1)
+    sims = _sims(cfg, runs)
+    schedule = build_schedule(cfg, [s.gyro_t for s in sims], [s.gyro_omega for s in sims],
+                              [s.measurements for s in sims], None if runs == 1 else 0)
+    calls = []
+    propagate = runner._eqf_propagate
+
+    def zeroing(st, *args):
+        propagate(st, *args)
+        calls.append(None)
+        if len(calls) == REPROJECT_EVERY:
+            f = st.f if runs == 1 else st.f[bad_run]
+            f[2] = 0.0                       # the second calibration factor
+
+    monkeypatch.setattr(runner, "_eqf_propagate", zeroing)
+    with pytest.raises(DegenerateError, match=f"^{prefix}matrix determinant is not positive$"):
+        drive_batch("eqf", schedule, cfg)
+    assert len(calls) == REPROJECT_EVERY
 
 
 def test_batch_rejects_runs_with_different_gyro_times(four_runs):

@@ -462,6 +462,7 @@ def test_cli_non_integer_thread_count_is_config_error(tmp_path, config_file, val
                            "--out", str(tmp_path / "out"), env={"ABC_EQF_THREADS": value})
     assert (code, err) == (1, [f"config error: ABC_EQF_THREADS must be an integer, "
                                f"got {value!r}"])
+    assert not (tmp_path / "out" / "config_resolved.ini").exists()
 
 
 def test_cli_run_gnss_log_without_references(tmp_path, config_file, capsys):
