@@ -21,7 +21,9 @@ each gyro step `*_propagate` and `*_update` of each group that
 `runner.tick_groups` puts at that step, and compares the same four arrays
 per filter.  The `campaign` scenario is `runner.montecarlo` over 3 runs of
 the default config with one worker: per run and filter, the transient and
-asymptotic report values and the attitude NEES.  The `cli` scenario runs
+asymptotic report values and the attitude NEES.  `campaign-2w` is the same
+campaign on two workers, whose slices hold runs 0-1 and run 2, so a batch
+of one run that names its run is compared too.  The `cli` scenario runs
 `abc-eqf simulate` on the `cal3` config, then `abc-eqf run --filter both`
 twice into one --out, and keeps every file each command wrote as bytes:
 besides comparing them with the base side's, the change's second run is
@@ -175,14 +177,15 @@ def dump(src: Path, out: Path) -> None:
             if name == "cal3":
                 for field, value in library_loop(kind, data, cfg).items():
                     arrays[f"library/{kind}/{field}"] = value
-    campaign = runner.montecarlo(config.default_config(seed=3), runs=3, workers=1)
-    for row in campaign.per_run:
-        for kind in FILTERS:
-            rep = row[kind]["report"]
-            key = f"campaign/run{row['run']}/{kind}"
-            arrays[f"{key}/report"] = np.array([*rep.transient.values(),
-                                                *rep.asymptotic.values()])
-            arrays[f"{key}/nees"] = np.array(row[kind]["nees"])
+    for workers, scenario in ((1, "campaign"), (2, "campaign-2w")):
+        campaign = runner.montecarlo(config.default_config(seed=3), runs=3, workers=workers)
+        for row in campaign.per_run:
+            for kind in FILTERS:
+                rep = row[kind]["report"]
+                key = f"{scenario}/run{row['run']}/{kind}"
+                arrays[f"{key}/report"] = np.array([*rep.transient.values(),
+                                                    *rep.asymptotic.values()])
+                arrays[f"{key}/nees"] = np.array(row[kind]["nees"])
     np.savez(out, **arrays)
 
 

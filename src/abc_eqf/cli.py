@@ -25,7 +25,7 @@ from .eqf import InputRangeError
 from .metrics import METRIC_KEYS, EmptyWindowError, MisalignedError, RmseReport, compare_report
 from .runner import (NonFiniteEstimateError, drive_filter, montecarlo, resolve_workers,
                      selected_filters)
-from .sim import simulate_run
+from .sim import MeasurementLog, simulate_run
 from .study import bench_phi
 
 logger = logging.getLogger(__name__)
@@ -97,13 +97,13 @@ def _cmd_simulate(args) -> int:
     sim = simulate_run(cfg)
     csvio.write_gyro(out / "gyro.csv", sim.gyro_t, sim.gyro_omega)
     for sensor in cfg.sensors:
-        meas = [m for m in sim.measurements if m.sensor_id == sensor.sensor_id]
-        csvio.write_directions(out / f"dir_{sensor.sensor_id}.csv", meas)
+        csvio.write_directions(out / f"dir_{sensor.sensor_id}.csv",
+                               sim.log.select(sensor.sensor_id))
     csvio.write_truth(out / "truth.csv", sim.truth)
     with csvio.open_new(out / "config_resolved.ini") as fh:
         fh.write(config_text(cfg))
     print(f"wrote {len(sim.gyro_t)} gyro samples and "
-          f"{len(sim.measurements)} direction measurements to {out}")
+          f"{len(sim.log)} direction measurements to {out}")
     return EXIT_OK
 
 
@@ -113,13 +113,12 @@ def _cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     logs: Path = args.logs
     gyro_t, gyro_omega = csvio.read_gyro(logs / "gyro.csv")
-    measurements = []
+    parts = []
     for sensor in cfg.sensors:
         path = logs / f"dir_{sensor.sensor_id}.csv"
         if path.exists():
-            measurements.extend(csvio.read_directions(path, sensor.sensor_id,
-                                                      sensor.kind == "gnss"))
-    measurements.sort(key=lambda m: (m.t, m.sensor_id))
+            parts.append(csvio.read_directions(path, sensor.sensor_id, sensor.kind == "gnss"))
+    log = MeasurementLog.merge(parts)
     truth = None
     if (logs / "truth.csv").exists():
         truth = csvio.read_truth(logs / "truth.csv")
@@ -127,7 +126,7 @@ def _cmd_run(args) -> int:
     with csvio.open_new(out / "config_resolved.ini") as fh:
         fh.write(config_text(cfg))
     for kind in selected_filters(cfg):
-        result = drive_filter(kind, gyro_t, gyro_omega, measurements, cfg, truth)
+        result = drive_filter(kind, gyro_t, gyro_omega, log, cfg, truth)
         csvio.write_estimates(out / f"est_{kind}.csv", result.est)
         if result.err is not None:
             csvio.write_error_series(out / f"err_{kind}.csv", result.err)

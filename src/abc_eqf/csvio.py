@@ -12,6 +12,7 @@ a rotation or whose bias b overflows b.b.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .eqf import DirectionMeasurement
 from .metrics import ErrorSeries, EstimateSeries
-from .sim import GroundTruth
+from .sim import GroundTruth, MeasurementLog, as_log
 
 
 class ParseError(ValueError):
@@ -70,8 +71,16 @@ def _write_columns(path: Path, header: list[str], *arrays) -> None:
 
 
 def _read_table(path: Path, required: list[str]
-                ) -> tuple[list[str], list[list[float]], list[int]]:
-    """Header, parsed rows and the file row of each; blank lines are skipped."""
+                ) -> tuple[list[str], np.ndarray, range | list[int]]:
+    """Header, parsed rows (N, columns) and the file row of each; blank lines
+    are skipped.
+
+    The rows are parsed as one array (:func:`_parse_fast`).  A file that it
+    declines goes through the row-by-row parser, which raises the ParseError
+    that names the file, the row and the fault."""
+    fast = _parse_fast(path, required)
+    if fast is not None:
+        return fast
     try:
         fh = open(path, "r", newline="", encoding="utf-8")
     except OSError as exc:
@@ -100,10 +109,42 @@ def _read_table(path: Path, required: list[str]
                     raise ParseError(path, i, f"non-finite value {v!r} in column {col!r}")
             rows.append(values)
             file_rows.append(i)
-    return header, rows, file_rows
+    return header, np.array(rows, dtype=float).reshape(-1, len(header)), file_rows
 
 
-def _check_sorted(path: Path, t: np.ndarray, file_rows: list[int],
+def _parse_fast(path: Path, required: list[str]
+                ) -> tuple[list[str], np.ndarray, range] | None:
+    """_read_table's result from one np.loadtxt call, or None when the file
+    may need the row parser: it cannot be read or decoded, has a quote, a NUL,
+    a carriage return outside CRLF, a blank line or a missing column, or a
+    row that loadtxt rejects (a short row, a trailing comma, '#', '1_0',
+    which float() reads as 10) or that holds a non-finite value.  What is
+    left is a header of plain comma-separated names and rows of
+    comma-separated numbers, which csv.reader splits the same way and which
+    loadtxt converts with the function float() uses, to the same bits."""
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError):
+        return None
+    head, _, body = text.partition("\n")
+    header = head.removesuffix("\r").split(",")
+    if ('"' in text or "\0" in text or text.count("\r") != text.count("\r\n")
+            or not head or any(col not in header for col in required)
+            or body.startswith(("\n", "\r\n")) or "\n\n" in body or "\n\r\n" in body):
+        return None
+    data = np.empty((0, len(header)))
+    if body:        # loadtxt warns on an empty input
+        try:
+            data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+    if data.shape[1] != len(header) or not np.isfinite(data).all():
+        return None
+    return header, data, range(2, len(data) + 2)
+
+
+def _check_sorted(path: Path, t: np.ndarray, file_rows: range | list[int],
                   strict: bool = False) -> None:
     bad = np.diff(t) <= 0.0 if strict else np.diff(t) < 0.0
     if np.any(bad):
@@ -120,10 +161,9 @@ def write_gyro(path: Path, t: np.ndarray, omega: np.ndarray) -> None:
 
 
 def read_gyro(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    _, rows, file_rows = _read_table(path, GYRO_HEADER)
-    if not rows:
+    _, data, file_rows = _read_table(path, GYRO_HEADER)
+    if not len(data):
         raise ParseError(path, 2, "empty gyro file")
-    data = np.asarray(rows, dtype=float).reshape(-1, 4)
     _check_sorted(path, data[:, 0], file_rows, strict=True)
     return data[:, 0], data[:, 1:4]
 
@@ -133,39 +173,36 @@ def direction_header(time_varying: bool) -> list[str]:
     return base + ["dx", "dy", "dz"] if time_varying else base
 
 
-def write_directions(path: Path, meas: list[DirectionMeasurement]) -> None:
-    time_varying = any(m.reference is not None for m in meas)
-    if time_varying and any(m.reference is None for m in meas):
+def write_directions(path: Path, meas: MeasurementLog | list[DirectionMeasurement]) -> None:
+    """The rows of meas, sorted by (t, sensor id), with the dx, dy, dz
+    columns when they carry references."""
+    log = as_log(meas)
+    has_ref = ~np.isnan(log.reference).all(axis=1)
+    time_varying = bool(has_ref.any())
+    if time_varying and not has_ref.all():
         raise ParseError(path, None, "mixed fixed/time-varying reference rows")
-    columns = [[m.t for m in meas], [m.y for m in meas]]
-    if time_varying:
-        columns.append([m.reference for m in meas])
+    columns = [log.t, log.y] + ([log.reference] if time_varying else [])
     _write_columns(path, direction_header(time_varying), *columns)
 
 
-def read_directions(path: Path, sensor_id: str,
-                    references: bool = False) -> list[DirectionMeasurement]:
+def read_directions(path: Path, sensor_id: str, references: bool = False) -> MeasurementLog:
     """The measurements of one sensor; references=True (a sensor whose
     reference arrives with each measurement) requires the dx, dy, dz columns."""
-    header, rows, file_rows = _read_table(path, direction_header(references))
+    header, data, file_rows = _read_table(path, direction_header(references))
     time_varying = "dx" in header
     if time_varying:
         for col in ("dx", "dy", "dz"):
             if col not in header:
                 raise ParseError(path, 1, f"missing column {col!r}")
-    data = np.asarray(rows, dtype=float)
-    if data.size:
+    if len(data):
         _check_sorted(path, data[:, 0], file_rows)
         zero = ~np.any(data[:, 1:4], axis=1)
         if time_varying:
             zero |= ~np.any(data[:, 4:7], axis=1)
         if np.any(zero):
             raise ParseError(path, file_rows[int(np.argmax(zero))], "all-zero direction")
-    out = []
-    for row in data:
-        ref = row[4:7].copy() if time_varying else None
-        out.append(DirectionMeasurement(float(row[0]), sensor_id, row[1:4].copy(), ref))
-    return out
+    return MeasurementLog.of_sensor(sensor_id, data[:, 0], data[:, 1:4],
+                                    data[:, 4:7] if time_varying else None)
 
 
 def truth_header(n: int) -> list[str]:
@@ -194,11 +231,10 @@ def _not_rotation(m: np.ndarray) -> np.ndarray:
 
 
 def read_truth(path: Path) -> GroundTruth:
-    header, rows, file_rows = _read_table(path, truth_header(0))
+    header, data, file_rows = _read_table(path, truth_header(0))
     n = (len(header) - 13) // 9
     if len(header) != 13 + 9 * n:
         raise ParseError(path, 1, "unexpected truth column count")
-    data = np.asarray(rows, dtype=float)
     if not data.size:
         raise ParseError(path, 2, "empty truth file")
     _check_sorted(path, data[:, 0], file_rows)

@@ -391,9 +391,13 @@ def eqf_propagate(fs: FilterState, omega: np.ndarray, dt: float,
                   noise: NoiseConfig, md_mode: str = MD_ANALYTIC) -> FilterState:
     """One gyro step: Lie-group mean integration plus discrete Riccati update."""
     dt = _check_step(omega, dt, fs.t)
-    xhat, omega0 = propagate_mean(fs.xhat, omega, dt)
-
-    phi, md = phi_and_md(omega0, dt, noise, xhat.n, md_mode)
+    x = fs.xhat
+    omega0 = x.A.dot(omega) + x.a
+    phi, md = phi_and_md(omega0, dt, noise, x.n, md_mode)
+    # Phi's bias block is E = exp(omega0 dt), the factor that moves the mean
+    # (see propagate_mean)
+    e = phi[3:6, 3:6]
+    xhat = GroupElement(e.dot(x.A), e.dot(x.a), [e.dot(b) for b in x.B])
     sigma = phi.dot(fs.sigma).dot(phi.T) + md
     sigma = 0.5 * (sigma + sigma.T)
 

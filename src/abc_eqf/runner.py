@@ -94,7 +94,7 @@ from .metrics import (
     report_from_series,
     window_mean,
 )
-from .sim import GroundTruth, SimData, simulate_run
+from .sim import GroundTruth, MeasurementLog, SimData, as_log, simulate_run
 
 STACK_TIME_TOL = 1e-6
 
@@ -135,7 +135,9 @@ class FilterRun:
 
 def tick_groups(gyro_t: np.ndarray, measurements: list[DirectionMeasurement]
                 ) -> list[tuple[int, list[DirectionMeasurement]]]:
-    """The updates of one log in replay order, as (gyro step, group) pairs.
+    """The updates of one log in replay order, as (gyro step, group) pairs:
+    :func:`build_schedule`'s grouping of the measurements, sorted by (t,
+    sensor id), as lists of them.
 
     A measurement is due at the first gyro step k with t <= gyro_t[k] + 1e-12.
     A group starts at the next due measurement and takes every following
@@ -143,20 +145,46 @@ def tick_groups(gyro_t: np.ndarray, measurements: list[DirectionMeasurement]
     step are applied in order.  Measurements later than the last gyro sample
     are in no group.
     """
-    groups = []
-    mi = 0
-    m_total = len(measurements)
-    for k, tk in enumerate(gyro_t.tolist()):
-        if mi == m_total:
-            break
-        while mi < m_total and measurements[mi].t <= tk + 1e-12:
-            group = [measurements[mi]]
-            mi += 1
-            while mi < m_total and measurements[mi].t - group[0].t <= STACK_TIME_TOL:
-                group.append(measurements[mi])
-                mi += 1
-            groups.append((k, group))
-    return groups
+    meas = sorted(measurements, key=lambda m: (m.t, m.sensor_id))
+    t = np.array([m.t for m in meas], dtype=float)
+    first, stop, step = _groups(np.asarray(gyro_t, dtype=float), t,
+                                np.zeros(t.size, dtype=np.intp))
+    return [(k, meas[i:j]) for k, i, j in zip(step.tolist(), first.tolist(), stop.tolist())]
+
+
+def _groups(gyro_t: np.ndarray, t: np.ndarray, run: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The update groups of the logs with measurement times t, sorted within
+    each run, of the runs run (non-decreasing): the first index, the index
+    after the last and the due step of each group due at a gyro step.
+
+    A group starts at a measurement and holds every following one of its run
+    within STACK_TIME_TOL of it: the tolerance chains from each group's first
+    member, not from its neighbour.  Where two neighbours are further apart
+    than STACK_TIME_TOL, a group ends, since the time from any earlier member
+    rounds to no less; a stretch of near ties whose whole span is within the
+    tolerance is one group.  Only the other stretches are walked in Python.
+    """
+    if not t.size:
+        return (np.empty(0, dtype=np.intp),) * 3
+    with np.errstate(invalid="ignore"):        # NaN and inf times end a stretch
+        tie = (np.diff(t) <= STACK_TIME_TOL) & (run[1:] == run[:-1])
+        first = np.flatnonzero(np.concatenate(([True], ~tie)))
+        stop = np.append(first[1:], t.size)
+        wide = np.flatnonzero(t[stop - 1] - t[first] > STACK_TIME_TOL)
+    if wide.size:
+        more = []
+        for i, j in zip(first[wide].tolist(), stop[wide].tolist()):
+            t0 = float(t[i])
+            for k, tk in enumerate(t[i + 1:j].tolist(), start=i + 1):
+                if not tk - t0 <= STACK_TIME_TOL:
+                    more.append(k)
+                    t0 = tk
+        first = np.union1d(first, more).astype(np.intp)
+        stop = np.append(first[1:], t.size)
+    step = np.searchsorted(gyro_t + 1e-12, t[first])
+    due = step < gyro_t.size
+    return first[due], stop[due], step[due]
 
 
 # ---------------------------------------------------------------------------
@@ -194,19 +222,21 @@ class Schedule:
 
 
 def build_schedule(cfg: RunConfig, gyro_ts: list[np.ndarray], omegas: list[np.ndarray],
-                   measurements: list[list[DirectionMeasurement]],
+                   logs: list[MeasurementLog | list[DirectionMeasurement]],
                    first_run: int | None = 0) -> Schedule:
     """Check and arrange the logs of R runs of one configuration, numbered
     first_run, first_run + 1, ..., or of one log when first_run is None.
+    Each run's measurements are a MeasurementLog, or DirectionMeasurement
+    objects that :func:`sim.as_log` sorts into one.
 
     Every run must have the same gyro times (ValueError otherwise).  A gyro
     step that :func:`eqf._check_step` rejects raises its error, and a
     measurement the library update would reject raises the library's error;
     both messages start with the run number, unless first_run is None.
 
-    The measurements of all runs are grouped once (:func:`tick_groups`),
-    laid out bucket by bucket, and checked and converted as whole-log arrays,
-    so that each bucket's y, refs and h are contiguous slices (views) of them.
+    The measurements of all runs are grouped at once (:func:`_groups`), laid
+    out bucket by bucket, and checked and converted as whole-log arrays, so
+    that each bucket's y, refs and h are contiguous slices (views) of them.
     The buckets have no run axis when there is one run.
     """
     gyro_t = np.asarray(gyro_ts[0], dtype=float)
@@ -214,53 +244,104 @@ def build_schedule(cfg: RunConfig, gyro_ts: list[np.ndarray], omegas: list[np.nd
         if not np.array_equal(other, gyro_t):
             raise ValueError(f"run {first_run + r}: gyro times differ from run "
                              f"{first_run}'s; the runs of a batch share one gyro clock")
-    names = np.array([""] * len(omegas) if first_run is None
-                     else [f"run {first_run + r}: " for r in range(len(omegas))])
+    runs, k_total = len(omegas), gyro_t.size
+    names = np.array([""] * runs if first_run is None
+                     else [f"run {first_run + r}: " for r in range(runs)])
     omegas = [np.asarray(w, dtype=float) for w in omegas]
     for name, w in zip(names, omegas):
-        if w.shape != (gyro_t.size, 3):
+        if w.shape != (k_total, 3):
             raise BadDimensionError(f"{name}gyro samples of shape {w.shape} do not match "
-                                    f"{gyro_t.size} gyro times")
+                                    f"{k_total} gyro times")
     omega = np.stack(omegas, axis=1)
     dts = np.diff(gyro_t)
     # the library filters' time: t0 plus the steps, added one at a time
     t = np.cumsum(np.concatenate((gyro_t[:1], dts)))
     _check_steps(omega[1:], dts, t, names)
 
-    slots: dict[tuple, list] = {}
-    for r, meas in enumerate(measurements):
-        last_k = slot = -1
-        for k, group in tick_groups(gyro_t, meas):
-            slot = slot + 1 if k == last_k else 0
-            last_k = k
-            key = (k, slot, tuple(m.sensor_id for m in group))
-            slots.setdefault(key, []).append((r, group))
-    # the buckets by step and slot, and their measurements in that order, run by run
-    buckets = sorted(slots.items(), key=lambda item: item[0][:2])
-    meas = [m for _, members in buckets for _, group in members for m in group]
-    run, step = np.array([(r, k) for (k, _, _), members in buckets
-                          for r, group in members for _ in group], dtype=np.intp).reshape(-1, 2).T
-    y, refs, sensors = _checked_arrays(cfg, meas, t[step], names[run])
-    h = _output_matrix(sensors, refs[None], cfg.n_cal).reshape(len(meas), 3, 6 + 3 * cfg.n_cal)
+    logs = [as_log(log) for log in logs]
+    configured = build_sensors(cfg)
+    # each measurement's sensor as a number: its index in configured, or one
+    # past them for every other sensor id
+    number = {s.sensor_id: i for i, s in enumerate(configured)}
+    for log in logs:
+        for sid in log.ids:
+            number.setdefault(sid, len(number))
+    sensor = np.concatenate([np.array([number[sid] for sid in log.ids], dtype=np.intp)[log.sensor]
+                             for log in logs])
+    meas_t = np.concatenate([log.t for log in logs])
+    run = np.repeat(np.arange(runs), [len(log) for log in logs])
+    first, stop, step = _groups(gyro_t, meas_t, run)
+    size = stop - first
+    # slot j of a step holds each run's j-th group due at it
+    at = run[first] * k_total + step
+    slot = np.arange(at.size) - np.searchsorted(at, at)
+    # A bucket is one step, slot and sequence of sensors; its groups go run
+    # by run, and the buckets of one step and slot by their first run.
+    seq = _sequence_keys(sensor, first, size, len(number))
+    order = np.lexsort((run[first], seq, slot, step))
+    change = ((np.diff(step[order]) != 0) | (np.diff(slot[order]) != 0)
+              | (np.diff(seq[order]) != 0))
+    starts = np.flatnonzero(np.concatenate(([order.size > 0], change)))
+    counts = np.diff(np.append(starts, order.size))
+    by_first_run = np.lexsort((run[first[order[starts]]], slot[order[starts]],
+                               step[order[starts]]))
+    starts, counts = starts[by_first_run], counts[by_first_run]
+    groups = order[_ranges(starts, counts)]
+    meas = _ranges(first[groups], size[groups])      # the measurements, bucket by bucket
+    m_run, m_sensor, m_step = run[meas], sensor[meas], np.repeat(step[groups], size[groups])
+    y, refs = _checked_arrays(configured, list(number), m_sensor, meas_t[meas],
+                              np.concatenate([log.y for log in logs])[meas],
+                              np.concatenate([log.reference for log in logs])[meas],
+                              t[m_step], names[m_run])
+    cal_col = np.array([6 + 3 * s.cal_index if s.calibrated else 0 for s in configured])
+    h = _output_matrix(cal_col[m_sensor], refs, cfg.n_cal)
 
-    layouts: dict[tuple, tuple] = {}
-    updates: list = [()] * gyro_t.size
-    m0 = 0
-    for (k, _, ids), members in buckets:
-        m1 = m0 + len(members) * len(ids)
-        rows = run[m0:m1:len(ids)]
-        if ids not in layouts:
-            layouts[ids] = _layout(sensors[m0:m0 + len(ids)])
+    layouts: dict[int, tuple] = {}
+    updates: list = [()] * k_total
+    shape = (-1,) if runs > 1 else ()
+    b_group = order[starts]
+    b_size = size[b_group]
+    m0s = np.cumsum(b_size * counts) - b_size * counts
+    for k, key, width, count, m0 in zip(step[b_group].tolist(), seq[b_group].tolist(),
+                                        b_size.tolist(), counts.tolist(), m0s.tolist()):
+        m1 = m0 + count * width
+        rows = m_run[m0:m1:width]
+        layout = layouts.get(key)
+        if layout is None:
+            layout = layouts[key] = _layout([configured[i] for i in m_sensor[m0:m0 + width]])
         if not updates[k]:
             updates[k] = []
-        sel = slice(None) if len(rows) == len(omegas) else rows
-        shape = (len(rows),) if len(omegas) > 1 else ()
-        updates[k].append(Bucket(rows, sel, names[sel], *layouts[ids],
-                                 y[m0:m1].reshape(shape + (-1, 3)),
-                                 refs[m0:m1].reshape(shape + (-1, 3)),
-                                 h[m0:m1].reshape(shape + (3 * len(ids), -1))))
-        m0 = m1
+        sel = slice(None) if count == runs else rows
+        updates[k].append(Bucket(rows, sel, names[sel], *layout,
+                                 y[m0:m1].reshape(shape + (width, 3)),
+                                 refs[m0:m1].reshape(shape + (width, 3)),
+                                 h[m0:m1].reshape(shape + (3 * width, h.shape[-1]))))
     return Schedule(gyro_t, omega, t.tolist(), updates, first_run, names)
+
+
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """start[0], ..., start[0] + count[0] - 1, start[1], ...: the indices
+    of the ranges one after the other."""
+    offset = np.cumsum(count) - count
+    return np.repeat(start - offset, count) + np.arange(count.sum())
+
+
+def _sequence_keys(values: np.ndarray, first: np.ndarray, size: np.ndarray, base: int
+                   ) -> np.ndarray:
+    """A number for each sequence values[first[g]:first[g] + size[g]] of
+    numbers in [0, base): equal numbers for equal sequences, distinct ones
+    otherwise.  Each position appends its value to the longer sequences'
+    numbers, above every number so far."""
+    key = values[first].astype(np.int64)
+    top = base                       # every key is below top
+    for j in range(1, int(size.max(initial=1))):
+        if top > 2 ** 62 // (base + 1):
+            key = np.unique(key, return_inverse=True)[1]
+            top = int(key.max()) + 1
+        longer = np.flatnonzero(size > j)
+        key[longer] = top + key[longer] * base + values[first[longer] + j]
+        top += top * base
+    return key
 
 
 def _check_steps(omega: np.ndarray, dts: np.ndarray, t: np.ndarray, names: np.ndarray) -> None:
@@ -279,32 +360,36 @@ def _check_steps(omega: np.ndarray, dts: np.ndarray, t: np.ndarray, names: np.nd
         raise type(exc)(f"{names[r]}{exc}") from None
 
 
-def _checked_arrays(cfg: RunConfig, meas: list[DirectionMeasurement], filter_t: np.ndarray,
-                    names: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[SensorModel]]:
-    """Directions y (M, 3), references (M, 3) and sensors of the measurements
-    meas, applied at the filter times filter_t by the runs named names.  The
-    first measurement that :func:`eqf._measured_sensors` rejects raises its
-    error, prefixed by its run's name; the vectorized tests below pass every
-    other one to it only when in doubt."""
-    configured = build_sensors(cfg)
-    by_id = {s.sensor_id: s for s in configured}
-    sensors = [by_id.get(m.sensor_id) for m in meas]
-    refs = [m.reference if s is None or s.reference is None else s.reference
-            for m, s in zip(meas, sensors)]
-    no_ref = np.array([r is None for r in refs], dtype=bool)
-    y = np.array([m.y for m in meas], dtype=float).reshape(-1, 3)
-    refs = np.array([(math.nan,) * 3 if missing else r for r, missing in zip(refs, no_ref)],
-                    dtype=float).reshape(-1, 3)
-    arriving = np.array([s is not None and s.reference is None for s in sensors], dtype=bool)
-    bad = np.array([m.t for m in meas], dtype=float) > filter_t + MEASUREMENT_SLACK
-    bad |= np.array([s is None for s in sensors], dtype=bool) | no_ref
-    bad |= ~(_near_unit(y) & (_near_unit(refs) | ~arriving))
+def _checked_arrays(configured: list[SensorModel], ids: list[str], sensor: np.ndarray,
+                    t: np.ndarray, y: np.ndarray, reference: np.ndarray,
+                    filter_t: np.ndarray, names: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Directions y (M, 3) and reference directions (M, 3) of measurements
+    stamped t by the sensors ids[sensor], the first len(configured) of them
+    configured, carrying the references reference (NaN for none), applied at
+    the filter times filter_t by the runs named names.  The first
+    measurement that :func:`eqf._measured_sensors` rejects raises its error,
+    prefixed by its run's name; the vectorized tests below pass every other
+    one to it only when in doubt."""
+    n = len(configured)
+    nan3 = (math.nan,) * 3
+    table = np.array([nan3 if s.reference is None else s.reference for s in configured]
+                     + [nan3], dtype=float)
+    known = sensor < n
+    fixed_ref = table[np.minimum(sensor, n)]      # NaN unless the sensor's is fixed
+    fixed = ~np.isnan(fixed_ref[:, 0])
+    refs = np.where(fixed[:, None], fixed_ref, reference)
+    bad = t > filter_t + MEASUREMENT_SLACK
+    bad |= ~known | np.isnan(refs).all(axis=1)
+    bad |= ~(_near_unit(y) & (_near_unit(refs) | fixed | ~known))
     for i in np.flatnonzero(bad).tolist():
+        ref = reference[i]
+        m = DirectionMeasurement(float(t[i]), ids[sensor[i]], y[i],
+                                 None if np.isnan(ref).all() else ref)
         try:
-            _measured_sensors([meas[i]], configured, float(filter_t[i]))
+            _measured_sensors([m], configured, float(filter_t[i]))
         except ValueError as exc:
             raise type(exc)(f"{names[i]}{exc}") from None
-    return y, refs, sensors
+    return y, refs
 
 
 def _near_unit(v: np.ndarray) -> np.ndarray:
@@ -324,19 +409,20 @@ def _layout(sensors: list[SensorModel]) -> tuple:
     return factor, cal_cols, var, _trace_bound(var)
 
 
-def _output_matrix(sensors: list[SensorModel], refs: np.ndarray, n: int) -> np.ndarray:
-    """compute_C0(sensors, refs[i], n) for every row i of refs (N, m, 3)."""
-    x, y, z = refs[..., 0], refs[..., 1], refs[..., 2]
+def _output_matrix(cal_col: np.ndarray, refs: np.ndarray, n: int) -> np.ndarray:
+    """compute_C0's rows (M, 3, 6 + 3n) of each measurement: reference
+    refs[i] (M, 3) of a sensor whose calibration block starts at column
+    cal_col[i], 0 for an uncalibrated sensor."""
+    x, y, z = refs[:, 0], refs[:, 1], refs[:, 2]
     w = np.zeros(refs.shape + (3,))
-    w[..., 0, 1], w[..., 0, 2] = -z, y
-    w[..., 1, 0], w[..., 1, 2] = z, -x
-    w[..., 2, 0], w[..., 2, 1] = -y, x
-    h = np.zeros(refs.shape[:2] + (3, 6 + 3 * n))
+    w[:, 0, 1], w[:, 0, 2] = -z, y
+    w[:, 1, 0], w[:, 1, 2] = z, -x
+    w[:, 2, 0], w[:, 2, 1] = -y, x
+    h = np.zeros((len(refs), 3, 6 + 3 * n))
     h[..., 0:3] = w
-    cols = np.array([6 + 3 * s.cal_index if s.calibrated else 0 for s in sensors])
-    for j in np.unique(cols[cols > 0]).tolist():
-        h[:, cols == j, :, j:j + 3] = w[:, cols == j]
-    return h.reshape(len(refs), 3 * len(sensors), 6 + 3 * n)
+    for j in np.unique(cal_col[cal_col > 0]).tolist():
+        h[cal_col == j, :, j:j + 3] = w[cal_col == j]
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +640,7 @@ def drive_batch(kind: str, schedule: Schedule, cfg: RunConfig,
 
 
 def drive_filter(kind: str, gyro_t: np.ndarray, gyro_omega: np.ndarray,
-                 measurements: list[DirectionMeasurement], cfg: RunConfig,
+                 measurements: MeasurementLog | list[DirectionMeasurement], cfg: RunConfig,
                  truth: GroundTruth | None = None) -> FilterRun:
     """Replay one gyro + measurement log through one filter, as a batch of
     one run whose messages name no run.
@@ -599,8 +685,7 @@ def selected_filters(cfg: RunConfig) -> list[str]:
 
 
 def run_filters(sim: SimData, cfg: RunConfig) -> dict[str, FilterRun]:
-    return {kind: drive_filter(kind, sim.gyro_t, sim.gyro_omega, sim.measurements,
-                               cfg, sim.truth)
+    return {kind: drive_filter(kind, sim.gyro_t, sim.gyro_omega, sim.log, cfg, sim.truth)
             for kind in selected_filters(cfg)}
 
 
@@ -622,7 +707,7 @@ def _mc_task(args: tuple[RunConfig, int, int]) -> list[dict]:
     cfg, start, stop = args
     sims = [simulate_run(with_seed(cfg, cfg.seed + r)) for r in range(start, stop)]
     schedule = build_schedule(cfg, [s.gyro_t for s in sims], [s.gyro_omega for s in sims],
-                              [s.measurements for s in sims], first_run=start)
+                              [s.log for s in sims], first_run=start)
     split = 0.5 * cfg.duration
     out = [{"run": r} for r in range(start, stop)]
     for kind in selected_filters(cfg):

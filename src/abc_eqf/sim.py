@@ -17,7 +17,9 @@ reproducible regardless of worker count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -162,13 +164,12 @@ def synth_gnss_direction(r: np.ndarray, cal: np.ndarray | None, body_axis: np.nd
 
 def schedule_and_drop(sensor: SensorConfig, t: np.ndarray, y: np.ndarray,
                       refs: np.ndarray | None, valid: np.ndarray | None,
-                      truth_rate: float, rng: np.random.Generator
-                      ) -> list[DirectionMeasurement]:
+                      truth_rate: float, rng: np.random.Generator) -> MeasurementLog:
     """Decimate, drop and jitter one sensor's stream, sampled at truth_rate.
 
     Rows with valid False are never delivered.  Dropout is i.i.d. Bernoulli
-    per retained slot, jitter uniform in [-jitter, +jitter]; the result is
-    in slot order, not sorted by time."""
+    per retained slot, jitter uniform in [-jitter, +jitter]; the rows are
+    sorted by their jittered times, slots that tie keeping their order."""
     pick = np.arange(0, t.size, int(round(truth_rate / sensor.rate)))
     if valid is not None:
         pick = pick[valid[pick]]
@@ -177,9 +178,93 @@ def schedule_and_drop(sensor: SensorConfig, t: np.ndarray, y: np.ndarray,
     times = t[pick]
     if sensor.jitter > 0.0:
         times = times + rng.uniform(-sensor.jitter, sensor.jitter, size=pick.size)
-    return [DirectionMeasurement(float(tj), sensor.sensor_id, y[j],
-                                 refs[j] if refs is not None else None)
-            for j, tj in zip(pick, times)]
+    return MeasurementLog.of_sensor(sensor.sensor_id, times, y[pick],
+                                    None if refs is None else refs[pick])
+
+
+@dataclass
+class MeasurementLog:
+    """The direction measurements of one log as arrays, sorted by (t, sensor
+    id); rows that tie in both keep the order they were given in.
+
+    Row i is a measurement y[i] of sensor ids[sensor[i]] at time t[i], with
+    the reference direction reference[i] that arrives with it, NaN when the
+    sensor's reference is fixed.  ids is sorted, so the order of sensor is
+    the order of the ids.  The library's on-line update takes
+    DirectionMeasurement objects: indexing or iterating a log makes them,
+    y and reference views of its rows (reference None where it is NaN).
+    """
+
+    t: np.ndarray                # (M,)
+    sensor: np.ndarray           # (M,) index into ids
+    ids: tuple[str, ...]         # sorted, without repeats
+    y: np.ndarray                # (M, 3)
+    reference: np.ndarray        # (M, 3), NaN for a fixed-reference sensor
+
+    @classmethod
+    def _sorted(cls, t, sensor, ids, y, reference) -> MeasurementLog:
+        order = np.lexsort((sensor, t))
+        return cls(t[order], sensor[order], ids, y[order], reference[order])
+
+    @classmethod
+    def of_sensor(cls, sensor_id: str, t: np.ndarray, y: np.ndarray,
+                  reference: np.ndarray | None = None) -> MeasurementLog:
+        """One sensor's measurements, in any order; reference None for a
+        fixed-reference sensor."""
+        t = np.asarray(t, dtype=float)
+        if reference is None:
+            reference = np.full((t.size, 3), math.nan)
+        return cls._sorted(t, np.zeros(t.size, dtype=np.intp), (sensor_id,),
+                           np.asarray(y, dtype=float).reshape(-1, 3),
+                           np.asarray(reference, dtype=float).reshape(-1, 3))
+
+    @classmethod
+    def merge(cls, logs: list[MeasurementLog]) -> MeasurementLog:
+        """One log of the rows of logs; rows that tie keep the order of logs."""
+        ids = tuple(sorted({i for log in logs for i in log.ids}))
+        number = {sid: k for k, sid in enumerate(ids)}
+        empty = (np.empty(0), np.empty(0, dtype=np.intp), np.empty((0, 3)), np.empty((0, 3)))
+        t, sensor, y, reference = (np.concatenate(parts) for parts in zip(empty, *[
+            (log.t, np.array([number[sid] for sid in log.ids], dtype=np.intp)[log.sensor],
+             log.y, log.reference) for log in logs]))
+        return cls._sorted(t, sensor, ids, y, reference)
+
+    def __len__(self) -> int:
+        return self.t.size
+
+    def __getitem__(self, i: int) -> DirectionMeasurement:
+        ref = self.reference[i]
+        return DirectionMeasurement(float(self.t[i]), self.ids[self.sensor[i]], self.y[i],
+                                    None if np.isnan(ref).all() else ref)
+
+    def __iter__(self):
+        refs = [None] * len(self)
+        for i in np.flatnonzero(~np.isnan(self.reference).all(axis=1)).tolist():
+            refs[i] = self.reference[i]
+        return map(DirectionMeasurement, self.t.tolist(),
+                   [self.ids[s] for s in self.sensor.tolist()], self.y, refs)
+
+    def select(self, sensor_id: str) -> MeasurementLog:
+        """The rows of one sensor."""
+        rows = self.sensor == (self.ids.index(sensor_id) if sensor_id in self.ids else -1)
+        return MeasurementLog(self.t[rows], np.zeros(np.count_nonzero(rows), dtype=np.intp),
+                              (sensor_id,), self.y[rows], self.reference[rows])
+
+
+def as_log(measurements: MeasurementLog | list[DirectionMeasurement]) -> MeasurementLog:
+    """A MeasurementLog as it is; DirectionMeasurement objects, in any order,
+    as one (a reference of None becomes NaN)."""
+    if isinstance(measurements, MeasurementLog):
+        return measurements
+    ids = tuple(sorted({m.sensor_id for m in measurements}))
+    number = {sid: k for k, sid in enumerate(ids)}
+    nan3 = (math.nan,) * 3
+    return MeasurementLog._sorted(
+        np.array([m.t for m in measurements], dtype=float),
+        np.array([number[m.sensor_id] for m in measurements], dtype=np.intp), ids,
+        np.array([m.y for m in measurements], dtype=float).reshape(-1, 3),
+        np.array([nan3 if m.reference is None else m.reference for m in measurements],
+                 dtype=float).reshape(-1, 3))
 
 
 @dataclass
@@ -189,7 +274,12 @@ class SimData:
     truth: GroundTruth
     gyro_t: np.ndarray
     gyro_omega: np.ndarray
-    measurements: list[DirectionMeasurement]
+    log: MeasurementLog
+
+    @cached_property
+    def measurements(self) -> list[DirectionMeasurement]:
+        """The log as DirectionMeasurement objects, made on first access."""
+        return list(self.log)
 
 
 def simulate_run(cfg: RunConfig) -> SimData:
@@ -224,7 +314,7 @@ def simulate_run(cfg: RunConfig) -> SimData:
     bias_full = np.repeat(bias_g, stride, axis=0)[:traj.t.size]
     truth = GroundTruth(traj.t, r_true, bias_full, cal_true)
 
-    measurements: list[DirectionMeasurement] = []
+    streams = []
     for idx, sensor in enumerate(cfg.sensors):
         rng_meas = make_rng(cfg.seed, STREAM_SENSOR_BASE + 2 * idx)
         cal = cal_true[idx] if sensor.calibrated else None
@@ -234,8 +324,7 @@ def simulate_run(cfg: RunConfig) -> SimData:
         else:
             y, refs, valid = synth_gnss_direction(
                 r_true, cal, sensor.body_axis, sensor.baseline, sensor.pos_std, rng_meas)
-        measurements += schedule_and_drop(
+        streams.append(schedule_and_drop(
             sensor, traj.t, y, refs, valid, cfg.traj_rate,
-            make_rng(cfg.seed, STREAM_SENSOR_BASE + 2 * idx + 1))
-    measurements.sort(key=lambda m: (m.t, m.sensor_id))
-    return SimData(truth, gyro_t, gyro_omega, measurements)
+            make_rng(cfg.seed, STREAM_SENSOR_BASE + 2 * idx + 1)))
+    return SimData(truth, gyro_t, gyro_omega, MeasurementLog.merge(streams))

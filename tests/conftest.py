@@ -60,15 +60,36 @@ def max_state_gap(a, b):
     return max(gaps)
 
 
+def loop_groups(gyro_t, measurements):
+    """The updates of library_loop, as (gyro step, group) pairs, from a
+    walk over the measurements in their given order.
+
+    A measurement is due at the first gyro step k with t <= gyro_t[k] + 1e-12;
+    a group takes the next due measurement and every following one stamped
+    within STACK_TIME_TOL of it, and the groups due at a step are applied in
+    order.
+    """
+    groups = []
+    mi = 0
+    for k in range(gyro_t.size):
+        while mi < len(measurements) and measurements[mi].t <= gyro_t[k] + 1e-12:
+            group = [measurements[mi]]
+            mi += 1
+            while (mi < len(measurements)
+                   and measurements[mi].t - group[0].t <= STACK_TIME_TOL):
+                group.append(measurements[mi])
+                mi += 1
+            groups.append((k, group))
+    return groups
+
+
 def library_loop(kind, gyro_t, gyro_omega, measurements, cfg):
     """The reference replay of one log: the library calls (eqf_* or iekf_*)
     one gyro step at a time, as the README's on-line loop makes them.
 
-    The filter starts at gyro_t[0].  A measurement is due at the first gyro
-    step k with t <= gyro_t[k] + 1e-12; a group takes the next due
-    measurement and every following one stamped within STACK_TIME_TOL of
-    it, and the groups due at a step are applied in order.  Returns the
-    estimates as an EstimateSeries and Sigma (K, d, d) at every step.
+    The filter starts at gyro_t[0] and applies the groups of loop_groups.
+    Returns the estimates as an EstimateSeries and Sigma (K, d, d) at every
+    step.
     """
     sensors = build_sensors(cfg)
     noise = noise_config(cfg)
@@ -78,19 +99,16 @@ def library_loop(kind, gyro_t, gyro_omega, measurements, cfg):
     else:
         state = iekf_init(identity_state(cfg.n_cal), initial_sigma(cfg), t0)
     estimates, sigmas = [], []
-    mi = 0
+    groups = loop_groups(gyro_t, measurements)
+    gi = 0
     for k in range(gyro_t.size):
         if k > 0:
             dt = gyro_t[k] - gyro_t[k - 1]
             state = (eqf_propagate(state, gyro_omega[k], dt, noise, cfg.md_mode)
                      if kind == "eqf" else iekf_propagate(state, gyro_omega[k], dt, noise))
-        while mi < len(measurements) and measurements[mi].t <= gyro_t[k] + 1e-12:
-            group = [measurements[mi]]
-            mi += 1
-            while (mi < len(measurements)
-                   and measurements[mi].t - group[0].t <= STACK_TIME_TOL):
-                group.append(measurements[mi])
-                mi += 1
+        while gi < len(groups) and groups[gi][0] == k:
+            group = groups[gi][1]
+            gi += 1
             state = (eqf_update(state, group, sensors, cfg.residual_mode)
                      if kind == "eqf" else iekf_update(state, group, sensors))
         estimates.append(state_from_group(state.xhat) if kind == "eqf" else state.xi)

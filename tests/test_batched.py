@@ -243,7 +243,9 @@ def test_batched_output_matrix_matches_compute_c0(n):
     for used in (sensors, sensors[::-1], sensors[:1]):
         refs = rng.normal(size=(5, len(used), 3))
         refs /= np.linalg.norm(refs, axis=-1, keepdims=True)
-        h = runner._output_matrix(used, refs, n)
+        cal_col = np.array([6 + 3 * s.cal_index if s.calibrated else 0 for s in used])
+        h = runner._output_matrix(np.tile(cal_col, len(refs)), refs.reshape(-1, 3), n)
+        h = h.reshape(len(refs), 3 * len(used), -1)
         for r in range(len(refs)):
             np.testing.assert_allclose(h[r], compute_C0(used, refs[r], n), rtol=1e-13,
                                        atol=0.0)

@@ -20,7 +20,7 @@ def _start() -> FilterState:
 
 def test_closed_form_variant_is_the_filter_propagation():
     gyro = _bench_gyro(STEPS, DT, 0)
-    _, sigma = _timed_pass(_covariance_steps(DT, NOISE, N)["closed"], gyro, DT, _start())
+    sigma = _timed_pass(_covariance_steps(DT, NOISE, N)["closed"], gyro, DT, _start())[1].sigma
     fs = _start()
     for omega in gyro:
         fs = eqf_propagate(fs, omega, DT, NOISE)
@@ -29,7 +29,7 @@ def test_closed_form_variant_is_the_filter_propagation():
 
 def test_rk45_variant_matches_closed_form():
     gyro = _bench_gyro(STEPS, DT, 0)
-    _, closed = _timed_pass(_covariance_steps(DT, NOISE, N)["closed"], gyro, DT, _start())
+    closed = _timed_pass(_covariance_steps(DT, NOISE, N)["closed"], gyro, DT, _start())[1].sigma
     _, rk45 = _ode45_pass(gyro, DT, NOISE, _start())
     assert np.max(np.abs(rk45 - closed)) <= 1e-9 * np.max(np.abs(closed))
 
