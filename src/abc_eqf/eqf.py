@@ -1,5 +1,6 @@
 """Equivariant filter: lifted mean propagation, closed-form covariance
-discretization and the equivariant update.
+discretization and the equivariant update, and the kernels that carry out
+both filters' steps.
 
 The filter state is a symmetry-group element Xhat (initialized at the group
 identity) plus the error covariance Sigma in exponential coordinates around
@@ -10,6 +11,11 @@ omega0 = Ahat omega + ahat the origin input.  The mean step moves every
 factor by left multiplication with E, and E is also the rotation block of
 the transition matrix Phi, whose bias-to-attitude block is -dt J_l(v).
 
+Each step of both filters is written once, as a kernel on a stacked state
+(:class:`_State`) with or without a leading run axis: the driver
+(:func:`abc_eqf.runner.drive_batch`) runs it on a batch of runs,
+:func:`eqf_propagate`/:func:`eqf_update` (and iekf's) on one run.
+
 The state estimate itself is recovered as phi_Xhat(identity state), see
 :func:`abc_eqf.symmetry.state_from_group`.
 """
@@ -19,18 +25,22 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .lie import (
+    DegenerateError,
     _exp_coefficients,
+    _exp_entries,
     _jl_coefficients,
     _rodrigues,
+    _sdp_entries,
     exp_so3,
     project_to_so3,
     wedge,
 )
-from .symmetry import AlgebraElement, GroupElement, group_exp, group_identity, group_mul
+from .symmetry import GroupElement, group_identity
 
 logger = logging.getLogger(__name__)
 
@@ -197,17 +207,11 @@ def compute_C0(sensors: list[SensorModel], refs, n: int) -> np.ndarray:
     sensor, as rows of an array or as float triples.  For a calibrated sensor
     the reference skew wedge(d) appears in the attitude block and in its own
     calibration block; for an uncalibrated sensor only in the attitude block.
-    The entries are placed in one flat list and converted once.
+    This is the one-group case of :func:`_output_matrix`.
     """
-    dim = 6 + 3 * n
-    c = [0.0] * (3 * len(sensors) * dim)
-    for k, (sensor, (x, y, z)) in enumerate(zip(sensors, refs, strict=True)):
-        for j in (0, 6 + 3 * sensor.cal_index) if sensor.calibrated else (0,):
-            i = 3 * k * dim + j     # the block's top-left entry
-            c[i + 1], c[i + 2] = -z, y
-            c[i + dim], c[i + dim + 2] = z, -x
-            c[i + 2 * dim], c[i + 2 * dim + 1] = -y, x
-    return np.array(c, dtype=float).reshape(3 * len(sensors), dim)
+    index = _output_index(np.array([_sensor_key(s)[0] for s in sensors], dtype=np.intp), n)
+    h = _output_matrix(index, np.asarray(refs, dtype=float).reshape(len(sensors), 3))
+    return h.reshape(3 * len(sensors), 6 + 3 * n)
 
 
 def compute_phi(omega0: np.ndarray, dt: float, n: int) -> np.ndarray:
@@ -270,19 +274,19 @@ def phi_and_md(omega0: np.ndarray, dt: float, noise: NoiseConfig, n: int,
                md_mode: str = MD_ANALYTIC) -> tuple[np.ndarray, np.ndarray]:
     """Transition matrix exp(A0 dt) and discrete process noise of one step.
 
-    The only implementation of both formulas.  With v = omega0 dt, every
-    rotation block of Phi is E = exp(v) and the bias-to-attitude block is
-    -dt J_l(v), both from lie's Rodrigues coefficients of |v|: the same
-    scalars in the same order as the exponential of :func:`propagate_mean`,
-    so Phi's rotation blocks are bit-equal to the E that moves the mean.  Md
-    has its own coefficients.  This is the hot path of the propagation loop,
-    so the nonzero entries are computed as scalars by :func:`_phi_md_values`
-    and both matrices are gathered from them with one cached index.
+    The one-run case of :func:`_eqf_transition`, the only implementation
+    of both formulas.  With v = omega0 dt, every rotation block of Phi is
+    E = exp(v) and the bias-to-attitude block is -dt J_l(v), both from lie's
+    Rodrigues coefficients of |v|: the same scalars in the same order as the
+    exponential of :func:`propagate_mean`, so Phi's rotation blocks are
+    bit-equal to the E that moves the mean.  Md has its own coefficients.
+    This is the hot path of the propagation loop, so the nonzero entries are
+    computed as scalars by :func:`_phi_md_values` and both matrices are
+    gathered from them with one cached index.
     """
     if dt <= 0.0:
         raise NonPositiveDtError("dt must be positive")
-    idx = _gather_index(6 + 3 * n, md_mode)
-    phi, md = np.array(_phi_md_values(*omega0.tolist(), dt, noise))[idx]
+    _, phi, md = _eqf_transition(omega0, dt, noise, _gather_index(6 + 3 * n, md_mode))
     return phi, md
 
 
@@ -341,11 +345,6 @@ def sigma_u(noise: NoiseConfig, n: int) -> np.ndarray:
                    + [noise.sigma_kappa ** 2] * 3 * n)
 
 
-def _reproject(x: GroupElement) -> GroupElement:
-    return GroupElement(project_to_so3(x.A), x.a.copy(),
-                        [project_to_so3(b) for b in x.B])
-
-
 def propagate_mean(x: GroupElement, omega: np.ndarray, dt: float
                    ) -> tuple[GroupElement, np.ndarray]:
     """Lie-group integration of the lifted mean over one gyro interval.
@@ -387,41 +386,17 @@ def _check_step(omega: np.ndarray, dt: float, t: float) -> float:
     return dt
 
 
-def eqf_propagate(fs: FilterState, omega: np.ndarray, dt: float,
-                  noise: NoiseConfig, md_mode: str = MD_ANALYTIC) -> FilterState:
-    """One gyro step: Lie-group mean integration plus discrete Riccati update."""
-    dt = _check_step(omega, dt, fs.t)
-    x = fs.xhat
-    omega0 = x.A.dot(omega) + x.a
-    phi, md = phi_and_md(omega0, dt, noise, x.n, md_mode)
-    # Phi's bias block is E = exp(omega0 dt), the factor that moves the mean
-    # (see propagate_mean)
-    e = phi[3:6, 3:6]
-    xhat = GroupElement(e.dot(x.A), e.dot(x.a), [e.dot(b) for b in x.B])
-    sigma = phi.dot(fs.sigma).dot(phi.T) + md
-    sigma = 0.5 * (sigma + sigma.T)
-
-    steps = fs.steps + 1
-    if steps % REPROJECT_EVERY == 0:
-        xhat = _reproject(xhat)
-    return FilterState(xhat, sigma, fs.t + dt, steps)
-
-
 def _measured_sensors(meas: list[DirectionMeasurement], sensors: list[SensorModel],
-                      t: float) -> tuple[list[SensorModel], list[list[float]], list[float]]:
-    """Sensor, reference direction (a float triple) and output noise
-    variances of each measurement, the variance sigma_y^2 once per row.
+                      t: float) -> tuple[list[SensorModel], list[list[float]]]:
+    """Sensor and reference direction (a float triple) of each measurement.
 
-    Each direction noise is isotropic, so the output-noise adaptation of
-    either filter, a rotation of each 3-block, returns sigma_y^2 I unchanged
-    and is not applied.  A measurement stamped more than MEASUREMENT_SLACK
-    after t raises ValueError, one from a sensor missing from sensors
-    UnknownSensorError, a non-unit direction or arriving reference
-    InputRangeError; a sensor list that never went through
-    :func:`validate_layout` is validated here.
+    A measurement stamped more than MEASUREMENT_SLACK after t raises
+    ValueError, one from a sensor missing from sensors UnknownSensorError, a
+    non-unit direction or arriving reference InputRangeError; a sensor list
+    that never went through :func:`validate_layout` is validated here.
     """
     by_id = {s.sensor_id: s for s in sensors}
-    used, refs, var = [], [], []
+    used, refs = [], []
     for m in meas:
         if m.t > t + MEASUREMENT_SLACK:
             raise ValueError(f"measurement at t={m.t} is ahead of the filter time {t}")
@@ -443,9 +418,7 @@ def _measured_sensors(meas: list[DirectionMeasurement], sensors: list[SensorMode
                 f"reference is not a unit vector (filter time t={t})")
         used.append(sensor)
         refs.append(ref)
-        v = sensor.sigma_y ** 2
-        var += (v, v, v)
-    return used, refs, var
+    return used, refs
 
 
 # Bound on tr S / min var under which _kalman accepts S without eigvalsh.
@@ -500,12 +473,12 @@ def _kalman(sigma: np.ndarray, h: np.ndarray, residual: np.ndarray, var, bound: 
     whole stack, then, when that fails, row by row; every S it does not
     accept goes through the eigenvalue rule unchanged.
 
-    On 2-D inputs the products use np.dot, the same BLAS call as np.matmul
-    at about half its dispatch cost on matrices this small; S's entries are
-    summed as Python floats, and K r is one matrix-vector dot.
+    On 2-D inputs the products use ndarray.dot, the same BLAS call as
+    np.matmul at about half its dispatch cost on matrices this small; S's
+    entries are summed as Python floats, and K r is one matrix-vector dot.
     """
     single = sigma.ndim == 2
-    dot = np.dot if single else np.matmul
+    dot = np.ndarray.dot if single else np.matmul
     sht = dot(sigma, h.mT)
     s = dot(h, sht)
     m = s.shape[-1]
@@ -537,39 +510,225 @@ def _kalman(sigma: np.ndarray, h: np.ndarray, residual: np.ndarray, var, bound: 
     return keep, correction, 0.5 * (sigma + sigma.mT)
 
 
+# ---------------------------------------------------------------------------
+# Kernels: each step once, for the 2-D arrays of one run or a stack of runs
+
+
+@dataclass
+class Bucket:
+    """One stacked update: the runs whose group at one step and slot comes
+    from the same sensors in the same order, or a library update's group."""
+
+    rows: np.ndarray | None     # (Rb,) rows of the batch, ascending; None for one run
+    sel: np.ndarray | slice     # rows, or slice(None) when it holds every row
+    names: np.ndarray | tuple   # (Rb,) the names of the runs in rows, for messages
+    factor: np.ndarray          # (m,) rotation factor of each sensor: 0, or 1 + cal index
+    cal_cols: list[int]         # first column of each measured calibration block
+    var: np.ndarray             # (3m,) sigma_y^2 of each row
+    bound: float                # trace certificate's bound on tr S, NaN if a var is not > 0
+    y: np.ndarray               # ([Rb,] m, 3) measured directions
+    refs: np.ndarray            # ([Rb,] m, 3) reference directions
+    h: np.ndarray               # ([Rb,] 3m, d) compute_C0 of each run
+
+
+def _sensor_key(s: SensorModel) -> tuple[int, float]:
+    """A sensor's rotation factor (0, or 1 + cal index) and its sigma_y."""
+    return (1 + s.cal_index if s.calibrated else 0), s.sigma_y
+
+
+@lru_cache(maxsize=256)
+def _layout(keys: tuple[tuple[int, float], ...], n: int) -> tuple:
+    """The Bucket fields factor, cal_cols, var and bound of a group of
+    sensors with the _sensor_key keys, then its _output_index; cached, with
+    read-only arrays.  The direction noise is isotropic, so either filter's
+    output-noise rotation returns sigma_y^2 I unchanged and is not applied."""
+    factor = np.array([f for f, _ in keys], dtype=np.intp)
+    var = [sigma_y ** 2 for _, sigma_y in keys for _ in range(3)]
+    out = (factor, sorted({3 + 3 * f for f in factor.tolist() if f}), np.array(var),
+           _trace_bound(var), _output_index(factor, n))
+    for a in out[0], out[2], out[4]:
+        a.flags.writeable = False
+    return out
+
+
+_WEDGE_INDEX = np.array([[0, 6, 2], [3, 0, 4], [5, 1, 0]])   # into (0, x, y, z, -x, -y, -z)
+_C0_INDEX: dict[int, np.ndarray] = {}
+
+
+def _output_index(factor: np.ndarray, n: int) -> np.ndarray:
+    """The index of :func:`_output_matrix` for measurements by sensors with
+    rotation factors factor: wedge of each reference in the attitude
+    columns and, for a calibrated sensor, in its calibration columns."""
+    table = _C0_INDEX.get(n)
+    if table is None:
+        table = _C0_INDEX[n] = np.zeros((n + 1, 3, 6 + 3 * n), dtype=np.intp)
+        table[:, :, 0:3] = _WEDGE_INDEX
+        for f in range(1, n + 1):
+            table[f, :, 3 + 3 * f:6 + 3 * f] = _WEDGE_INDEX
+    return table[factor] + 7 * np.arange(len(factor))[:, None, None]
+
+
+def _output_matrix(index: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """The one builder of output blocks (M, 3, 6 + 3n), for a whole log and
+    for one group alike: references refs (M, 3) gathered by their index."""
+    return np.concatenate((np.zeros((len(refs), 1)), refs, -refs), axis=1).ravel()[index]
+
+
+def _group_bucket(meas: list[DirectionMeasurement], used: list[SensorModel],
+                  refs: list[list[float]], n: int) -> Bucket:
+    """The Bucket of a library update of the group meas, by the sensors used
+    with references refs (:func:`_measured_sensors`), as one 2-D run."""
+    refs = np.array(refs)
+    *layout, index = _layout(tuple(map(_sensor_key, used)), n)
+    return Bucket(None, slice(None), ("",), *layout, np.array([m.y for m in meas]), refs,
+                  _output_matrix(index, refs).reshape(3 * len(used), 6 + 3 * n))
+
+
+@dataclass
+class _State:
+    """Stacked filter state: rotation factors f ([R,] 1 + n, 3, 3), vector v
+    ([R,] 3) and sigma ([R,] d, d), with no run axis R for one run.  EqF:
+    f = (Ahat, Bhat_i), v = ahat; IEKF: f = (Rhat, Chat_i), v = bhat."""
+
+    f: np.ndarray
+    v: np.ndarray
+    sigma: np.ndarray
+
+    def take(self, sel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows sel of f, v and sigma; a slice (every row) gives the arrays."""
+        if isinstance(sel, slice):
+            return self.f, self.v, self.sigma
+        return self.f[sel], self.v[sel], self.sigma[sel]
+
+    def put(self, sel, f: np.ndarray, v: np.ndarray, sigma: np.ndarray) -> None:
+        """Store the updated rows sel; a slice (every row) rebinds the arrays."""
+        if isinstance(sel, slice):
+            self.f, self.v, self.sigma = f, v, sigma
+        else:
+            self.f[sel], self.v[sel], self.sigma[sel] = f, v, sigma
+
+
+def _stacked(rot: np.ndarray, v: np.ndarray, factors: list[np.ndarray], sigma: np.ndarray):
+    """One run's state: rot and the factors copied into one stack."""
+    return _State(np.array([rot, *factors]), v, sigma)
+
+
+def _unstacked(st: _State) -> tuple:
+    """(rotation, vector, factors) of one run's state, views of its stack."""
+    return st.f[0], st.v, [st.f[i] for i in range(1, len(st.f))]
+
+
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a x for matrices a (..., i, j) and vectors x (..., j)."""
+    return a.dot(x) if a.ndim == 2 else (a @ x[..., None])[..., 0]
+
+
+def _reproject(f: np.ndarray, names=("",)) -> np.ndarray:
+    """project_to_so3 of every factor f ([R,] 1 + n, 3, 3), naming the first
+    run (by names) with a degenerate factor."""
+    try:
+        return project_to_so3(f)
+    except DegenerateError as exc:
+        bad = (np.linalg.det(f) <= 1e-12).reshape(len(names), -1).any(axis=1)
+        raise DegenerateError(f"{names[np.argmax(bad)]}{exc}") from None
+
+
+def _eqf_transition(omega0: np.ndarray, dt: float, noise: NoiseConfig, idx: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Phi's bias block E = exp(omega0 dt) ([R,] 3, 3), Phi and Md ([R,] d, d)
+    for origin inputs omega0 ([R,] 3), gathered with _gather_index's idx."""
+    if omega0.ndim == 1:
+        phi_md = np.array(_phi_md_values(*omega0.tolist(), dt, noise))[idx]
+    else:
+        phi_md = np.array([_phi_md_values(x, y, z, dt, noise)
+                           for x, y, z in omega0.tolist()]).take(idx, axis=-1)
+    phi, md = phi_md.swapaxes(0, -3)
+    return phi[..., 3:6, 3:6], phi, md
+
+
+def _eqf_propagate(st: _State, omega: np.ndarray, dt: float, noise: NoiseConfig,
+                   idx: np.ndarray) -> None:
+    """The EqF gyro step of every run, less the re-projection: every factor
+    and ahat move by E (see :func:`propagate_mean`), Sigma by Phi and Md."""
+    dot = np.ndarray.dot if st.sigma.ndim == 2 else np.matmul
+    e, phi, md = _eqf_transition(_matvec(st.f[..., 0, :, :], omega) + st.v, dt, noise, idx)
+    st.f = e[..., None, :, :] @ st.f
+    st.v = _matvec(e, st.v)
+    sigma = dot(dot(phi, st.sigma), phi.mT) + md
+    st.sigma = 0.5 * (sigma + sigma.mT)
+
+
+def _subtracts(residual_mode: str) -> bool:
+    """Whether residual_mode subtracts the reference; ValueError if unknown."""
+    if residual_mode not in (RESIDUAL_SUBTRACT, RESIDUAL_LITERAL):
+        raise ValueError(f"unknown residual mode: {residual_mode!r}")
+    return residual_mode == RESIDUAL_SUBTRACT
+
+
+def _eqf_update(st: _State, b: Bucket, t: float, subtract: bool) -> None:
+    """The EqF update of the bucket's runs: the residual of y is Bhat_i y
+    (calibrated sensor) or Ahat y, less the reference if subtract is set,
+    and _kalman's correction r enters as Xhat+ = exp(Delta) Xhat, with
+    Delta = (r_att, -r_bias; r_cal_i + r_att) from the exponential chart at
+    the origin.  Runs whose update _kalman skips keep their state."""
+    sel = b.sel
+    f, v, sigma = st.take(sel)
+    residual = _matvec(f[..., b.factor, :, :], b.y)
+    if subtract:
+        residual -= b.refs
+    keep, r, sigma = _kalman(sigma, b.h, residual.reshape(b.h.shape[:-1]), b.var, b.bound, t,
+                             b.names)
+    if keep is not None:
+        if r is None:
+            return
+        sel, f, v = b.rows[keep], f[keep], v[keep]
+    # per run, the entries of exp(Delta): nav rotation, calibrations, nav vector
+    d = r.shape[-1]
+    rows = []
+    for x, y, z, *rest in r.reshape(-1, d).tolist():
+        nav = _sdp_entries(x, y, z, -rest[0], -rest[1], -rest[2])
+        row = nav[:9]
+        for j in range(3, d - 3, 3):
+            row += _exp_entries(rest[j] + x, rest[j + 1] + y, rest[j + 2] + z)
+        rows.append(row + nav[9:])
+    vals = np.array(rows)
+    g = vals[:, :-3].reshape(f.shape)
+    st.put(sel, g @ f, vals[:, -3:].reshape(v.shape) + _matvec(g[..., 0, :, :], v), sigma)
+
+
+# ---------------------------------------------------------------------------
+# Library steps: the kernels on one run, so a step returns a new state and
+# writes no array of its input state (the two may share arrays)
+
+
+def eqf_propagate(fs: FilterState, omega: np.ndarray, dt: float,
+                  noise: NoiseConfig, md_mode: str = MD_ANALYTIC) -> FilterState:
+    """One gyro step: Lie-group mean integration plus discrete Riccati update,
+    then the re-projection on every REPROJECT_EVERY-th step."""
+    dt = _check_step(omega, dt, fs.t)
+    x = fs.xhat
+    st = _stacked(x.A, x.a, x.B, fs.sigma)
+    _eqf_propagate(st, omega, dt, noise, _gather_index(6 + 3 * x.n, md_mode))
+    steps = fs.steps + 1
+    if steps % REPROJECT_EVERY == 0:
+        st.f = _reproject(st.f)
+    return FilterState(GroupElement(*_unstacked(st)), st.sigma, fs.t + dt, steps)
+
+
 def eqf_update(fs: FilterState, meas: list[DirectionMeasurement],
                sensors: list[SensorModel], residual_mode: str = RESIDUAL_SUBTRACT
                ) -> FilterState:
-    """Equivariant update from one or more simultaneous direction measurements.
-
-    The equivariant residual of measurement y is Bhat_i y (calibrated sensor)
-    or Ahat y; in the default residual mode the reference direction is
-    subtracted so a perfect measurement leaves the state unchanged.  The
-    correction r from :func:`_kalman`, the Kalman step of every update path,
-    here on 2-D arrays, enters as Xhat+ = exp(Delta) Xhat through
-    :func:`group_exp` and :func:`group_mul`, with Delta from the exponential
-    chart at the identity origin: nav part (r_att, -r_bias), calibration i
-    r_cal_i + r_att.  When _kalman skips the update (a bad S), the input
-    state is returned.
-    """
+    """Equivariant update from one or more simultaneous direction
+    measurements; in the default residual mode a perfect measurement leaves
+    the state unchanged.  A skipped update (a bad S, see :func:`_kalman`)
+    returns the input state."""
     if not meas:
         return fs
+    used, refs = _measured_sensors(meas, sensors, fs.t)
+    subtract = _subtracts(residual_mode)
     x = fs.xhat
-    used, refs, var = _measured_sensors(meas, sensors, fs.t)
-    rots = [x.B[s.cal_index] if s.calibrated else x.A for s in used]
-    if len(meas) == 1:
-        residual = rots[0].dot(meas[0].y)
-        flat_refs = refs[0]
-    else:
-        residual = np.concatenate([rot.dot(m.y) for rot, m in zip(rots, meas)])
-        flat_refs = [c for ref in refs for c in ref]
-    if residual_mode == RESIDUAL_SUBTRACT:
-        residual -= flat_refs
-    elif residual_mode != RESIDUAL_LITERAL:
-        raise ValueError(f"unknown residual mode: {residual_mode!r}")
-    keep, r, sigma = _kalman(fs.sigma, compute_C0(used, refs, x.n), residual, var,
-                             _trace_bound(var), fs.t)
-    if keep is not None:
+    st = _stacked(x.A, x.a, x.B, fs.sigma)
+    _eqf_update(st, _group_bucket(meas, used, refs, x.n), fs.t, subtract)
+    if st.sigma is fs.sigma:       # skipped: the kernel stored nothing
         return fs
-    delta = AlgebraElement(r[0:3], -r[3:6], r[6:].reshape(-1, 3) + r[0:3])
-    return FilterState(group_mul(group_exp(delta), x), sigma, fs.t, fs.steps)
+    return FilterState(GroupElement(*_unstacked(st)), st.sigma, fs.t, fs.steps)

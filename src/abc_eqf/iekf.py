@@ -4,7 +4,8 @@ equivariant filter for head-to-head comparison.
 
 The error state is ordered (att, bias, cal_1, .., cal_n) like the EqF
 covariance.  The mean step is the exact flow :func:`system_flow`; the state
-transition matrix I + F dt is exact because F is nilpotent (F^2 = 0).
+transition matrix I + F dt is exact because F is nilpotent (F^2 = 0).  Each
+step is a kernel on eqf's stacked state, as the EqF's are.
 
 Every noise source is isotropic, so the rotations that map it into the
 invariant error return it unchanged and are not applied; only the initial
@@ -20,19 +21,24 @@ import numpy as np
 
 from .eqf import (
     REPROJECT_EVERY,
+    Bucket,
     DirectionMeasurement,
     NoiseConfig,
     SensorModel,
     _check_sigma0,
     _check_step,
+    _group_bucket,
     _kalman,
+    _matvec,
     _measured_sensors,
-    _trace_bound,
-    compute_C0,
+    _reproject,
+    _stacked,
+    _State,
+    _unstacked,
     sigma_u,
 )
-from .lie import exp_so3, project_to_so3
-from .symmetry import SystemState, system_flow
+from .lie import _exp_entries, exp_so3
+from .symmetry import SystemState
 
 
 @dataclass
@@ -68,57 +74,79 @@ def _propagation_constants(sigma_w: float, sigma_bw: float, sigma_kappa: float,
     return s_u, eye
 
 
+def _iekf_propagate(st: _State, omega: np.ndarray, dt: float, s_u: np.ndarray,
+                    phi: np.ndarray) -> None:
+    """The IEKF gyro step of every run, less the re-projection; phi is a
+    ([R,] d, d) identity whose bias-to-attitude block it overwrites."""
+    dot = np.ndarray.dot if st.sigma.ndim == 2 else np.matmul
+    rot = st.f[..., 0, :, :]
+    phi[..., 0:3, 3:6] = -rot * dt
+    sigma = dot(dot(phi, st.sigma), phi.mT) + s_u * dt
+    st.sigma = 0.5 * (sigma + sigma.mT)
+    st.f[..., 0, :, :] = dot(rot, exp_so3((omega - st.v) * dt))
+
+
+def _iekf_update(st: _State, b: Bucket, t: float) -> None:
+    """The IEKF update of the bucket's runs.
+
+    The output matrix is the bucket's h with every measured calibration
+    column block right-multiplied by Rhat (the right-invariant error
+    convention), and the residual Rhat Chat_i y - d (calibrated sensor) or
+    Rhat y - d.  _kalman's correction r maps to R <- exp(r_att) Rhat,
+    b <- bhat + r_bias, C_i <- exp(r_cal_i) Chat_i; runs whose update it
+    skips keep their state.
+    """
+    sel = b.sel
+    f, v, sigma = st.take(sel)
+    rot = f[..., 0, :, :]
+    prods = rot[..., None, :, :] @ f      # R C_i; the first, R R, is replaced by R
+    prods[..., 0, :, :] = rot
+    residual = _matvec(prods[..., b.factor, :, :], b.y) - b.refs
+    h = b.h.copy()
+    dot = np.ndarray.dot if h.ndim == 2 else np.matmul
+    for j in b.cal_cols:
+        h[..., j:j + 3] = dot(h[..., j:j + 3], rot)
+    keep, r, sigma = _kalman(sigma, h, residual.reshape(h.shape[:-1]), b.var, b.bound, t,
+                             b.names)
+    if keep is not None:
+        if r is None:
+            return
+        sel, f, v = b.rows[keep], f[keep], v[keep]
+    d = r.shape[-1]
+    rows = []                             # per run, exp(r_att) and each exp(r_cal_i)
+    for row in r.reshape(-1, d).tolist():
+        entries = _exp_entries(*row[0:3])
+        for j in range(6, d, 3):
+            entries += _exp_entries(*row[j:j + 3])
+        rows.append(entries)
+    st.put(sel, np.array(rows).reshape(f.shape) @ f, v + r[..., 3:6], sigma)
+
+
 def iekf_propagate(s: IekfState, omega: np.ndarray, dt: float,
                    noise: NoiseConfig) -> IekfState:
-    """One gyro step: exact mean flow and first-order covariance update."""
+    """One gyro step: exact mean flow and first-order covariance update, then
+    the re-projection on every REPROJECT_EVERY-th step."""
     dt = _check_step(omega, dt, s.t)
-    s_u, eye = _propagation_constants(noise.sigma_w, noise.sigma_bw, noise.sigma_kappa,
-                                      s.xi.n)
-    phi = eye.copy()
-    phi[0:3, 3:6] = -s.xi.R * dt
-    sigma = phi @ s.sigma @ phi.T + s_u * dt
-    sigma = 0.5 * (sigma + sigma.T)
-
-    xi = system_flow(s.xi, omega, dt)
+    xi = s.xi
+    s_u, eye = _propagation_constants(noise.sigma_w, noise.sigma_bw, noise.sigma_kappa, xi.n)
+    st = _stacked(xi.R, xi.b, xi.C, s.sigma)
+    _iekf_propagate(st, omega, dt, s_u, eye.copy())
     steps = s.steps + 1
     if steps % REPROJECT_EVERY == 0:
-        xi = SystemState(project_to_so3(xi.R), xi.b, [project_to_so3(c) for c in xi.C])
-    return IekfState(xi, sigma, s.t + dt, steps)
+        st.f = _reproject(st.f)
+    return IekfState(SystemState(*_unstacked(st)), st.sigma, s.t + dt, steps)
 
 
 def iekf_update(s: IekfState, meas: list[DirectionMeasurement],
                 sensors: list[SensorModel]) -> IekfState:
-    """Update from one or more simultaneous direction measurements.
-
-    The output matrix is :func:`compute_C0` with every calibration column
-    block right-multiplied by Rhat: rows [d^ 0 d^ Rhat] for a calibrated
-    sensor (the extra Rhat comes from the right-invariant error convention),
-    [d^ 0 0] for an uncalibrated one.  Only the blocks of the measured
-    calibrated sensors are multiplied; the others are zero.  The residual of
-    sensor i is Rhat Chat_i y - d (calibrated) or Rhat y - d.  The correction
-    r from :func:`eqf._kalman`, the Kalman step every update path shares,
-    called here on 2-D arrays, maps to R <- exp(r_att) Rhat,
-    b <- bhat + r_bias, C_i <- exp(r_cal_i) Chat_i; when _kalman skips the
-    update by its rule on S, the input state is returned.
-    """
+    """Update from one or more simultaneous direction measurements; a skipped
+    update (a bad S, see :func:`eqf._kalman`) returns the input state."""
     if not meas:
         return s
     xi = s.xi
-    used, refs, var = _measured_sensors(meas, sensors, s.t)
-    h = compute_C0(used, refs, xi.n)
-    for j in {6 + 3 * u.cal_index for u in used if u.calibrated}:
-        h[:, j:j + 3] = h[:, j:j + 3].dot(xi.R)
-    rots = [xi.R.dot(xi.C[u.cal_index]) if u.calibrated else xi.R for u in used]
-    if len(meas) == 1:
-        residual = rots[0].dot(meas[0].y)
-        residual -= refs[0]
-    else:
-        residual = np.concatenate([rot.dot(m.y) for rot, m in zip(rots, meas)])
-        residual -= [c for ref in refs for c in ref]
-    keep, delta, sigma = _kalman(s.sigma, h, residual, var, _trace_bound(var), s.t)
-    if keep is not None:
+    used, refs = _measured_sensors(meas, sensors, s.t)
+    st = _stacked(xi.R, xi.b, xi.C, s.sigma)
+    _iekf_update(st, _group_bucket(meas, used, refs, xi.n), s.t)
+    if st.sigma is s.sigma:        # skipped: the kernel stored nothing
         return s
-    r_new = exp_so3(delta[0:3]).dot(xi.R)
-    b_new = xi.b + delta[3:6]
-    c_new = [e.dot(c) for e, c in zip(exp_so3(delta[6:].reshape(-1, 3)), xi.C)]
-    return IekfState(SystemState(r_new, b_new, c_new), sigma, s.t, s.steps)
+    return IekfState(SystemState(*_unstacked(st)), st.sigma, s.t, s.steps)

@@ -7,7 +7,7 @@ campaign slice as a batch of many.  Run r is row r of stacked arrays:
 ([R,] 1 + n, 3, 3) rotation factors, ([R,] 3) vectors and ([R,] d, d)
 covariances, and every step propagates all runs with one set of numpy
 calls.  A batch of one run has no run axis R: the same kernels then
-multiply with 2-D np.dot, at half a stacked matmul's cost, and the same bits.
+multiply with 2-D ndarray.dot, at half a stacked matmul's cost, and the same bits.
 
 The loop propagates on every gyro sample and applies direction measurements
 sequentially at their own timestamps (:func:`tick_groups`); measurements
@@ -19,16 +19,12 @@ measures the same sensors form one bucket, gathered, updated as a stack and
 scattered back.  Dropout, jitter and missing GNSS rows only change which
 runs sit in which bucket.
 
-The formulas are the library filters' own.  The per-run scalar entries of
-Phi, Md and of every exponential come from the functions the library path
-uses (:func:`eqf._phi_md_values`, :func:`lie._exp_entries`,
-:func:`lie._sdp_entries`); the output matrix has :func:`eqf.compute_C0`'s
-entries; the covariance products are the same matrix products over a
-stack, and each bucket's Kalman step is :func:`eqf._kalman`, the one the
-library updates call on 2-D arrays.  No step mixes numbers of two runs, so
-a run's estimates do not depend on the other runs of its batch, and they
-agree with the library per-step loop (eqf_propagate/eqf_update, iekf_*) to
-rounding.
+The steps are the filters' own kernels (:func:`eqf._eqf_propagate`,
+:func:`eqf._eqf_update`, :func:`iekf._iekf_propagate`,
+:func:`iekf._iekf_update` and :func:`eqf._reproject`), the ones the library
+steps (eqf_propagate/eqf_update, iekf_*) call for one run, so a single log
+gives the library loop's bits.  No step mixes numbers of two runs, so a
+run's estimates do not depend on the other runs of its batch.
 
 Every check of the library path is kept and names the run (a single log's
 messages name none): the gyro steps (:func:`eqf._check_step`'s rules) and
@@ -67,25 +63,29 @@ from .config import ConfigError, RunConfig, validate_config, with_seed
 from .eqf import (
     MEASUREMENT_SLACK,
     REPROJECT_EVERY,
-    RESIDUAL_LITERAL,
-    RESIDUAL_SUBTRACT,
     BadDimensionError,
+    Bucket,
     DirectionMeasurement,
     NoiseConfig,
     NonFiniteEstimateError,
     SensorModel,
     _check_sigma0,
     _check_step,
+    _eqf_propagate,
+    _eqf_update,
     _gather_index,
-    _kalman,
+    _layout,
     _MAX_STEP_TURN_SQ,
     _measured_sensors,
-    _phi_md_values,
-    _trace_bound,
+    _output_index,
+    _output_matrix,
+    _reproject,
+    _sensor_key,
+    _State,
+    _subtracts,
     validate_layout,
 )
-from .iekf import _propagation_constants
-from .lie import DegenerateError, _exp_entries, _sdp_entries, exp_so3, project_to_so3
+from .iekf import _iekf_propagate, _iekf_update, _propagation_constants
 from .metrics import (
     EstimateSeries,
     RmseReport,
@@ -192,24 +192,6 @@ def _groups(gyro_t: np.ndarray, t: np.ndarray, run: np.ndarray
 
 
 @dataclass
-class Bucket:
-    """One stacked update: the runs whose measurement group at one step and
-    slot comes from the same sensors, in the same order.  y, refs and h are
-    views of the schedule's whole-log arrays."""
-
-    rows: np.ndarray            # (Rb,) rows of the batch, ascending
-    sel: np.ndarray | slice     # rows, or slice(None) when it holds every row
-    names: np.ndarray           # (Rb,) the schedule's names of the runs in rows
-    factor: np.ndarray          # (m,) rotation factor of each sensor: 0, or 1 + cal index
-    cal_cols: list[int]         # first column of each measured calibration block
-    var: np.ndarray             # (3m,) sigma_y^2 of each row
-    bound: float                # trace certificate's bound on tr S, NaN if a var is not > 0
-    y: np.ndarray               # ([Rb,] m, 3) measured directions
-    refs: np.ndarray            # ([Rb,] m, 3) reference directions
-    h: np.ndarray               # ([Rb,] 3m, d) compute_C0 of each run
-
-
-@dataclass
 class Schedule:
     """The inputs of a batch, checked and arranged per gyro step."""
 
@@ -293,8 +275,8 @@ def build_schedule(cfg: RunConfig, gyro_ts: list[np.ndarray], omegas: list[np.nd
                               np.concatenate([log.y for log in logs])[meas],
                               np.concatenate([log.reference for log in logs])[meas],
                               t[m_step], names[m_run])
-    cal_col = np.array([6 + 3 * s.cal_index if s.calibrated else 0 for s in configured])
-    h = _output_matrix(cal_col[m_sensor], refs, cfg.n_cal)
+    factor = np.array([_sensor_key(s)[0] for s in configured], dtype=np.intp)
+    h = _output_matrix(_output_index(factor[m_sensor], cfg.n_cal), refs)
 
     layouts: dict[int, tuple] = {}
     updates: list = [()] * k_total
@@ -308,7 +290,8 @@ def build_schedule(cfg: RunConfig, gyro_ts: list[np.ndarray], omegas: list[np.nd
         rows = m_run[m0:m1:width]
         layout = layouts.get(key)
         if layout is None:
-            layout = layouts[key] = _layout([configured[i] for i in m_sensor[m0:m0 + width]])
+            keys = tuple(_sensor_key(configured[i]) for i in m_sensor[m0:m0 + width].tolist())
+            layout = layouts[key] = _layout(keys, cfg.n_cal)[:4]
         if not updates[k]:
             updates[k] = []
         sel = slice(None) if count == runs else rows
@@ -400,155 +383,6 @@ def _near_unit(v: np.ndarray) -> np.ndarray:
         return np.abs(np.sqrt((v * v).sum(axis=-1)) - 1.0) <= 0.5e-6
 
 
-def _layout(sensors: list[SensorModel]) -> tuple:
-    """The Bucket fields factor, cal_cols, var and bound of a group
-    measuring sensors."""
-    factor = np.array([1 + s.cal_index if s.calibrated else 0 for s in sensors])
-    cal_cols = sorted({6 + 3 * s.cal_index for s in sensors if s.calibrated})
-    var = np.repeat([s.sigma_y ** 2 for s in sensors], 3)
-    return factor, cal_cols, var, _trace_bound(var)
-
-
-def _output_matrix(cal_col: np.ndarray, refs: np.ndarray, n: int) -> np.ndarray:
-    """compute_C0's rows (M, 3, 6 + 3n) of each measurement: reference
-    refs[i] (M, 3) of a sensor whose calibration block starts at column
-    cal_col[i], 0 for an uncalibrated sensor."""
-    x, y, z = refs[:, 0], refs[:, 1], refs[:, 2]
-    w = np.zeros(refs.shape + (3,))
-    w[:, 0, 1], w[:, 0, 2] = -z, y
-    w[:, 1, 0], w[:, 1, 2] = z, -x
-    w[:, 2, 0], w[:, 2, 1] = -y, x
-    h = np.zeros((len(refs), 3, 6 + 3 * n))
-    h[..., 0:3] = w
-    for j in np.unique(cal_col[cal_col > 0]).tolist():
-        h[cal_col == j, :, j:j + 3] = w[cal_col == j]
-    return h
-
-
-# ---------------------------------------------------------------------------
-# Stacked kernels
-
-
-def _eqf_transition(omega0: np.ndarray, dt: float, noise: NoiseConfig, idx: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Phi's bias block E = exp(omega0 dt) ([R,] 3, 3), Phi and Md ([R,] d, d)
-    of every run, gathered from _phi_md_values with phi_and_md's index."""
-    vals = np.array([_phi_md_values(x, y, z, dt, noise)
-                     for x, y, z in omega0.reshape(-1, 3).tolist()])
-    phi_md = vals.reshape(omega0.shape[:-1] + (-1,)).take(idx, axis=-1)
-    return phi_md[..., 0, 3:6, 3:6], phi_md[..., 0, :, :], phi_md[..., 1, :, :]
-
-
-def _reproject(f: np.ndarray, names: np.ndarray) -> np.ndarray:
-    """project_to_so3 of every factor ([R,] 1 + n, 3, 3), naming the first
-    run with a degenerate factor."""
-    try:
-        return project_to_so3(f)
-    except DegenerateError as exc:
-        bad = (np.linalg.det(f) <= 1e-12).reshape(len(names), -1).any(axis=1)
-        raise DegenerateError(f"{names[np.argmax(bad)]}{exc}") from None
-
-
-def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a x for matrices a (..., i, j) and vectors x (..., j)."""
-    return a.dot(x) if a.ndim == 2 else (a @ x[..., None])[..., 0]
-
-
-@dataclass
-class _State:
-    """Stacked filter state: rotation factors f ([R,] 1 + n, 3, 3), the
-    vector v ([R,] 3) and sigma ([R,] d, d), without the run axis R when the
-    batch holds one run.  EqF: f = (Ahat, Bhat_i), v = ahat; IEKF:
-    f = (Rhat, Chat_i), v = bhat."""
-
-    f: np.ndarray
-    v: np.ndarray
-    sigma: np.ndarray
-
-    def put(self, sel, f: np.ndarray, v: np.ndarray, sigma: np.ndarray) -> None:
-        """Store the updated rows sel; a slice (every row) rebinds the arrays."""
-        if isinstance(sel, slice):
-            self.f, self.v, self.sigma = f, v, sigma
-        else:
-            self.f[sel], self.v[sel], self.sigma[sel] = f, v, sigma
-
-
-def _eqf_propagate(st: _State, omega: np.ndarray, dt: float, noise: NoiseConfig,
-                   idx: np.ndarray) -> None:
-    """eqf_propagate of every run, without the re-projection."""
-    dot = np.dot if st.sigma.ndim == 2 else np.matmul
-    e, phi, md = _eqf_transition(_matvec(st.f[..., 0, :, :], omega) + st.v, dt, noise, idx)
-    st.f = e[..., None, :, :] @ st.f
-    st.v = _matvec(e, st.v)
-    sigma = dot(dot(phi, st.sigma), phi.mT) + md
-    st.sigma = 0.5 * (sigma + sigma.mT)
-
-
-def _eqf_update(st: _State, b: Bucket, t: float, subtract: bool) -> None:
-    """eqf_update of the bucket's runs."""
-    sel = b.sel
-    f, v = st.f[sel], st.v[sel]
-    residual = _matvec(f[..., b.factor, :, :], b.y)
-    if subtract:
-        residual -= b.refs
-    keep, r, sigma = _kalman(st.sigma[sel], b.h, residual.reshape(b.h.shape[:-1]), b.var,
-                             b.bound, t, b.names)
-    if keep is not None:
-        if r is None:
-            return
-        sel, f, v = b.rows[keep], f[keep], v[keep]
-    # Xhat+ = exp(Delta) Xhat, Delta = (r_att, -r_bias; r_cal_i + r_att); the
-    # entries of exp(Delta) per run: the nav rotation, each calibration
-    # rotation, then the nav vector
-    r = r.reshape(-1, r.shape[-1])
-    cal = r[:, 6:].reshape(len(r), -1, 3) + r[:, None, 0:3]
-    rows = []
-    for rot, vec, cals in zip(r[:, 0:3].tolist(), (-r[:, 3:6]).tolist(), cal.tolist()):
-        nav = _sdp_entries(*rot, *vec)
-        row = nav[:9]
-        for c in cals:
-            row += _exp_entries(*c)
-        rows.append(row + nav[9:])
-    vals = np.array(rows)
-    g = vals[:, :-3].reshape(f.shape)
-    st.put(sel, g @ f, vals[:, -3:].reshape(v.shape) + _matvec(g[..., 0, :, :], v), sigma)
-
-
-def _iekf_propagate(st: _State, omega: np.ndarray, dt: float, s_u: np.ndarray,
-                    phi: np.ndarray) -> None:
-    """iekf_propagate of every run, without the re-projection; phi is a
-    ([R,] d, d) identity whose bias-to-attitude block this step overwrites."""
-    dot = np.dot if st.sigma.ndim == 2 else np.matmul
-    rot = st.f[..., 0, :, :]
-    phi[..., 0:3, 3:6] = -rot * dt
-    sigma = dot(dot(phi, st.sigma), phi.mT) + s_u * dt
-    st.sigma = 0.5 * (sigma + sigma.mT)
-    st.f[..., 0, :, :] = dot(rot, exp_so3((omega - st.v) * dt))
-
-
-def _iekf_update(st: _State, b: Bucket, t: float) -> None:
-    """iekf_update of the bucket's runs."""
-    dot = np.dot if st.sigma.ndim == 2 else np.matmul
-    sel = b.sel
-    f = st.f[sel]
-    rot = f[..., 0, :, :]
-    prods = rot[..., None, :, :] @ f      # R C_i; the first, R R, is replaced by R
-    prods[..., 0, :, :] = rot
-    residual = _matvec(prods[..., b.factor, :, :], b.y) - b.refs
-    h = b.h.copy()
-    for j in b.cal_cols:
-        h[..., j:j + 3] = dot(h[..., j:j + 3], rot)
-    keep, r, sigma = _kalman(st.sigma[sel], h, residual.reshape(h.shape[:-1]), b.var, b.bound,
-                             t, b.names)
-    if keep is not None:
-        if r is None:
-            return
-        sel, f = b.rows[keep], f[keep]
-    # R <- exp(r_att) R, b <- b + r_bias, C_i <- exp(r_cal_i) C_i
-    rots = np.concatenate((r[..., 0:3], r[..., 6:]), axis=-1).reshape(-1, 3)
-    st.put(sel, exp_so3(rots).reshape(f.shape) @ f, st.v[sel] + r[..., 3:6], sigma)
-
-
 # ---------------------------------------------------------------------------
 # Driver
 
@@ -576,10 +410,8 @@ def drive_batch(kind: str, schedule: Schedule, cfg: RunConfig,
     # sigma0 leaves it as it is.
     sigma0 = _check_sigma0(initial_sigma(cfg), n)
     if kind == "eqf":
-        if cfg.residual_mode not in (RESIDUAL_SUBTRACT, RESIDUAL_LITERAL):
-            raise ValueError(f"unknown residual mode: {cfg.residual_mode!r}")
+        update, u_args = _eqf_update, (_subtracts(cfg.residual_mode),)
         propagate, p_args = _eqf_propagate, (noise, _gather_index(d, cfg.md_mode))
-        update, u_args = _eqf_update, (cfg.residual_mode == RESIDUAL_SUBTRACT,)
     else:
         s_u, eye = _propagation_constants(noise.sigma_w, noise.sigma_bw, noise.sigma_kappa, n)
         propagate, p_args = _iekf_propagate, (s_u, np.tile(eye, lead + (1, 1)))

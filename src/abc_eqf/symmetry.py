@@ -86,9 +86,9 @@ def _check_same_n(nx: int, ny: int) -> None:
 def group_mul(x: GroupElement, y: GroupElement) -> GroupElement:
     """Product x * y (left factor x), the 4x4 homogeneous product on the nav part.
 
-    The EqF update applies its correction as group_mul(group_exp(Delta), Xhat),
-    so the products use ndarray.dot, the same BLAS call as @ with less
-    dispatch cost.
+    The EqF update's correction is group_mul(group_exp(Delta), Xhat); the
+    filter's kernel (eqf._eqf_update) forms that product from scalar
+    exponential entries, and the tests check it against this function.
     """
     _check_same_n(x.n, y.n)
     return GroupElement(
@@ -105,8 +105,9 @@ def group_inv(x: GroupElement) -> GroupElement:
 
 def group_exp(u: AlgebraElement) -> GroupElement:
     """Group exponential, componentwise over the nav and calibration factors;
-    the EqF update's correction map.  The calibration factors are built as
-    one (n, 3, 3) stack and returned as views of it."""
+    the EqF update's correction map (see :func:`group_mul`).  The
+    calibration factors are built as one (n, 3, 3) stack and returned as
+    views of it."""
     rot, vec = exp_sdp(u.nav_rot, u.nav_vec)
     return GroupElement(rot, vec, list(exp_so3(np.asarray(u.cal).reshape(-1, 3))))
 

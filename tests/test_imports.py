@@ -1,6 +1,7 @@
 """The package's import structure: every import of one abc_eqf module by
 another sits at module level, the graph of those imports has no cycle, and
-config, at the bottom of it, imports no other module of the package."""
+config, at the bottom of it, imports no other module of the package.  And
+each filter step lives in its filter module: runner defines none."""
 
 import ast
 from pathlib import Path
@@ -80,3 +81,13 @@ def test_package_import_graph_is_acyclic():
 def test_config_imports_no_package_module():
     assert _module_level_imports("config") == set()
     assert not [node for node in ast.walk(_tree("config")) if _package_imports(node)]
+
+
+def test_runner_defines_no_filter_step():
+    """Each propagate, update, output-matrix and re-projection step is
+    written once, in eqf.py or iekf.py, and the driver calls it there."""
+    steps = ("propagate", "update", "output_matrix", "reproject")
+    found = [f"runner.py:{node.lineno} {node.name}" for node in ast.walk(_tree("runner"))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and any(step in node.name for step in steps)]
+    assert not found

@@ -2,10 +2,12 @@
 references: the certified skip test of the one Kalman step (eqf._kalman),
 which every update of the library and of the batch driver calls, against
 the eigenvalue-only rule, on plain 2-D inputs and on stacks, and eqf_update
-/ iekf_update against textbook updates written with wedge, np.diag and
-np.concatenate."""
+/ iekf_update against the textbook updates of reference_filters, written
+with wedge, np.diag and np.concatenate.  Every library step, which runs the
+kernels on a stacked copy of its input state, leaves that state as it was."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,40 +16,26 @@ from hypothesis import strategies as st
 
 from abc_eqf import eqf as eqf_module
 from abc_eqf.eqf import (
+    REPROJECT_EVERY,
     S_CONDITION_LIMIT,
     DirectionMeasurement,
     FilterState,
+    NoiseConfig,
     NonFiniteEstimateError,
     SensorModel,
     _kalman,
     _trace_bound,
     compute_C0,
+    eqf_propagate,
     eqf_update,
     validate_layout,
 )
-from abc_eqf.iekf import IekfState, iekf_update
+from abc_eqf.iekf import IekfState, iekf_propagate, iekf_update
 from abc_eqf.lie import exp_so3, wedge
 from abc_eqf.symmetry import AlgebraElement, SystemState, group_exp, group_mul
 
 from conftest import random_group_element, random_state
-
-
-def kalman_step_eigvalsh(sigma, h, var, residual):
-    """The Kalman step of one 2-D row with the eigenvalue rule alone, as it
-    was written before the trace certificate: NonFiniteEstimateError for a
-    non-finite S, None (a skip) unless S is positive definite with
-    cond(S) <= S_CONDITION_LIMIT, else (K r, sigma+)."""
-    sht = sigma @ h.T
-    s_mat = h @ sht + np.diag(var)
-    if not np.isfinite(s_mat).all():
-        raise NonFiniteEstimateError("S is not finite")
-    eig = np.linalg.eigvalsh(s_mat)
-    cond = eig[-1] / eig[0] if eig[0] > 0.0 else math.inf
-    if not cond <= S_CONDITION_LIMIT:
-        return None
-    gain = np.linalg.solve(s_mat, sht.T).T
-    sigma = sigma - gain @ h @ sigma
-    return gain @ residual, 0.5 * (sigma + sigma.T)
+from reference_filters import kalman_step_eigvalsh, reference_eqf_update, reference_iekf_update
 
 
 SIGMA_Y = [0.0, 1e-7, 1e-5, 1e-3, 0.1, 1.0]
@@ -165,55 +153,6 @@ def test_typical_update_needs_no_eigendecomposition(monkeypatch, rng):
 # eqf_update and iekf_update against textbook updates
 
 
-def reference_rows(meas, sensors, n):
-    """Per measurement: sensor, reference, and its 3 x (6+3n) output block
-    [d^ 0 .. d^ ..] built with wedge."""
-    by_id = {s.sensor_id: s for s in sensors}
-    out = []
-    for m in meas:
-        s = by_id[m.sensor_id]
-        ref = s.reference if s.reference is not None else m.reference
-        block = np.zeros((3, 6 + 3 * n))
-        block[:, 0:3] = wedge(ref)
-        if s.calibrated:
-            block[:, 6 + 3 * s.cal_index: 9 + 3 * s.cal_index] = wedge(ref)
-        out.append((s, ref, block))
-    return out
-
-
-def reference_eqf_update(fs, meas, sensors):
-    x = fs.xhat
-    rows = reference_rows(meas, sensors, x.n)
-    h = np.vstack([block for _, _, block in rows])
-    residual = np.concatenate([(x.B[s.cal_index] if s.calibrated else x.A) @ m.y - ref
-                               for m, (s, ref, _) in zip(meas, rows)])
-    var = np.concatenate([[s.sigma_y ** 2] * 3 for s, _, _ in rows])
-    step = kalman_step_eigvalsh(fs.sigma, h, var, residual)
-    if step is None:
-        return fs
-    r, sigma = step
-    delta = AlgebraElement(r[0:3], -r[3:6], [r[j:j + 3] + r[0:3] for j in range(6, r.size, 3)])
-    return FilterState(group_mul(group_exp(delta), x), sigma, fs.t, fs.steps)
-
-
-def reference_iekf_update(s, meas, sensors):
-    xi = s.xi
-    rows = reference_rows(meas, sensors, xi.n)
-    h = np.vstack([block for _, _, block in rows])
-    for j in range(6, h.shape[1], 3):
-        h[:, j:j + 3] = h[:, j:j + 3] @ xi.R
-    residual = np.concatenate([(xi.R @ xi.C[u.cal_index] if u.calibrated else xi.R) @ m.y - ref
-                               for m, (u, ref, _) in zip(meas, rows)])
-    var = np.concatenate([[u.sigma_y ** 2] * 3 for u, _, _ in rows])
-    step = kalman_step_eigvalsh(s.sigma, h, var, residual)
-    if step is None:
-        return s
-    d, sigma = step
-    r_new = exp_so3(d[0:3]) @ xi.R
-    c_new = [exp_so3(d[6 + 3 * i: 9 + 3 * i]) @ c for i, c in enumerate(xi.C)]
-    return IekfState(SystemState(r_new, xi.b + d[3:6], c_new), sigma, s.t, s.steps)
-
-
 def _unit(rng):
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
@@ -274,3 +213,52 @@ def test_iekf_update_equals_reference(rng, n):
         assert len(got.xi.C) == n
         for c_got, c_ref in zip(got.xi.C, ref.xi.C):
             assert np.array_equal(c_got, c_ref)
+
+
+# ---------------------------------------------------------------------------
+# Every library step leaves its input state untouched
+
+
+def _state_arrays(state):
+    """Copies of every array of a FilterState or IekfState."""
+    if isinstance(state, FilterState):
+        arrays = (state.xhat.A, state.xhat.a, *state.xhat.B)
+    else:
+        arrays = (state.xi.R, state.xi.b, *state.xi.C)
+    return [a.copy() for a in (*arrays, state.sigma)]
+
+
+@pytest.mark.parametrize("kind", ["eqf", "iekf"])
+def test_library_steps_leave_their_input_state_untouched(rng, kind):
+    """A propagation, one that re-projects, an applied update and a skipped
+    one (the sensor "sharp", with sigma_y 1e-7 against a unit covariance,
+    puts cond(S) near 1e14) each leave every array of their input state as
+    it was."""
+    n = 2
+    sensors = [SensorModel(f"mag{i}", True, 0.1, _unit(rng)) for i in range(n)]
+    sensors += [SensorModel("gnss", False, 0.2), SensorModel("sharp", False, 1e-7, _unit(rng))]
+    validate_layout(sensors)
+    if kind == "eqf":
+        state = FilterState(random_group_element(rng, n), _psd(rng, 6 + 3 * n), 0.0)
+        propagate, update = eqf_propagate, eqf_update
+    else:
+        state = IekfState(random_state(rng, n), _psd(rng, 6 + 3 * n), 0.0)
+        propagate, update = iekf_propagate, iekf_update
+    noise = NoiseConfig(8.73e-4, 1.75e-5, 1e-4)
+    omega = np.array([0.3, -0.2, 0.5])
+    meas = [DirectionMeasurement(0.0, "mag0", _unit(rng)),
+            DirectionMeasurement(0.0, "gnss", _unit(rng), _unit(rng))]
+    sharp = [DirectionMeasurement(0.0, "sharp", _unit(rng))]
+    reprojecting = replace(state, steps=REPROJECT_EVERY - 1)
+    unit_sigma = replace(state, sigma=np.eye(6 + 3 * n))
+    steps = [("propagate", state, lambda: propagate(state, omega, 0.005, noise)),
+             ("re-projection", reprojecting,
+              lambda: propagate(reprojecting, omega, 0.005, noise)),
+             ("update", state, lambda: update(state, meas, sensors)),
+             ("skipped update", unit_sigma, lambda: update(unit_sigma, sharp, sensors))]
+    for name, before, step in steps:
+        arrays = _state_arrays(before)
+        out = step()
+        assert (out is before) == (name == "skipped update"), name
+        for got, want in zip(_state_arrays(before), arrays, strict=True):
+            assert np.array_equal(got, want), name
