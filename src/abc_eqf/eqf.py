@@ -11,10 +11,9 @@ omega0 = Ahat omega + ahat the origin input.  The mean step moves every
 factor by left multiplication with E, and E is also the rotation block of
 the transition matrix Phi, whose bias-to-attitude block is -dt J_l(v).
 
-Each step of both filters is written once, as a kernel on a stacked state
-(:class:`_State`) with or without a leading run axis: the driver
-(:func:`abc_eqf.runner.drive_batch`) runs it on a batch of runs,
-:func:`eqf_propagate`/:func:`eqf_update` (and iekf's) on one run.
+Each step of both filters is one kernel on a stacked state (:class:`_State`),
+which :func:`abc_eqf.runner.drive_batch` runs on a batch of runs and the
+library steps (eqf_propagate, eqf_update, iekf's) on one run.
 
 The state estimate itself is recovered as phi_Xhat(identity state), see
 :func:`abc_eqf.symmetry.state_from_group`.
@@ -24,7 +23,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -146,6 +146,8 @@ class FilterState:
     sigma: np.ndarray
     t: float
     steps: int = 0
+    # the stack xhat's rotation factors are views of, when a library step made it
+    _stack: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def validate_layout(sensors: list[SensorModel]) -> int:
@@ -209,8 +211,8 @@ def compute_C0(sensors: list[SensorModel], refs, n: int) -> np.ndarray:
     calibration block; for an uncalibrated sensor only in the attitude block.
     This is the one-group case of :func:`_output_matrix`.
     """
-    index = _output_index(np.array([_sensor_key(s)[0] for s in sensors], dtype=np.intp), n)
-    h = _output_matrix(index, np.asarray(refs, dtype=float).reshape(len(sensors), 3))
+    h = _output_matrix(_layout(tuple(map(_sensor_key, sensors)), n)[4],
+                       np.asarray(refs, dtype=float).reshape(len(sensors), 3))
     return h.reshape(3 * len(sensors), 6 + 3 * n)
 
 
@@ -240,49 +242,42 @@ def compute_Md(omega0: np.ndarray, dt: float, noise: NoiseConfig, n: int,
 _PHI12, _PHI22, _M11, _M12 = 0, 9, 18, 27
 _ZERO, _ONE, _BIAS, _CAL, _ATT = 36, 37, 38, 39, 40
 
-_GATHER_CACHE: dict[tuple[int, str], np.ndarray] = {}
-
-
+@lru_cache(maxsize=64)
 def _gather_index(dim: int, md_mode: str) -> np.ndarray:
-    """Cached (2, dim, dim) index of every entry of Phi and Md into the value
-    vector of :func:`phi_and_md`."""
-    idx = _GATHER_CACHE.get((dim, md_mode))
-    if idx is None:
-        if md_mode not in (MD_ANALYTIC, MD_FIRST_ORDER):
-            raise ValueError(f"unknown md mode: {md_mode!r}")
-        block = np.arange(9).reshape(3, 3)
-        diag = np.arange(dim)
-        idx = np.full((2, dim, dim), _ZERO)
-        phi, md = idx
-        phi[diag[:3], diag[:3]] = _ONE
-        phi[0:3, 3:6] = _PHI12 + block
-        for j in range(3, dim, 3):
-            phi[j:j + 3, j:j + 3] = _PHI22 + block
-        md[diag[3:6], diag[3:6]] = _BIAS
-        md[diag[6:], diag[6:]] = _CAL
-        if md_mode == MD_FIRST_ORDER:
-            md[diag[:3], diag[:3]] = _ATT
-        else:
-            md[0:3, 0:3] = _M11 + block
-            md[0:3, 3:6] = _M12 + block
-            md[3:6, 0:3] = _M12 + block.T
-        _GATHER_CACHE[(dim, md_mode)] = idx
+    """Cached read-only (2, dim, dim) index of every entry of Phi and Md into
+    the value vector of :func:`phi_and_md`."""
+    if md_mode not in (MD_ANALYTIC, MD_FIRST_ORDER):
+        raise ValueError(f"unknown md mode: {md_mode!r}")
+    block = np.arange(9).reshape(3, 3)
+    diag = np.arange(dim)
+    idx = np.full((2, dim, dim), _ZERO)
+    phi, md = idx
+    phi[diag[:3], diag[:3]] = _ONE
+    phi[0:3, 3:6] = _PHI12 + block
+    for j in range(3, dim, 3):
+        phi[j:j + 3, j:j + 3] = _PHI22 + block
+    md[diag[3:6], diag[3:6]] = _BIAS
+    md[diag[6:], diag[6:]] = _CAL
+    if md_mode == MD_FIRST_ORDER:
+        md[diag[:3], diag[:3]] = _ATT
+    else:
+        md[0:3, 0:3] = _M11 + block
+        md[0:3, 3:6] = _M12 + block
+        md[3:6, 0:3] = _M12 + block.T
+    idx.flags.writeable = False
     return idx
 
 
 def phi_and_md(omega0: np.ndarray, dt: float, noise: NoiseConfig, n: int,
                md_mode: str = MD_ANALYTIC) -> tuple[np.ndarray, np.ndarray]:
-    """Transition matrix exp(A0 dt) and discrete process noise of one step.
+    """Transition matrix exp(A0 dt) and discrete process noise of one step,
+    the one-run case of :func:`_eqf_transition`.
 
-    The one-run case of :func:`_eqf_transition`, the only implementation
-    of both formulas.  With v = omega0 dt, every rotation block of Phi is
-    E = exp(v) and the bias-to-attitude block is -dt J_l(v), both from lie's
-    Rodrigues coefficients of |v|: the same scalars in the same order as the
+    With v = omega0 dt, every rotation block of Phi is E = exp(v) and the
+    bias-to-attitude block is -dt J_l(v), both from lie's Rodrigues
+    coefficients of |v|: the same scalars in the same order as the
     exponential of :func:`propagate_mean`, so Phi's rotation blocks are
     bit-equal to the E that moves the mean.  Md has its own coefficients.
-    This is the hot path of the propagation loop, so the nonzero entries are
-    computed as scalars by :func:`_phi_md_values` and both matrices are
-    gathered from them with one cached index.
     """
     if dt <= 0.0:
         raise NonPositiveDtError("dt must be positive")
@@ -552,20 +547,17 @@ def _layout(keys: tuple[tuple[int, float], ...], n: int) -> tuple:
 
 
 _WEDGE_INDEX = np.array([[0, 6, 2], [3, 0, 4], [5, 1, 0]])   # into (0, x, y, z, -x, -y, -z)
-_C0_INDEX: dict[int, np.ndarray] = {}
 
 
 def _output_index(factor: np.ndarray, n: int) -> np.ndarray:
     """The index of :func:`_output_matrix` for measurements by sensors with
     rotation factors factor: wedge of each reference in the attitude
     columns and, for a calibrated sensor, in its calibration columns."""
-    table = _C0_INDEX.get(n)
-    if table is None:
-        table = _C0_INDEX[n] = np.zeros((n + 1, 3, 6 + 3 * n), dtype=np.intp)
-        table[:, :, 0:3] = _WEDGE_INDEX
-        for f in range(1, n + 1):
-            table[f, :, 3 + 3 * f:6 + 3 * f] = _WEDGE_INDEX
-    return table[factor] + 7 * np.arange(len(factor))[:, None, None]
+    index = np.zeros((len(factor), 3, 6 + 3 * n), dtype=np.intp)
+    index[..., 0:3] = _WEDGE_INDEX
+    for f in np.unique(factor[factor > 0]).tolist():
+        index[factor == f, :, 3 + 3 * f:6 + 3 * f] = _WEDGE_INDEX
+    return index + 7 * np.arange(len(factor))[:, None, None]
 
 
 def _output_matrix(index: np.ndarray, refs: np.ndarray) -> np.ndarray:
@@ -594,12 +586,6 @@ class _State:
     v: np.ndarray
     sigma: np.ndarray
 
-    def take(self, sel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows sel of f, v and sigma; a slice (every row) gives the arrays."""
-        if isinstance(sel, slice):
-            return self.f, self.v, self.sigma
-        return self.f[sel], self.v[sel], self.sigma[sel]
-
     def put(self, sel, f: np.ndarray, v: np.ndarray, sigma: np.ndarray) -> None:
         """Store the updated rows sel; a slice (every row) rebinds the arrays."""
         if isinstance(sel, slice):
@@ -608,19 +594,9 @@ class _State:
             self.f[sel], self.v[sel], self.sigma[sel] = f, v, sigma
 
 
-def _stacked(rot: np.ndarray, v: np.ndarray, factors: list[np.ndarray], sigma: np.ndarray):
-    """One run's state: rot and the factors copied into one stack."""
-    return _State(np.array([rot, *factors]), v, sigma)
-
-
-def _unstacked(st: _State) -> tuple:
-    """(rotation, vector, factors) of one run's state, views of its stack."""
-    return st.f[0], st.v, [st.f[i] for i in range(1, len(st.f))]
-
-
 def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """a x for matrices a (..., i, j) and vectors x (..., j)."""
-    return a.dot(x) if a.ndim == 2 else (a @ x[..., None])[..., 0]
+    return a.dot(x) if a.ndim == 2 else np.matvec(a, x)
 
 
 def _reproject(f: np.ndarray, names=("",)) -> np.ndarray:
@@ -636,14 +612,15 @@ def _reproject(f: np.ndarray, names=("",)) -> np.ndarray:
 def _eqf_transition(omega0: np.ndarray, dt: float, noise: NoiseConfig, idx: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Phi's bias block E = exp(omega0 dt) ([R,] 3, 3), Phi and Md ([R,] d, d)
-    for origin inputs omega0 ([R,] 3), gathered with _gather_index's idx."""
+    for origin inputs omega0 ([R,] 3): the nonzero entries as scalars from
+    :func:`_phi_md_values`, gathered with _gather_index's idx."""
     if omega0.ndim == 1:
         phi_md = np.array(_phi_md_values(*omega0.tolist(), dt, noise))[idx]
     else:
         phi_md = np.array([_phi_md_values(x, y, z, dt, noise)
                            for x, y, z in omega0.tolist()]).take(idx, axis=-1)
-    phi, md = phi_md.swapaxes(0, -3)
-    return phi[..., 3:6, 3:6], phi, md
+    phi = phi_md[..., 0, :, :]
+    return phi[..., 3:6, 3:6], phi, phi_md[..., 1, :, :]
 
 
 def _eqf_propagate(st: _State, omega: np.ndarray, dt: float, noise: NoiseConfig,
@@ -672,7 +649,7 @@ def _eqf_update(st: _State, b: Bucket, t: float, subtract: bool) -> None:
     Delta = (r_att, -r_bias; r_cal_i + r_att) from the exponential chart at
     the origin.  Runs whose update _kalman skips keep their state."""
     sel = b.sel
-    f, v, sigma = st.take(sel)
+    f, v, sigma = st.f[sel], st.v[sel], st.sigma[sel]
     residual = _matvec(f[..., b.factor, :, :], b.y)
     if subtract:
         residual -= b.refs
@@ -697,8 +674,40 @@ def _eqf_update(st: _State, b: Bucket, t: float, subtract: bool) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Library steps: the kernels on one run, so a step returns a new state and
-# writes no array of its input state (the two may share arrays)
+# Library steps: the kernels on one run.  A step returns a new state, whose
+# rotations are views of the kernel's stack, and writes no array of its
+# input state: no kernel writes the stack it is given, so the two may share it.
+
+
+def _run_state(state, rot: np.ndarray, v: np.ndarray, factors: list[np.ndarray]) -> _State:
+    """The one-run _State of a FilterState or IekfState with rotations rot
+    and factors: the stack state._stack records (:func:`_stepped`) while
+    they are still its views, else a new stack of copies."""
+    stack = state._stack
+    if (stack is not None and stack[1] is rot and rot.base is stack[0]
+            and len(stack) == 2 + len(factors) and all(map(operator.is_, stack[2:], factors))):
+        return _State(stack[0], v, state.sigma)
+    return _State(np.array([rot, *factors]), v, state.sigma)
+
+
+def _stepped(state, st: _State, part: type, dt: float | None = None):
+    """state's successor after a kernel ran on st: a propagation by dt adds
+    dt and one step, re-projecting every REPROJECT_EVERY-th step; a skipped
+    update returns state.  part (GroupElement or SystemState) holds the
+    rotations as views of st.f, which _stack records."""
+    if dt is None:
+        if st.sigma is state.sigma:       # skipped: the kernel stored nothing
+            return state
+        t, steps = state.t, state.steps
+    else:
+        t, steps = state.t + dt, state.steps + 1
+        if steps % REPROJECT_EVERY == 0:
+            st.f = _reproject(st.f)
+    f = st.f
+    rot, factors = f[0], [f[i] for i in range(1, len(f))]
+    out = type(state)(part(rot, st.v, factors), st.sigma, t, steps)
+    out._stack = (f, rot, *factors)
+    return out
 
 
 def eqf_propagate(fs: FilterState, omega: np.ndarray, dt: float,
@@ -707,12 +716,9 @@ def eqf_propagate(fs: FilterState, omega: np.ndarray, dt: float,
     then the re-projection on every REPROJECT_EVERY-th step."""
     dt = _check_step(omega, dt, fs.t)
     x = fs.xhat
-    st = _stacked(x.A, x.a, x.B, fs.sigma)
+    st = _run_state(fs, x.A, x.a, x.B)
     _eqf_propagate(st, omega, dt, noise, _gather_index(6 + 3 * x.n, md_mode))
-    steps = fs.steps + 1
-    if steps % REPROJECT_EVERY == 0:
-        st.f = _reproject(st.f)
-    return FilterState(GroupElement(*_unstacked(st)), st.sigma, fs.t + dt, steps)
+    return _stepped(fs, st, GroupElement, dt)
 
 
 def eqf_update(fs: FilterState, meas: list[DirectionMeasurement],
@@ -727,8 +733,6 @@ def eqf_update(fs: FilterState, meas: list[DirectionMeasurement],
     used, refs = _measured_sensors(meas, sensors, fs.t)
     subtract = _subtracts(residual_mode)
     x = fs.xhat
-    st = _stacked(x.A, x.a, x.B, fs.sigma)
+    st = _run_state(fs, x.A, x.a, x.B)
     _eqf_update(st, _group_bucket(meas, used, refs, x.n), fs.t, subtract)
-    if st.sigma is fs.sigma:       # skipped: the kernel stored nothing
-        return fs
-    return FilterState(GroupElement(*_unstacked(st)), st.sigma, fs.t, fs.steps)
+    return _stepped(fs, st, GroupElement)

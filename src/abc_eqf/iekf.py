@@ -14,13 +14,12 @@ covariance, which need not be isotropic, is rotated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .eqf import (
-    REPROJECT_EVERY,
     Bucket,
     DirectionMeasurement,
     NoiseConfig,
@@ -31,10 +30,9 @@ from .eqf import (
     _kalman,
     _matvec,
     _measured_sensors,
-    _reproject,
-    _stacked,
+    _run_state,
     _State,
-    _unstacked,
+    _stepped,
     sigma_u,
 )
 from .lie import _exp_entries, exp_so3
@@ -49,6 +47,8 @@ class IekfState:
     sigma: np.ndarray
     t: float
     steps: int = 0
+    # the stack xi's rotations are views of, when a library step made it
+    _stack: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def iekf_init(xi0: SystemState, sigma0: np.ndarray, t0: float = 0.0) -> IekfState:
@@ -77,13 +77,16 @@ def _propagation_constants(sigma_w: float, sigma_bw: float, sigma_kappa: float,
 def _iekf_propagate(st: _State, omega: np.ndarray, dt: float, s_u: np.ndarray,
                     phi: np.ndarray) -> None:
     """The IEKF gyro step of every run, less the re-projection; phi is a
-    ([R,] d, d) identity whose bias-to-attitude block it overwrites."""
+    ([R,] d, d) identity whose bias-to-attitude block it overwrites.  The
+    step writes a new stack, the calibrations copied."""
     dot = np.ndarray.dot if st.sigma.ndim == 2 else np.matmul
     rot = st.f[..., 0, :, :]
     phi[..., 0:3, 3:6] = -rot * dt
     sigma = dot(dot(phi, st.sigma), phi.mT) + s_u * dt
     st.sigma = 0.5 * (sigma + sigma.mT)
-    st.f[..., 0, :, :] = dot(rot, exp_so3((omega - st.v) * dt))
+    f = st.f.copy()
+    f[..., 0, :, :] = dot(rot, exp_so3((omega - st.v) * dt))
+    st.f = f
 
 
 def _iekf_update(st: _State, b: Bucket, t: float) -> None:
@@ -97,7 +100,7 @@ def _iekf_update(st: _State, b: Bucket, t: float) -> None:
     skips keep their state.
     """
     sel = b.sel
-    f, v, sigma = st.take(sel)
+    f, v, sigma = st.f[sel], st.v[sel], st.sigma[sel]
     rot = f[..., 0, :, :]
     prods = rot[..., None, :, :] @ f      # R C_i; the first, R R, is replaced by R
     prods[..., 0, :, :] = rot
@@ -129,12 +132,9 @@ def iekf_propagate(s: IekfState, omega: np.ndarray, dt: float,
     dt = _check_step(omega, dt, s.t)
     xi = s.xi
     s_u, eye = _propagation_constants(noise.sigma_w, noise.sigma_bw, noise.sigma_kappa, xi.n)
-    st = _stacked(xi.R, xi.b, xi.C, s.sigma)
+    st = _run_state(s, xi.R, xi.b, xi.C)
     _iekf_propagate(st, omega, dt, s_u, eye.copy())
-    steps = s.steps + 1
-    if steps % REPROJECT_EVERY == 0:
-        st.f = _reproject(st.f)
-    return IekfState(SystemState(*_unstacked(st)), st.sigma, s.t + dt, steps)
+    return _stepped(s, st, SystemState, dt)
 
 
 def iekf_update(s: IekfState, meas: list[DirectionMeasurement],
@@ -145,8 +145,6 @@ def iekf_update(s: IekfState, meas: list[DirectionMeasurement],
         return s
     xi = s.xi
     used, refs = _measured_sensors(meas, sensors, s.t)
-    st = _stacked(xi.R, xi.b, xi.C, s.sigma)
+    st = _run_state(s, xi.R, xi.b, xi.C)
     _iekf_update(st, _group_bucket(meas, used, refs, xi.n), s.t)
-    if st.sigma is s.sigma:        # skipped: the kernel stored nothing
-        return s
-    return IekfState(SystemState(*_unstacked(st)), st.sigma, s.t, s.steps)
+    return _stepped(s, st, SystemState)

@@ -3,11 +3,13 @@
 Every log is filtered by the one loop of :func:`drive_batch`, which filters
 runs that share one gyro clock in lockstep: a single log
 (:func:`drive_filter`) as a batch of one run whose messages name no run, a
-campaign slice as a batch of many.  Run r is row r of stacked arrays:
-([R,] 1 + n, 3, 3) rotation factors, ([R,] 3) vectors and ([R,] d, d)
-covariances, and every step propagates all runs with one set of numpy
-calls.  A batch of one run has no run axis R: the same kernels then
-multiply with 2-D ndarray.dot, at half a stacked matmul's cost, and the same bits.
+campaign slice as a batch of many.  Run r is row r of the stacked state of
+eqf's kernels, and every step propagates all runs with one set of numpy
+calls; a batch of one run has no run axis.  The steps are the filters' own
+kernels (eqf._eqf_propagate, eqf._eqf_update, iekf._iekf_propagate,
+iekf._iekf_update, eqf._reproject), which the library steps run on one run,
+so a single log gives the library loop's bits.  No step mixes numbers of
+two runs, so a run's estimates do not depend on the other runs of its batch.
 
 The loop propagates on every gyro sample and applies direction measurements
 sequentially at their own timestamps (:func:`tick_groups`); measurements
@@ -18,13 +20,6 @@ group of each run at that step), and within a slot the runs whose group
 measures the same sensors form one bucket, gathered, updated as a stack and
 scattered back.  Dropout, jitter and missing GNSS rows only change which
 runs sit in which bucket.
-
-The steps are the filters' own kernels (:func:`eqf._eqf_propagate`,
-:func:`eqf._eqf_update`, :func:`iekf._iekf_propagate`,
-:func:`iekf._iekf_update` and :func:`eqf._reproject`), the ones the library
-steps (eqf_propagate/eqf_update, iekf_*) call for one run, so a single log
-gives the library loop's bits.  No step mixes numbers of two runs, so a
-run's estimates do not depend on the other runs of its batch.
 
 Every check of the library path is kept and names the run (a single log's
 messages name none): the gyro steps (:func:`eqf._check_step`'s rules) and
@@ -278,24 +273,21 @@ def build_schedule(cfg: RunConfig, gyro_ts: list[np.ndarray], omegas: list[np.nd
     factor = np.array([_sensor_key(s)[0] for s in configured], dtype=np.intp)
     h = _output_matrix(_output_index(factor[m_sensor], cfg.n_cal), refs)
 
-    layouts: dict[int, tuple] = {}
     updates: list = [()] * k_total
     shape = (-1,) if runs > 1 else ()
     b_group = order[starts]
     b_size = size[b_group]
     m0s = np.cumsum(b_size * counts) - b_size * counts
-    for k, key, width, count, m0 in zip(step[b_group].tolist(), seq[b_group].tolist(),
-                                        b_size.tolist(), counts.tolist(), m0s.tolist()):
+    keys = [_sensor_key(s) for s in configured]
+    for k, width, count, m0 in zip(step[b_group].tolist(), b_size.tolist(), counts.tolist(),
+                                   m0s.tolist()):
         m1 = m0 + count * width
         rows = m_run[m0:m1:width]
-        layout = layouts.get(key)
-        if layout is None:
-            keys = tuple(_sensor_key(configured[i]) for i in m_sensor[m0:m0 + width].tolist())
-            layout = layouts[key] = _layout(keys, cfg.n_cal)[:4]
+        layout = _layout(tuple(keys[i] for i in m_sensor[m0:m0 + width].tolist()), cfg.n_cal)
         if not updates[k]:
             updates[k] = []
         sel = slice(None) if count == runs else rows
-        updates[k].append(Bucket(rows, sel, names[sel], *layout,
+        updates[k].append(Bucket(rows, sel, names[sel], *layout[:4],
                                  y[m0:m1].reshape(shape + (width, 3)),
                                  refs[m0:m1].reshape(shape + (width, 3)),
                                  h[m0:m1].reshape(shape + (3 * width, h.shape[-1]))))

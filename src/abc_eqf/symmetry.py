@@ -104,10 +104,9 @@ def group_inv(x: GroupElement) -> GroupElement:
 
 
 def group_exp(u: AlgebraElement) -> GroupElement:
-    """Group exponential, componentwise over the nav and calibration factors;
-    the EqF update's correction map (see :func:`group_mul`).  The
-    calibration factors are built as one (n, 3, 3) stack and returned as
-    views of it."""
+    """Group exponential, componentwise over the nav and calibration factors
+    (the EqF update's correction map, see :func:`group_mul`), the
+    calibration factors as views of one (n, 3, 3) stack."""
     rot, vec = exp_sdp(u.nav_rot, u.nav_vec)
     return GroupElement(rot, vec, list(exp_so3(np.asarray(u.cal).reshape(-1, 3))))
 

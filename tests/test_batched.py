@@ -48,7 +48,6 @@ from reference_filters import reference_loop
 
 REFS = ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.6, -0.8])
 RTOL = 1e-10
-NEES_COND = 1e3
 
 
 def _config(n: int, gnss: bool, ragged: bool = False, duration: float = 2.0,
@@ -87,28 +86,21 @@ def _assert_close(got, want, what):
     np.testing.assert_allclose(got, want, rtol=RTOL, atol=RTOL * scale, err_msg=what)
 
 
-def _reference(kind, cfg, s):
-    """Run s through the reference steps, evaluated as a driver's run, and
-    the condition number of its attitude covariance at every step."""
-    est, sigma = reference_loop(kind, s.gyro_t, s.gyro_omega, s.measurements, cfg)
-    run = finish_run(kind, est, sigma[:, 0:3, 0:3], 0.0, s.truth)
-    return run, np.linalg.cond(sigma[:, 0:3, 0:3])
+def _reference(kind, cfg, s, loop=reference_loop):
+    """Run s through a per-step loop (the reference steps by default),
+    evaluated as a driver's run."""
+    est, sigma = loop(kind, s.gyro_t, s.gyro_omega, s.measurements, cfg)
+    return finish_run(kind, est, sigma[:, 0:3, 0:3], 0.0, s.truth)
 
 
-def _assert_runs_match(kind, cfg, sims, results):
+def _assert_runs_match(kind, cfg, sims, results, loop=reference_loop):
     for r, (s, got) in enumerate(zip(sims, results)):
-        want, cond = _reference(kind, cfg, s)
+        want = _reference(kind, cfg, s, loop)
         for name in ("R", "b", "C"):
             _assert_close(getattr(got.est, name), getattr(want.est, name), f"run {r} {name}")
-        # each variance within RTOL of itself or of its step's largest variance
-        want_sd = want.est.sigma_diag
-        tol = RTOL * np.maximum(want_sd, want_sd.max(axis=1, keepdims=True))
-        assert np.all(np.abs(got.est.sigma_diag - want_sd) <= tol), f"run {r} sigma_diag"
-        # NEES multiplies the rounding of its attitude covariance by that
-        # covariance's condition number; past NEES_COND it is left to its
-        # inputs, compared above
-        well = cond <= NEES_COND
-        np.testing.assert_allclose(got.est.nees_att[well], want.est.nees_att[well], rtol=RTOL,
+        np.testing.assert_allclose(got.est.sigma_diag, want.est.sigma_diag, rtol=RTOL,
+                                   err_msg=f"run {r} sigma_diag")
+        np.testing.assert_allclose(got.est.nees_att, want.est.nees_att, rtol=RTOL,
                                    err_msg=f"run {r} NEES")
         for phase in ("transient", "asymptotic"):
             np.testing.assert_allclose(
@@ -146,7 +138,14 @@ def test_batch_matches_drive_filter_across_reprojection():
 def test_batch_skips_the_same_updates_as_drive_filter(caplog):
     """A sensor with sigma_y = 1e-7 fails the condition rule until the
     attitude variance falls below about 0.01 rad^2, at a step that differs
-    between runs, so single runs of a bucket are skipped."""
+    between runs, so single runs of a bucket are skipped.
+
+    Its accepted updates cut attitude variances to about 1e-14 rad^2, a
+    difference of nearly equal terms in which the reference steps' rounding
+    and the kernels' part by up to 7e-10 relative.  So the runs are
+    compared with the library loop, which runs the kernels on one run: the
+    test is of the batch's skips, which leave a run where its own loop
+    leaves it."""
     cfg = _config(1, True, ragged=True, duration=2.0)
     cfg.sensors.append(SensorConfig("sharp", "fixed", False, 1e-7, 50.0,
                                     reference=np.array([0.0, 0.0, 1.0])))
@@ -167,7 +166,7 @@ def test_batch_skips_the_same_updates_as_drive_filter(caplog):
             scalar += [f"run {r}: {rec.getMessage()}" for rec in caplog.records
                        if rec.name == "abc_eqf.eqf"]
         assert batched == sorted(scalar)
-        _assert_runs_match(kind, cfg, sims, results)
+        _assert_runs_match(kind, cfg, sims, results, library_loop)
         skipped = {msg.split(":")[0] for msg in batched}
         assert batched and len(skipped) == len(sims), "every run skips some updates"
         # a skip that affects only some runs of a bucket
@@ -183,7 +182,7 @@ def test_montecarlo_matches_drive_filter():
         run_cfg = with_seed(cfg, cfg.seed + row["run"])
         s = simulate_run(run_cfg)
         for kind in ("eqf", "iekf"):
-            want, _ = _reference(kind, run_cfg, s)
+            want = _reference(kind, run_cfg, s)
             got = row[kind]["report"]
             for phase in ("transient", "asymptotic"):
                 np.testing.assert_allclose(list(getattr(got, phase).values()),

@@ -4,10 +4,11 @@ which every update of the library and of the batch driver calls, against
 the eigenvalue-only rule, on plain 2-D inputs and on stacks, and eqf_update
 / iekf_update against the textbook updates of reference_filters, written
 with wedge, np.diag and np.concatenate.  Every library step, which runs the
-kernels on a stacked copy of its input state, leaves that state as it was."""
+kernels on a stack of its input state's rotations (the stack the step that
+made the state returned, or a new one), leaves that state as it was."""
 
+import copy
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -228,29 +229,38 @@ def _state_arrays(state):
     return [a.copy() for a in (*arrays, state.sigma)]
 
 
-@pytest.mark.parametrize("kind", ["eqf", "iekf"])
-def test_library_steps_leave_their_input_state_untouched(rng, kind):
-    """A propagation, one that re-projects, an applied update and a skipped
-    one (the sensor "sharp", with sigma_y 1e-7 against a unit covariance,
-    puts cond(S) near 1e14) each leave every array of their input state as
-    it was."""
-    n = 2
+def _steps_setup(rng, kind, n=2):
+    """Sensors, a start state, the library steps, a gyro sample and noise."""
     sensors = [SensorModel(f"mag{i}", True, 0.1, _unit(rng)) for i in range(n)]
     sensors += [SensorModel("gnss", False, 0.2), SensorModel("sharp", False, 1e-7, _unit(rng))]
     validate_layout(sensors)
     if kind == "eqf":
         state = FilterState(random_group_element(rng, n), _psd(rng, 6 + 3 * n), 0.0)
-        propagate, update = eqf_propagate, eqf_update
+        steps = eqf_propagate, eqf_update
     else:
         state = IekfState(random_state(rng, n), _psd(rng, 6 + 3 * n), 0.0)
-        propagate, update = iekf_propagate, iekf_update
-    noise = NoiseConfig(8.73e-4, 1.75e-5, 1e-4)
-    omega = np.array([0.3, -0.2, 0.5])
+        steps = iekf_propagate, iekf_update
+    return sensors, state, steps, np.array([0.3, -0.2, 0.5]), NoiseConfig(8.73e-4, 1.75e-5, 1e-4)
+
+
+@pytest.mark.parametrize("made_by", ["caller", "library"])
+@pytest.mark.parametrize("kind", ["eqf", "iekf"])
+def test_library_steps_leave_their_input_state_untouched(rng, kind, made_by):
+    """A propagation, one that re-projects, an applied update and a skipped
+    one (the sensor "sharp", with sigma_y 1e-7 against a unit covariance,
+    puts cond(S) near 1e14) each leave every array of their input state as
+    it was: a state the caller built, and one a library step returned, whose
+    rotations are views of the stack the step passes on."""
+    n = 2
+    sensors, state, (propagate, update), omega, noise = _steps_setup(rng, kind, n)
+    if made_by == "library":
+        state = propagate(state, omega, 0.005, noise)
     meas = [DirectionMeasurement(0.0, "mag0", _unit(rng)),
             DirectionMeasurement(0.0, "gnss", _unit(rng), _unit(rng))]
     sharp = [DirectionMeasurement(0.0, "sharp", _unit(rng))]
-    reprojecting = replace(state, steps=REPROJECT_EVERY - 1)
-    unit_sigma = replace(state, sigma=np.eye(6 + 3 * n))
+    reprojecting, unit_sigma = copy.copy(state), copy.copy(state)
+    reprojecting.steps = REPROJECT_EVERY - 1
+    unit_sigma.sigma = np.eye(6 + 3 * n)
     steps = [("propagate", state, lambda: propagate(state, omega, 0.005, noise)),
              ("re-projection", reprojecting,
               lambda: propagate(reprojecting, omega, 0.005, noise)),
@@ -262,3 +272,38 @@ def test_library_steps_leave_their_input_state_untouched(rng, kind):
         assert (out is before) == (name == "skipped update"), name
         for got, want in zip(_state_arrays(before), arrays, strict=True):
             assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("kind", ["eqf", "iekf"])
+def test_library_steps_see_changes_to_the_rotations_of_their_state(rng, kind):
+    """A step reuses the stack of a state a library step returned while its
+    rotations are still views of it, and matches the step on a rebuilt state
+    of the same arrays bit for bit: also after the caller writes a rotation
+    in place, and, with a new stack, after it replaces one or deep-copies
+    the state."""
+    sensors, state, (propagate, update), omega, noise = _steps_setup(rng, kind)
+    if kind == "eqf":
+        parts = lambda s: (s.xhat.A, s.xhat.a, s.xhat.B)     # noqa: E731
+    else:
+        parts = lambda s: (s.xi.R, s.xi.b, s.xi.C)           # noqa: E731
+    meas = [DirectionMeasurement(0.0, "mag1", _unit(rng))]
+
+    def check(s, reused):
+        stack = eqf_module._run_state(s, *parts(s)).f
+        assert (stack is s._stack[0]) == reused
+        rebuilt = copy.deepcopy(s)
+        rebuilt._stack = None
+        for step in (lambda x: propagate(x, omega, 0.005, noise),
+                     lambda x: update(x, meas, sensors)):
+            for a, b in zip(_state_arrays(step(s)), _state_arrays(step(rebuilt)), strict=True):
+                assert np.array_equal(a, b)
+
+    state = propagate(state, omega, 0.005, noise)
+    check(state, reused=True)
+    parts(state)[2][1][...] = exp_so3(np.array([0.1, 0.2, 0.3]))
+    check(state, reused=True)
+    parts(state)[2][0] = exp_so3(np.array([-0.3, 0.1, 0.0]))
+    check(state, reused=False)
+    state = copy.deepcopy(propagate(state, omega, 0.005, noise))
+    parts(state)[0][...] = exp_so3(np.array([0.0, 0.4, 0.1]))
+    check(state, reused=False)
