@@ -104,10 +104,9 @@ def library_loop(kind: str, data, cfg) -> dict:
     for k in range(gyro_t.size):
         if kind == "eqf":
             if k:
-                state = eqf.eqf_propagate(state, omega[k], gyro_t[k] - gyro_t[k - 1], noise,
-                                          cfg.md_mode)
+                state = eqf.eqf_propagate(state, omega[k], gyro_t[k] - gyro_t[k - 1], noise)
             for group in groups.get(k, ()):
-                state = eqf.eqf_update(state, group, sensors, cfg.residual_mode)
+                state = eqf.eqf_update(state, group, sensors)
             est = symmetry.state_from_group(state.xhat)
         else:
             if k:

@@ -23,8 +23,8 @@ class ConfigError(ValueError):
 
 
 FILTER_CHOICES = ("eqf", "iekf", "both")
-RESIDUAL_CHOICES = ("subtract", "literal")
-MD_CHOICES = ("analytic", "first-order")
+RESIDUAL_CHOICES = ("subtract",)     # the filter's one output residual and one
+MD_CHOICES = ("analytic",)           # discrete process noise (see eqf._check_modes)
 SENSOR_KINDS = ("fixed", "gnss")
 
 

@@ -45,9 +45,7 @@ from .symmetry import GroupElement, group_identity
 logger = logging.getLogger(__name__)
 
 RESIDUAL_SUBTRACT = "subtract"
-RESIDUAL_LITERAL = "literal"
 MD_ANALYTIC = "analytic"
-MD_FIRST_ORDER = "first-order"
 
 # Every rotation inside the filter state is re-projected to SO(3) every
 # REPROJECT_EVERY propagation steps.  In between, each step and update
@@ -118,14 +116,15 @@ class SensorModel:
 
     reference is the fixed known direction (unit vector) for magnetometer-like
     sensors, or None when the reference arrives with each measurement
-    (GNSS-baseline style).  cal_index is assigned by validate_layout().
+    (GNSS-baseline style).  cal_index is not a constructor argument: only
+    validate_layout() assigns it, after checking the layout.
     """
 
     sensor_id: str
     calibrated: bool
     sigma_y: float
     reference: np.ndarray | None = None
-    cal_index: int | None = None
+    cal_index: int | None = field(default=None, init=False)
 
 
 @dataclass
@@ -221,33 +220,28 @@ def compute_phi(omega0: np.ndarray, dt: float, n: int) -> np.ndarray:
     return phi_and_md(omega0, dt, NoiseConfig(0.0, 0.0, 0.0), n)[0]
 
 
-def compute_Md(omega0: np.ndarray, dt: float, noise: NoiseConfig, n: int,
-               mode: str = MD_ANALYTIC) -> np.ndarray:
+def compute_Md(omega0: np.ndarray, dt: float, noise: NoiseConfig, n: int) -> np.ndarray:
     """Discrete process noise: the integral of Phi(s) M_c Phi(s)^T over the
-    step, from :func:`phi_and_md`.
-
-    The analytic mode evaluates the integral in closed form (the rotation
-    blocks of Phi are orthogonal, so the bias and calibration blocks are
-    exactly sigma^2 dt I).  The first-order mode returns M_c dt.
+    step in closed form, from :func:`phi_and_md`.  The rotation blocks of
+    Phi are orthogonal, so the bias and calibration blocks are exactly
+    sigma^2 dt I.
 
     M_c is sigma^2 I on every 3-block, so the EqF's input-noise adaptation,
     a conjugation by blkdiag(Ahat, Ahat, Bhat_1, .., Bhat_n), returns it
     unchanged and is not applied.
     """
-    return phi_and_md(omega0, dt, noise, n, mode)[1]
+    return phi_and_md(omega0, dt, noise, n)[1]
 
 
 # Layout of the value vector that phi_and_md gathers Phi and Md from: four
 # row-major 3x3 blocks, then the scalar entries.
 _PHI12, _PHI22, _M11, _M12 = 0, 9, 18, 27
-_ZERO, _ONE, _BIAS, _CAL, _ATT = 36, 37, 38, 39, 40
+_ZERO, _ONE, _BIAS, _CAL = 36, 37, 38, 39
 
 @lru_cache(maxsize=64)
-def _gather_index(dim: int, md_mode: str) -> np.ndarray:
+def _gather_index(dim: int) -> np.ndarray:
     """Cached read-only (2, dim, dim) index of every entry of Phi and Md into
     the value vector of :func:`phi_and_md`."""
-    if md_mode not in (MD_ANALYTIC, MD_FIRST_ORDER):
-        raise ValueError(f"unknown md mode: {md_mode!r}")
     block = np.arange(9).reshape(3, 3)
     diag = np.arange(dim)
     idx = np.full((2, dim, dim), _ZERO)
@@ -258,18 +252,15 @@ def _gather_index(dim: int, md_mode: str) -> np.ndarray:
         phi[j:j + 3, j:j + 3] = _PHI22 + block
     md[diag[3:6], diag[3:6]] = _BIAS
     md[diag[6:], diag[6:]] = _CAL
-    if md_mode == MD_FIRST_ORDER:
-        md[diag[:3], diag[:3]] = _ATT
-    else:
-        md[0:3, 0:3] = _M11 + block
-        md[0:3, 3:6] = _M12 + block
-        md[3:6, 0:3] = _M12 + block.T
+    md[0:3, 0:3] = _M11 + block
+    md[0:3, 3:6] = _M12 + block
+    md[3:6, 0:3] = _M12 + block.T
     idx.flags.writeable = False
     return idx
 
 
-def phi_and_md(omega0: np.ndarray, dt: float, noise: NoiseConfig, n: int,
-               md_mode: str = MD_ANALYTIC) -> tuple[np.ndarray, np.ndarray]:
+def phi_and_md(omega0: np.ndarray, dt: float, noise: NoiseConfig, n: int
+               ) -> tuple[np.ndarray, np.ndarray]:
     """Transition matrix exp(A0 dt) and discrete process noise of one step,
     the one-run case of :func:`_eqf_transition`.
 
@@ -281,7 +272,7 @@ def phi_and_md(omega0: np.ndarray, dt: float, noise: NoiseConfig, n: int,
     """
     if dt <= 0.0:
         raise NonPositiveDtError("dt must be positive")
-    _, phi, md = _eqf_transition(omega0, dt, noise, _gather_index(6 + 3 * n, md_mode))
+    _, phi, md = _eqf_transition(omega0, dt, noise, _gather_index(6 + 3 * n))
     return phi, md
 
 
@@ -289,7 +280,8 @@ def _phi_md_values(x: float, y: float, z: float, dt: float, noise: NoiseConfig
                    ) -> list[float]:
     """The value vector of :func:`phi_and_md` for origin input (x, y, z):
     the blocks -dt J_l(v) and E = exp(v) of Phi and Md_11, Md_12 of Md,
-    row-major, then the scalar entries (see _gather_index)."""
+    row-major, then the scalar entries 0, 1 and the bias and calibration
+    variances st2 dt and sk2 dt (see _gather_index)."""
     vx, vy, vz = x * dt, y * dt, z * dt
     angle = math.sqrt(vx * vx + vy * vy + vz * vz)
     phi22 = _rodrigues(vx, vy, vz, *_exp_coefficients(angle))
@@ -318,7 +310,6 @@ def _phi_md_values(x: float, y: float, z: float, dt: float, noise: NoiseConfig
     sk2 = noise.sigma_kappa ** 2
     # Md_11 = (sw2 dt + st2 dt^3/3) I + st2 c11 W^2,
     # Md_12 = -st2 dt^2/2 I + st2 c12a W - st2 c12b W^2, Md_21 = Md_12^T
-    # (in first-order mode Md_11 is sw2 dt I and Md_12 zero, see _gather_index)
     alpha = sw2 * dt + st2 * dt ** 3 / 3.0
     b11 = st2 * c11
     gamma = st2 * dt * dt / 2.0
@@ -331,7 +322,7 @@ def _phi_md_values(x: float, y: float, z: float, dt: float, noise: NoiseConfig
         -gamma - cb * q00, -ca * z - cb * xy, ca * y - cb * xz,
         ca * z - cb * xy, -gamma - cb * q11, -ca * x - cb * yz,
         -ca * y - cb * xz, ca * x - cb * yz, -gamma - cb * q22,
-        0.0, 1.0, st2 * dt, sk2 * dt, sw2 * dt]
+        0.0, 1.0, st2 * dt, sk2 * dt]
 
 
 def sigma_u(noise: NoiseConfig, n: int) -> np.ndarray:
@@ -379,6 +370,15 @@ def _check_step(omega: np.ndarray, dt: float, t: float) -> float:
         raise InputRangeError(f"gyro sample at t={t + dt}: omega=({x}, {y}, {z}) "
                               f"turns more than pi in dt={dt}")
     return dt
+
+
+def _check_modes(md_mode: str = MD_ANALYTIC, residual_mode: str = RESIDUAL_SUBTRACT) -> None:
+    """ValueError unless md_mode and residual_mode name the filter's one
+    model: the closed-form Md and the output residual rho_Xhat^-1(y) - d."""
+    if md_mode != MD_ANALYTIC:
+        raise ValueError(f"md_mode must be {MD_ANALYTIC!r}, got {md_mode!r}")
+    if residual_mode != RESIDUAL_SUBTRACT:
+        raise ValueError(f"residual_mode must be {RESIDUAL_SUBTRACT!r}, got {residual_mode!r}")
 
 
 def _measured_sensors(meas: list[DirectionMeasurement], sensors: list[SensorModel],
@@ -635,24 +635,15 @@ def _eqf_propagate(st: _State, omega: np.ndarray, dt: float, noise: NoiseConfig,
     st.sigma = 0.5 * (sigma + sigma.mT)
 
 
-def _subtracts(residual_mode: str) -> bool:
-    """Whether residual_mode subtracts the reference; ValueError if unknown."""
-    if residual_mode not in (RESIDUAL_SUBTRACT, RESIDUAL_LITERAL):
-        raise ValueError(f"unknown residual mode: {residual_mode!r}")
-    return residual_mode == RESIDUAL_SUBTRACT
-
-
-def _eqf_update(st: _State, b: Bucket, t: float, subtract: bool) -> None:
+def _eqf_update(st: _State, b: Bucket, t: float) -> None:
     """The EqF update of the bucket's runs: the residual of y is Bhat_i y
-    (calibrated sensor) or Ahat y, less the reference if subtract is set,
-    and _kalman's correction r enters as Xhat+ = exp(Delta) Xhat, with
-    Delta = (r_att, -r_bias; r_cal_i + r_att) from the exponential chart at
-    the origin.  Runs whose update _kalman skips keep their state."""
+    (calibrated sensor) or Ahat y, less the reference, and _kalman's
+    correction r enters as Xhat+ = exp(Delta) Xhat, with Delta = (r_att,
+    -r_bias; r_cal_i + r_att) from the exponential chart at the origin.
+    Runs whose update _kalman skips keep their state."""
     sel = b.sel
     f, v, sigma = st.f[sel], st.v[sel], st.sigma[sel]
-    residual = _matvec(f[..., b.factor, :, :], b.y)
-    if subtract:
-        residual -= b.refs
+    residual = _matvec(f[..., b.factor, :, :], b.y) - b.refs
     keep, r, sigma = _kalman(sigma, b.h, residual.reshape(b.h.shape[:-1]), b.var, b.bound, t,
                              b.names)
     if keep is not None:
@@ -713,11 +704,13 @@ def _stepped(state, st: _State, part: type, dt: float | None = None):
 def eqf_propagate(fs: FilterState, omega: np.ndarray, dt: float,
                   noise: NoiseConfig, md_mode: str = MD_ANALYTIC) -> FilterState:
     """One gyro step: Lie-group mean integration plus discrete Riccati update,
-    then the re-projection on every REPROJECT_EVERY-th step."""
+    then the re-projection on every REPROJECT_EVERY-th step.  md_mode
+    accepts only MD_ANALYTIC."""
+    _check_modes(md_mode=md_mode)
     dt = _check_step(omega, dt, fs.t)
     x = fs.xhat
     st = _run_state(fs, x.A, x.a, x.B)
-    _eqf_propagate(st, omega, dt, noise, _gather_index(6 + 3 * x.n, md_mode))
+    _eqf_propagate(st, omega, dt, noise, _gather_index(6 + 3 * x.n))
     return _stepped(fs, st, GroupElement, dt)
 
 
@@ -725,14 +718,14 @@ def eqf_update(fs: FilterState, meas: list[DirectionMeasurement],
                sensors: list[SensorModel], residual_mode: str = RESIDUAL_SUBTRACT
                ) -> FilterState:
     """Equivariant update from one or more simultaneous direction
-    measurements; in the default residual mode a perfect measurement leaves
-    the state unchanged.  A skipped update (a bad S, see :func:`_kalman`)
-    returns the input state."""
+    measurements; a perfect measurement leaves the state unchanged.  A
+    skipped update (a bad S, see :func:`_kalman`) returns the input state.
+    residual_mode accepts only RESIDUAL_SUBTRACT."""
+    _check_modes(residual_mode=residual_mode)
     if not meas:
         return fs
     used, refs = _measured_sensors(meas, sensors, fs.t)
-    subtract = _subtracts(residual_mode)
     x = fs.xhat
     st = _run_state(fs, x.A, x.a, x.B)
-    _eqf_update(st, _group_bucket(meas, used, refs, x.n), fs.t, subtract)
+    _eqf_update(st, _group_bucket(meas, used, refs, x.n), fs.t)
     return _stepped(fs, st, GroupElement)

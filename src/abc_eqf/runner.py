@@ -64,6 +64,7 @@ from .eqf import (
     NoiseConfig,
     NonFiniteEstimateError,
     SensorModel,
+    _check_modes,
     _check_sigma0,
     _check_step,
     _eqf_propagate,
@@ -77,7 +78,6 @@ from .eqf import (
     _reproject,
     _sensor_key,
     _State,
-    _subtracts,
     validate_layout,
 )
 from .iekf import _iekf_propagate, _iekf_update, _propagation_constants
@@ -402,12 +402,12 @@ def drive_batch(kind: str, schedule: Schedule, cfg: RunConfig,
     # sigma0 leaves it as it is.
     sigma0 = _check_sigma0(initial_sigma(cfg), n)
     if kind == "eqf":
-        update, u_args = _eqf_update, (_subtracts(cfg.residual_mode),)
-        propagate, p_args = _eqf_propagate, (noise, _gather_index(d, cfg.md_mode))
+        _check_modes(cfg.md_mode, cfg.residual_mode)
+        update, propagate, p_args = _eqf_update, _eqf_propagate, (noise, _gather_index(d))
     else:
         s_u, eye = _propagation_constants(noise.sigma_w, noise.sigma_bw, noise.sigma_kappa, n)
         propagate, p_args = _iekf_propagate, (s_u, np.tile(eye, lead + (1, 1)))
-        update, u_args = _iekf_update, ()
+        update = _iekf_update
     st = _State(np.tile(np.eye(3), lead + (1 + n, 1, 1)), np.zeros(lead + (3,)),
                 np.tile(sigma0, lead + (1, 1)))
 
@@ -428,7 +428,7 @@ def drive_batch(kind: str, schedule: Schedule, cfg: RunConfig,
                     st.f = _reproject(st.f, schedule.names)
             try:
                 for b in updates[k]:
-                    update(st, b, t[k], *u_args)
+                    update(st, b, t[k])
             except NonFiniteEstimateError as exc:
                 stop = exc
             rec_f[:, k] = st.f

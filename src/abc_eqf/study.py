@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eqf import (
-    MD_ANALYTIC,
     FilterState,
     NoiseConfig,
     compute_A0,
@@ -65,7 +64,7 @@ def _covariance_steps(dt: float, noise: NoiseConfig, n: int) -> dict:
 
     def matrix_exp(omega0, sigma):
         phi = expm(compute_A0(omega0, n) * dt)
-        return phi @ sigma @ phi.T + compute_Md(omega0, dt, noise, n, MD_ANALYTIC)
+        return phi @ sigma @ phi.T + compute_Md(omega0, dt, noise, n)
 
     def euler(omega0, sigma):
         # first-order truncated Euler step of the Riccati equation

@@ -104,12 +104,12 @@ def library_loop(kind, gyro_t, gyro_omega, measurements, cfg):
     for k in range(gyro_t.size):
         if k > 0:
             dt = gyro_t[k] - gyro_t[k - 1]
-            state = (eqf_propagate(state, gyro_omega[k], dt, noise, cfg.md_mode)
+            state = (eqf_propagate(state, gyro_omega[k], dt, noise)
                      if kind == "eqf" else iekf_propagate(state, gyro_omega[k], dt, noise))
         while gi < len(groups) and groups[gi][0] == k:
             group = groups[gi][1]
             gi += 1
-            state = (eqf_update(state, group, sensors, cfg.residual_mode)
+            state = (eqf_update(state, group, sensors)
                      if kind == "eqf" else iekf_update(state, group, sensors))
         estimates.append(state_from_group(state.xhat) if kind == "eqf" else state.xi)
         sigmas.append(state.sigma)

@@ -211,7 +211,7 @@ def _sweep_omega0(dt):
 def test_batched_phi_md_match_scalar_and_expm(n):
     dt = 0.005
     omega0 = _sweep_omega0(dt)
-    e, phi, md = eqf._eqf_transition(omega0, dt, NOISE, _gather_index(6 + 3 * n, "analytic"))
+    e, phi, md = eqf._eqf_transition(omega0, dt, NOISE, _gather_index(6 + 3 * n))
     worst_expm = 0.0
     for r, w in enumerate(omega0):
         phi_s, md_s = phi_and_md(w, dt, NOISE, n)
@@ -227,7 +227,7 @@ def test_batched_md_matches_quadrature(n):
     """Md against the 64-node Gauss-Legendre quadrature of Phi(s) M_c Phi(s)^T,
     with Phi(s) from the batched transition, over criterion 3's sweep."""
     rng = np.random.default_rng(3)
-    idx = _gather_index(6 + 3 * n, "analytic")
+    idx = _gather_index(6 + 3 * n)
     nodes, weights = np.polynomial.legendre.leggauss(64)
     mc = sigma_u(NOISE, n)
     worst = 0.0

@@ -240,6 +240,23 @@ def test_cli_run_rejects_value_whose_square_overflows(tmp_path, config_file, cap
     assert not (tmp_path / "out").exists()
 
 
+# The filter has one output residual and one discrete process noise; the
+# [run] keys of the removed modes remain, and accept only the defaults.
+@pytest.mark.parametrize("key, value, choices", [("residual_mode", "literal", "('subtract',)"),
+                                                 ("md_mode", "first-order", "('analytic',)")])
+def test_cli_run_rejects_removed_mode(tmp_path, config_file, capsys, key, value, choices):
+    logs = tmp_path / "logs"
+    assert main(["simulate", "--config", str(config_file), "--out", str(logs)]) == 0
+    capsys.readouterr()
+    bad = tmp_path / "bad.ini"
+    bad.write_text(_config_with("run", key, value))
+    assert main(["run", "--config", str(bad), "--logs", str(logs),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: [run] {key} must be one of {choices}"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ("[noise]\nsigma_w = 1e-3\nsigma_w = 2e-3\n", "option 'sigma_w' in section 'noise' already exists"),
     ("seed = 3\n", "File contains no section headers."),

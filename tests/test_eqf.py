@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
+from abc_eqf.config import default_config
 from abc_eqf.eqf import (
     BadDimensionError,
     DirectionMeasurement,
@@ -28,6 +31,8 @@ from abc_eqf.eqf import (
 )
 from abc_eqf.iekf import iekf_init, iekf_propagate, iekf_update
 from abc_eqf.lie import exp_so3, is_rotation, wedge
+from abc_eqf.runner import build_schedule, drive_batch
+from abc_eqf.sim import simulate_run
 from abc_eqf.symmetry import (
     AlgebraElement,
     action_phi,
@@ -127,6 +132,19 @@ def test_layout_rejects_misordered():
                SensorModel("b", True, 0.1, np.array([0.0, 1.0, 0.0]))]
     with pytest.raises(BadDimensionError):
         validate_layout(sensors)
+
+
+def test_cal_index_comes_only_from_the_layout_check():
+    """cal_index is no constructor argument, so a misordered layout cannot
+    skip the check that an update makes on a never-validated sensor list."""
+    ref = np.array([0.0, 1.0, 0.0])
+    with pytest.raises(TypeError, match="cal_index"):
+        SensorModel("c", True, 0.1, ref, cal_index=0)
+    sensors = [SensorModel("u", False, 0.1, np.array([1.0, 0.0, 0.0])),
+               SensorModel("c", True, 0.1, ref)]
+    s = iekf_init(random_state(np.random.default_rng(0), 1), np.eye(9))
+    with pytest.raises(BadDimensionError, match="calibrated sensors must precede"):
+        iekf_update(s, [DirectionMeasurement(0.0, "c", ref)], sensors)
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +344,6 @@ def test_Md_matches_quadrature(rng, n):
             oracle = quad_Md(omega0, dt, NOISE, n)
             rel = np.max(np.abs(md - oracle)) / np.max(np.abs(oracle))
             assert rel < 1e-9
-
-
-def test_Md_first_order_mode():
-    md = compute_Md(np.ones(3), 0.01, NOISE, 1, mode="first-order")
-    assert_allclose(md, sigma_u(NOISE, 1) * 0.01)
 
 
 def test_Md_symmetry(rng):
@@ -605,14 +618,24 @@ def test_update_rejects_unknown_sensor(rng):
         eqf_update(fs, meas, sensors)
 
 
-def test_literal_residual_mode_runs(rng):
-    n = 1
-    sensors = make_sensors(n, 2, rng)
-    fs = eqf_init(n, sensors, NOISE, 0.1 * np.eye(9))
-    meas = _perfect_measurements(fs, sensors)
-    out = eqf_update(fs, meas, sensors, residual_mode="literal")
-    # literal mode shifts even a perfect-measurement state
-    assert np.max(np.abs(out.xhat.A - fs.xhat.A)) > 0.0
+@pytest.mark.parametrize("mode, value", [("md_mode", "first-order"),
+                                         ("residual_mode", "literal")])
+def test_removed_modes_are_rejected(rng, mode, value):
+    """The filter has one model: the library steps and drive_batch reject
+    the first-order Md and the literal residual with ValueError."""
+    sensors = make_sensors(1, 2, rng)
+    fs = eqf_init(1, sensors, NOISE, 0.1 * np.eye(9))
+    match = rf"^{mode} must be '\w+', got '{value}'$"
+    with pytest.raises(ValueError, match=match):
+        if mode == "md_mode":
+            eqf_propagate(fs, np.ones(3), 0.01, NOISE, value)
+        else:
+            eqf_update(fs, _perfect_measurements(fs, sensors), sensors, value)
+    cfg = replace(default_config(seed=3), duration=0.1)
+    sim = simulate_run(cfg)
+    schedule = build_schedule(cfg, [sim.gyro_t], [sim.gyro_omega], [sim.log], first_run=None)
+    with pytest.raises(ValueError, match=match):
+        drive_batch("eqf", schedule, replace(cfg, **{mode: value}))
 
 
 # ---------------------------------------------------------------------------
