@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -116,15 +115,14 @@ class SensorModel:
 
     reference is the fixed known direction (unit vector) for magnetometer-like
     sensors, or None when the reference arrives with each measurement
-    (GNSS-baseline style).  cal_index is not a constructor argument: only
-    validate_layout() assigns it, after checking the layout.
+    (GNSS-baseline style).  A calibrated sensor's calibration state is its
+    position in the sensor list that each call is given.
     """
 
     sensor_id: str
     calibrated: bool
     sigma_y: float
     reference: np.ndarray | None = None
-    cal_index: int | None = field(default=None, init=False)
 
 
 @dataclass
@@ -145,20 +143,28 @@ class FilterState:
     sigma: np.ndarray
     t: float
     steps: int = 0
-    # the stack xhat's rotation factors are views of, when a library step made it
-    _stack: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def validate_layout(sensors: list[SensorModel]) -> int:
-    """Check the calibrated-first ordering, assign cal indices, return n."""
+    """Check distinct ids, calibrated sensors first (sensor i holds calibration
+    state i) and unit fixed references (BadDimensionError); return n."""
     n = sum(1 for s in sensors if s.calibrated)
+    _positions(sensors)
     for i, s in enumerate(sensors):
         if s.calibrated != (i < n):
             raise BadDimensionError("calibrated sensors must precede uncalibrated ones")
-        s.cal_index = i if s.calibrated else None
         if s.reference is not None and not _is_unit(np.asarray(s.reference, dtype=float).tolist()):
             raise BadDimensionError(f"sensor {s.sensor_id}: reference must be unit norm")
     return n
+
+
+def _positions(sensors: list[SensorModel]) -> dict[str, int]:
+    """Each sensor id's position in the list; BadDimensionError on a duplicate id."""
+    position = {}
+    for i, s in enumerate(sensors):
+        if position.setdefault(s.sensor_id, i) != i:
+            raise BadDimensionError(f"duplicate sensor id {s.sensor_id!r}")
+    return position
 
 
 def _is_unit(v: list[float]) -> bool:
@@ -202,7 +208,8 @@ def compute_A0(omega0: np.ndarray, n: int) -> np.ndarray:
 
 
 def compute_C0(sensors: list[SensorModel], refs, n: int) -> np.ndarray:
-    """Linearized output matrix, one 3-row block per sensor in the given order.
+    """Linearized output matrix, one 3-row block per sensor in the order of a
+    list that passes :func:`validate_layout` with at most n calibrated sensors.
 
     refs holds the current reference direction (x, y, z) of each listed
     sensor, as rows of an array or as float triples.  For a calibrated sensor
@@ -210,7 +217,9 @@ def compute_C0(sensors: list[SensorModel], refs, n: int) -> np.ndarray:
     calibration block; for an uncalibrated sensor only in the attitude block.
     This is the one-group case of :func:`_output_matrix`.
     """
-    h = _output_matrix(_layout(tuple(map(_sensor_key, sensors)), n)[4],
+    if validate_layout(sensors) > n:
+        raise BadDimensionError(f"more than n={n} calibrated sensors")
+    h = _output_matrix(_layout(_sensor_keys(sensors), n)[4],
                        np.asarray(refs, dtype=float).reshape(len(sensors), 3))
     return h.reshape(3 * len(sensors), 6 + 3 * n)
 
@@ -382,36 +391,40 @@ def _check_modes(md_mode: str = MD_ANALYTIC, residual_mode: str = RESIDUAL_SUBTR
 
 
 def _measured_sensors(meas: list[DirectionMeasurement], sensors: list[SensorModel],
-                      t: float) -> tuple[list[SensorModel], list[list[float]]]:
-    """Sensor and reference direction (a float triple) of each measurement.
+                      t: float, n: int) -> tuple[list[tuple[int, float]], list[list[float]]]:
+    """Sensor key (:func:`_sensor_keys`) and reference direction (a float
+    triple) of each measurement, on a state with n calibration states.
 
-    A measurement stamped more than MEASUREMENT_SLACK after t raises
-    ValueError, one from a sensor missing from sensors UnknownSensorError, a
-    non-unit direction or arriving reference InputRangeError; a sensor list
-    that never went through :func:`validate_layout` is validated here.
+    Sensor i of the list holds calibration state i.  A duplicate id, or a
+    measured sensor whose calibrated flag differs from i < n, raises
+    BadDimensionError; a measurement stamped more than MEASUREMENT_SLACK
+    after t ValueError, one from a sensor missing from sensors
+    UnknownSensorError, a non-unit direction or reference InputRangeError.
     """
-    by_id = {s.sensor_id: s for s in sensors}
+    position = _positions(sensors)
+    keys = _sensor_keys(sensors)
     used, refs = [], []
     for m in meas:
         if m.t > t + MEASUREMENT_SLACK:
             raise ValueError(f"measurement at t={m.t} is ahead of the filter time {t}")
-        sensor = by_id.get(m.sensor_id)
-        if sensor is None:
+        i = position.get(m.sensor_id)
+        if i is None:
             raise UnknownSensorError(
                 f"measurement at t={m.t} names sensor {m.sensor_id!r}, not one of the "
-                f"configured sensors {list(by_id)} (filter time t={t})")
-        if sensor.calibrated and sensor.cal_index is None:
-            validate_layout(sensors)
-        fixed = sensor.reference is not None
-        ref = sensor.reference if fixed else m.reference
+                f"configured sensors {list(position)} (filter time t={t})")
+        sensor = sensors[i]
+        if sensor.calibrated != (i < n):
+            raise BadDimensionError(f"sensor {m.sensor_id!r} at position {i}, n={n}: "
+                                    "calibrated sensors must precede uncalibrated ones")
+        ref = sensor.reference if sensor.reference is not None else m.reference
         if ref is None:
             raise BadDimensionError(f"sensor {m.sensor_id}: measurement carries no reference")
         ref = ref.tolist()
-        if not (_is_unit(m.y.tolist()) and (fixed or _is_unit(ref))):
+        if not (_is_unit(m.y.tolist()) and _is_unit(ref)):
             raise InputRangeError(
                 f"measurement at t={m.t} from sensor {m.sensor_id!r}: direction or "
                 f"reference is not a unit vector (filter time t={t})")
-        used.append(sensor)
+        used.append(keys[i])
         refs.append(ref)
     return used, refs
 
@@ -526,15 +539,16 @@ class Bucket:
     h: np.ndarray               # ([Rb,] 3m, d) compute_C0 of each run
 
 
-def _sensor_key(s: SensorModel) -> tuple[int, float]:
-    """A sensor's rotation factor (0, or 1 + cal index) and its sigma_y."""
-    return (1 + s.cal_index if s.calibrated else 0), s.sigma_y
+def _sensor_keys(sensors: list[SensorModel]) -> tuple[tuple[int, float], ...]:
+    """Each sensor's rotation factor (0, or 1 + its position in the list for
+    a calibrated sensor) and its sigma_y."""
+    return tuple([(1 + i if s.calibrated else 0, s.sigma_y) for i, s in enumerate(sensors)])
 
 
 @lru_cache(maxsize=256)
 def _layout(keys: tuple[tuple[int, float], ...], n: int) -> tuple:
     """The Bucket fields factor, cal_cols, var and bound of a group of
-    sensors with the _sensor_key keys, then its _output_index; cached, with
+    sensors with the _sensor_keys keys, then its _output_index; cached, with
     read-only arrays.  The direction noise is isotropic, so either filter's
     output-noise rotation returns sigma_y^2 I unchanged and is not applied."""
     factor = np.array([f for f, _ in keys], dtype=np.intp)
@@ -566,12 +580,13 @@ def _output_matrix(index: np.ndarray, refs: np.ndarray) -> np.ndarray:
     return np.concatenate((np.zeros((len(refs), 1)), refs, -refs), axis=1).ravel()[index]
 
 
-def _group_bucket(meas: list[DirectionMeasurement], used: list[SensorModel],
-                  refs: list[list[float]], n: int) -> Bucket:
-    """The Bucket of a library update of the group meas, by the sensors used
-    with references refs (:func:`_measured_sensors`), as one 2-D run."""
+def _group_bucket(meas: list[DirectionMeasurement], sensors: list[SensorModel], t: float,
+                  n: int) -> Bucket:
+    """The Bucket of a library update of the group meas at filter time t,
+    checked by :func:`_measured_sensors`, as one 2-D run."""
+    used, refs = _measured_sensors(meas, sensors, t, n)
     refs = np.array(refs)
-    *layout, index = _layout(tuple(map(_sensor_key, used)), n)
+    *layout, index = _layout(tuple(used), n)
     return Bucket(None, slice(None), ("",), *layout, np.array([m.y for m in meas]), refs,
                   _output_matrix(index, refs).reshape(3 * len(used), 6 + 3 * n))
 
@@ -665,27 +680,16 @@ def _eqf_update(st: _State, b: Bucket, t: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Library steps: the kernels on one run.  A step returns a new state, whose
-# rotations are views of the kernel's stack, and writes no array of its
-# input state: no kernel writes the stack it is given, so the two may share it.
-
-
-def _run_state(state, rot: np.ndarray, v: np.ndarray, factors: list[np.ndarray]) -> _State:
-    """The one-run _State of a FilterState or IekfState with rotations rot
-    and factors: the stack state._stack records (:func:`_stepped`) while
-    they are still its views, else a new stack of copies."""
-    stack = state._stack
-    if (stack is not None and stack[1] is rot and rot.base is stack[0]
-            and len(stack) == 2 + len(factors) and all(map(operator.is_, stack[2:], factors))):
-        return _State(stack[0], v, state.sigma)
-    return _State(np.array([rot, *factors]), v, state.sigma)
+# Library steps: the kernels on one run.  A step stacks its input state's
+# rotations into a new array, so it writes no array of that state, and
+# returns a new state whose rotations are views of the kernel's stack.
 
 
 def _stepped(state, st: _State, part: type, dt: float | None = None):
     """state's successor after a kernel ran on st: a propagation by dt adds
     dt and one step, re-projecting every REPROJECT_EVERY-th step; a skipped
     update returns state.  part (GroupElement or SystemState) holds the
-    rotations as views of st.f, which _stack records."""
+    rotations as views of st.f."""
     if dt is None:
         if st.sigma is state.sigma:       # skipped: the kernel stored nothing
             return state
@@ -695,10 +699,7 @@ def _stepped(state, st: _State, part: type, dt: float | None = None):
         if steps % REPROJECT_EVERY == 0:
             st.f = _reproject(st.f)
     f = st.f
-    rot, factors = f[0], [f[i] for i in range(1, len(f))]
-    out = type(state)(part(rot, st.v, factors), st.sigma, t, steps)
-    out._stack = (f, rot, *factors)
-    return out
+    return type(state)(part(f[0], st.v, list(f[1:])), st.sigma, t, steps)
 
 
 def eqf_propagate(fs: FilterState, omega: np.ndarray, dt: float,
@@ -709,7 +710,7 @@ def eqf_propagate(fs: FilterState, omega: np.ndarray, dt: float,
     _check_modes(md_mode=md_mode)
     dt = _check_step(omega, dt, fs.t)
     x = fs.xhat
-    st = _run_state(fs, x.A, x.a, x.B)
+    st = _State(np.array([x.A, *x.B]), x.a, fs.sigma)
     _eqf_propagate(st, omega, dt, noise, _gather_index(6 + 3 * x.n))
     return _stepped(fs, st, GroupElement, dt)
 
@@ -724,8 +725,7 @@ def eqf_update(fs: FilterState, meas: list[DirectionMeasurement],
     _check_modes(residual_mode=residual_mode)
     if not meas:
         return fs
-    used, refs = _measured_sensors(meas, sensors, fs.t)
     x = fs.xhat
-    st = _run_state(fs, x.A, x.a, x.B)
-    _eqf_update(st, _group_bucket(meas, used, refs, x.n), fs.t)
+    st = _State(np.array([x.A, *x.B]), x.a, fs.sigma)
+    _eqf_update(st, _group_bucket(meas, sensors, fs.t, x.n), fs.t)
     return _stepped(fs, st, GroupElement)

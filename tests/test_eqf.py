@@ -48,7 +48,7 @@ from abc_eqf.symmetry import (
     state_from_group,
 )
 
-from conftest import max_state_gap, random_group_element, random_state
+from conftest import max_state_gap, random_group_element, random_state, state_arrays
 
 NS = [0, 1, 2, 3]
 NOISE = NoiseConfig(8.73e-4, 1.75e-5, 1e-4)
@@ -145,6 +145,70 @@ def test_cal_index_comes_only_from_the_layout_check():
     s = iekf_init(random_state(np.random.default_rng(0), 1), np.eye(9))
     with pytest.raises(BadDimensionError, match="calibrated sensors must precede"):
         iekf_update(s, [DirectionMeasurement(0.0, "c", ref)], sensors)
+
+
+def _filter_state(kind, n, seed=0):
+    """An EqF or IEKF state with n calibration states away from the
+    identity, and its update step."""
+    rng = np.random.default_rng(seed)
+    sigma = 0.1 * np.eye(6 + 3 * n)
+    if kind == "eqf":
+        return FilterState(random_group_element(rng, n), sigma, 0.0), eqf_update
+    return iekf_init(random_state(rng, n), sigma), iekf_update
+
+
+def _two_calibrated():
+    return [SensorModel("a", True, 0.1, np.array([0.0, 0.0, 1.0])),
+            SensorModel("c", True, 0.3, np.array([1.0, 0.0, 0.0]))]
+
+
+@pytest.mark.parametrize("kind", ["eqf", "iekf"])
+def test_update_reads_the_sensor_list_it_is_given(kind):
+    """A sensor's calibration state is its position in the list of the
+    call, whatever list it was validated in before; a calibrated sensor past
+    the state's n and a non-unit fixed reference raise typed errors."""
+    y = np.array([0.0, 0.6, 0.8])
+    a, c = _two_calibrated()
+    validate_layout([c, a])
+    state, update = _filter_state(kind, 2)
+    got = update(state, [DirectionMeasurement(0.0, "a", y)], [a, c])
+    want = update(state, [DirectionMeasurement(0.0, "a", y)], _two_calibrated())
+    for g, w in zip(state_arrays(got), state_arrays(want), strict=True):
+        assert np.array_equal(g, w)
+
+    validate_layout([a, c])
+    state, update = _filter_state(kind, 1)
+    with pytest.raises(BadDimensionError, match="calibrated sensors must precede"):
+        update(state, [DirectionMeasurement(0.0, "c", y)], [a, c])
+
+    far = SensorModel("u", False, 0.1, reference=np.array([2.0, 0.0, 0.0]))
+    with pytest.raises(InputRangeError, match="not a unit vector"):
+        update(state, [DirectionMeasurement(0.0, "u", y)], [a, far])
+
+
+@pytest.mark.parametrize("kind", ["eqf", "iekf"])
+def test_duplicate_sensor_ids_are_rejected(kind):
+    sensors = [SensorModel("a", True, 0.1, np.array([0.0, 0.0, 1.0])),
+               SensorModel("a", True, 0.1, np.array([1.0, 0.0, 0.0]))]
+    with pytest.raises(BadDimensionError, match="duplicate sensor id 'a'"):
+        validate_layout(sensors)
+    with pytest.raises(BadDimensionError, match="duplicate sensor id 'a'"):
+        eqf_init(2, sensors, NOISE, np.eye(12))
+    state, update = _filter_state(kind, 2)
+    with pytest.raises(BadDimensionError, match="duplicate sensor id 'a'"):
+        update(state, [DirectionMeasurement(0.0, "a", np.array([0.0, 0.0, 1.0]))], sensors)
+
+
+def test_C0_checks_its_sensor_list():
+    a, c = _two_calibrated()
+    u = SensorModel("u", False, 0.1, np.array([0.0, 1.0, 0.0]))
+    refs = np.eye(3)[:2]
+    with pytest.raises(BadDimensionError, match="calibrated sensors must precede"):
+        compute_C0([u, a], refs, 1)
+    with pytest.raises(BadDimensionError, match="more than n=1"):
+        compute_C0([a, c], refs, 1)
+    with pytest.raises(BadDimensionError, match="duplicate sensor id"):
+        compute_C0([a, a], refs, 2)
 
 
 # ---------------------------------------------------------------------------

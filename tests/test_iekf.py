@@ -309,7 +309,6 @@ def test_update_validates_fresh_sensor_list():
     expected = _mag_gnss_update(validated)
     fresh = _mag_gnss_sensors()
     out = _mag_gnss_update(fresh)
-    assert fresh[0].cal_index == 0
     assert np.array_equal(out.xi.R, expected.xi.R)
     assert np.array_equal(out.xi.C[0], expected.xi.C[0])
     assert np.array_equal(out.sigma, expected.sigma)
