@@ -33,9 +33,11 @@ class SensorConfig:
     """One direction sensor of the simulated platform.
 
     kind "fixed": body-frame measurement of a fixed known inertial direction
-    (magnetometer-like).  kind "gnss": inertial direction of a known
-    body-frame baseline, reconstructed from two noisy receiver positions and
-    delivered as a time-varying reference alongside each measurement.
+    (magnetometer-like), with noise sigma_y.  kind "gnss": inertial direction
+    of a known body-frame baseline, reconstructed from two noisy receiver
+    positions and delivered as a time-varying reference alongside each
+    measurement; its noise follows from pos_std and baseline, and sigma_y is
+    not used (see filter_sigma_y).
     """
 
     sensor_id: str
@@ -49,6 +51,16 @@ class SensorConfig:
     body_axis: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0, 0.0]))
     baseline: float = 1.0
     pos_std: float = 0.1
+
+    @property
+    def filter_sigma_y(self) -> float:
+        """The per-axis direction noise the filters assume: sigma_y for a fixed
+        sensor; for a gnss sensor, the angle that two receivers with position
+        noise pos_std per axis subtend across the baseline,
+        sqrt(2) pos_std / baseline."""
+        if self.kind == "gnss":
+            return math.sqrt(2.0) * self.pos_std / self.baseline
+        return self.sigma_y
 
 
 @dataclass
@@ -94,7 +106,7 @@ def default_config(seed: int = 0) -> RunConfig:
         reference=np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0),
     )
     gnss = SensorConfig(
-        sensor_id="gnss", kind="gnss", calibrated=False, sigma_y=0.1, rate=20.0,
+        sensor_id="gnss", kind="gnss", calibrated=False, rate=20.0,
         body_axis=np.array([0.0, 1.0, 0.0]), baseline=1.0, pos_std=0.1,
     )
     return validate_config(RunConfig(seed=seed, sensors=[mag, gnss]))
@@ -164,6 +176,12 @@ def validate_config(cfg: RunConfig) -> RunConfig:
                 raise ConfigError(f"[sensor.{s.sensor_id}] baseline must be positive")
             if s.pos_std < 0.0:
                 raise ConfigError(f"[sensor.{s.sensor_id}] pos_std must be non-negative")
+            sigma_y = s.filter_sigma_y
+            if math.isinf(sigma_y * sigma_y):
+                raise ConfigError(
+                    f"[sensor.{s.sensor_id}] pos_std = {s.pos_std!r} over baseline = "
+                    f"{s.baseline!r} gives sigma_y = {sigma_y!r} (sqrt(2) pos_std / "
+                    f"baseline), too large: its square overflows")
     if min(cfg.sigma_w, cfg.sigma_bw, cfg.sigma_kappa) < 0.0:
         raise ConfigError("[noise] densities must be non-negative")
     return cfg
@@ -203,8 +221,9 @@ _SENSOR_KEYS = {
 _SQUARED = {"sigma_w", "sigma_bw", "sigma_kappa", "sigma0_att_deg", "sigma0_bias",
             "sigma0_cal_deg", "sigma_y"}
 # Keys that only one sensor kind uses; the echo leaves out the other kind's.
-_KIND_ONLY = {"reference": "fixed", "body_axis": "gnss", "baseline": "gnss",
-              "pos_std": "gnss"}
+# The other kind's keys still parse and are validated, but nothing reads them.
+_KIND_ONLY = {"sigma_y": "fixed", "reference": "fixed", "body_axis": "gnss",
+              "baseline": "gnss", "pos_std": "gnss"}
 
 
 def load_config(path: str | Path) -> RunConfig:

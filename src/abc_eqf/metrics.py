@@ -16,7 +16,8 @@ from .sim import GroundTruth
 
 
 class MisalignedError(ValueError):
-    """Estimate timestamps fall outside the truth coverage."""
+    """Estimates do not match the truth: their timestamps fall outside its
+    coverage, or they hold a different number of calibrations."""
 
 
 class EmptyWindowError(ValueError):
@@ -80,10 +81,16 @@ def interpolate_truth(truth: GroundTruth, t: np.ndarray) -> tuple[np.ndarray, np
 
 
 def error_series(truth: GroundTruth, est: EstimateSeries) -> ErrorSeries:
-    """Attitude / bias / calibration error norms at the estimate timestamps."""
+    """Attitude / bias / calibration error norms at the estimate timestamps.
+
+    Raises MisalignedError when the truth and the estimates hold different
+    numbers of calibrations."""
+    cal_true = np.asarray(truth.cal, dtype=float).reshape(-1, 3, 3)
+    if cal_true.shape[0] != est.C.shape[1]:
+        raise MisalignedError(f"numbers of calibration states differ: truth "
+                              f"{cal_true.shape[0]}, estimates {est.C.shape[1]}")
     r_true, b_true = interpolate_truth(truth, est.t)
     att_vec = log_so3(r_true @ np.swapaxes(est.R, -1, -2))
-    cal_true = np.asarray(truth.cal, dtype=float).reshape(-1, 3, 3)
     cal_vec = log_so3(cal_true @ np.swapaxes(est.C, -1, -2))
     return ErrorSeries(est.t.copy(), np.degrees(np.linalg.norm(att_vec, axis=-1)),
                        np.linalg.norm(b_true - est.b, axis=1),

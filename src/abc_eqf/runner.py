@@ -98,7 +98,7 @@ def build_sensors(cfg: RunConfig) -> list[SensorModel]:
     sensors = []
     for s in cfg.sensors:
         ref = s.reference if s.kind == "fixed" else None
-        sensors.append(SensorModel(s.sensor_id, s.calibrated, s.sigma_y, ref))
+        sensors.append(SensorModel(s.sensor_id, s.calibrated, s.filter_sigma_y, ref))
     validate_layout(sensors)
     return sensors
 
@@ -266,13 +266,14 @@ def build_schedule(cfg: RunConfig, gyro_ts: list[np.ndarray], omegas: list[np.nd
     groups = order[_ranges(starts, counts)]
     meas = _ranges(first[groups], size[groups])      # the measurements, bucket by bucket
     m_run, m_sensor, m_step = run[meas], sensor[meas], np.repeat(step[groups], size[groups])
-    y, refs = _checked_arrays(configured, cfg.n_cal, list(number), m_sensor, meas_t[meas],
+    n_cal = cfg.n_cal
+    y, refs = _checked_arrays(configured, n_cal, list(number), m_sensor, meas_t[meas],
                               np.concatenate([log.y for log in logs])[meas],
                               np.concatenate([log.reference for log in logs])[meas],
                               t[m_step], names[m_run])
     keys = _sensor_keys(configured)
     factor = np.array([f for f, _ in keys], dtype=np.intp)
-    h = _output_matrix(_output_index(factor[m_sensor], cfg.n_cal), refs)
+    h = _output_matrix(_output_index(factor[m_sensor], n_cal), refs)
 
     updates: list = [()] * k_total
     shape = (-1,) if runs > 1 else ()
@@ -283,7 +284,7 @@ def build_schedule(cfg: RunConfig, gyro_ts: list[np.ndarray], omegas: list[np.nd
                                    m0s.tolist()):
         m1 = m0 + count * width
         rows = m_run[m0:m1:width]
-        layout = _layout(tuple(keys[i] for i in m_sensor[m0:m0 + width].tolist()), cfg.n_cal)
+        layout = _layout(tuple(keys[i] for i in m_sensor[m0:m0 + width].tolist()), n_cal)
         if not updates[k]:
             updates[k] = []
         sel = slice(None) if count == runs else rows

@@ -21,6 +21,7 @@ from abc_eqf.config import (
 )
 from abc_eqf.csvio import read_directions, read_gyro
 from abc_eqf.eqf import InputRangeError
+from abc_eqf.runner import build_sensors
 
 from conftest import library_loop
 
@@ -123,7 +124,6 @@ reference = 0.70710678118654746 0 -0.70710678118654746
 [sensor.gnss]
 kind = gnss
 calibrated = false
-sigma_y = 0.1
 rate = 20.0
 dropout = 0.0
 jitter = 0.0
@@ -136,6 +136,20 @@ pos_std = 0.1
 
 def test_config_echo_default_golden_text():
     assert config_text(default_config()) == DEFAULT_ECHO
+
+
+def test_gnss_sigma_y_is_derived_from_pos_std_and_baseline(tmp_path):
+    """A gnss sensor's sigma_y key parses and is validated, but the filters
+    take sqrt(2) pos_std / baseline, and the echo leaves the key out."""
+    path = tmp_path / "run.ini"
+    path.write_text(_config_with("sensor.gnss", "sigma_y", "5.0")
+                    .replace("pos_std = 0.1", "pos_std = 0.05")
+                    .replace("baseline = 1.0", "baseline = 2.0"))
+    cfg = load_config(path)
+    assert [s.sigma_y for s in build_sensors(cfg)] == [0.2, np.sqrt(2.0) * 0.05 / 2.0]
+    echo = configparser.ConfigParser()
+    echo.read_string(config_text(cfg))
+    assert "sigma_y" in echo["sensor.mag"] and "sigma_y" not in echo["sensor.gnss"]
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -204,7 +218,8 @@ def _config_with(section, key, value):
     return text.getvalue()
 
 
-@pytest.mark.parametrize("section, key, value", OVERFLOWING)
+@pytest.mark.parametrize("section, key, value",
+                         OVERFLOWING + [("sensor.gnss", "pos_std", "1e160")])
 def test_config_rejects_value_whose_square_overflows(tmp_path, section, key, value):
     path = tmp_path / "bad.ini"
     path.write_text(_config_with(section, key, value))
@@ -329,6 +344,38 @@ def test_cli_run_produces_estimates_and_errors(tmp_path, config_file):
         assert (out / f"err_{kind}.csv").exists()
     est_lines = (out / "est_eqf.csv").read_text().splitlines()
     assert len(est_lines) == 200 + 1
+
+
+# CONFIG_TEXT with a second calibrated fixed sensor
+TWO_CAL_TEXT = CONFIG_TEXT.replace("[sensor.gnss]", """[sensor.mag2]
+kind = fixed
+calibrated = true
+sigma_y = 0.2
+rate = 100.0
+reference = 0 0 1
+
+[sensor.gnss]""")
+
+
+@pytest.mark.parametrize("n_truth, n_est", [(1, 2), (2, 1)])
+def test_cli_run_truth_with_other_calibration_count_is_data_error(tmp_path, capsys,
+                                                                  n_truth, n_est):
+    """A truth.csv whose calibrations the config's calibrated sensors do not
+    match one to one is a data error, not an error series against the
+    wrong calibration."""
+    text = {1: CONFIG_TEXT, 2: TWO_CAL_TEXT}
+    sim_cfg, run_cfg = tmp_path / "sim.ini", tmp_path / "run.ini"
+    sim_cfg.write_text(text[n_truth])
+    run_cfg.write_text(text[n_est])
+    logs = tmp_path / "logs"
+    assert main(["simulate", "--config", str(sim_cfg), "--out", str(logs)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--config", str(run_cfg), "--logs", str(logs),
+                 "--out", str(tmp_path / "out"), "--filter", "eqf"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: numbers of calibration states differ: truth {n_truth}, "
+        f"estimates {n_est}"]
+    assert not (tmp_path / "out" / "err_eqf.csv").exists()
 
 
 def test_cli_run_single_filter(tmp_path, config_file):

@@ -4,6 +4,8 @@ from numpy.testing import assert_allclose
 
 from abc_eqf.config import RunConfig, SensorConfig, default_config
 from abc_eqf.lie import is_rotation, vee
+from abc_eqf.metrics import interpolate_truth
+from abc_eqf.runner import build_sensors
 from abc_eqf.sim import (
     STREAM_SENSOR_BASE,
     gen_trajectory,
@@ -149,6 +151,31 @@ def test_synth_gnss_angular_noise_statistics():
     for axis in (0, 2):   # tangential to the y-aligned baseline
         rms = np.sqrt(np.mean(np.arcsin(np.clip(refs[:, axis], -1.0, 1.0)) ** 2))
         assert abs(rms / target - 1.0) < 0.25
+
+
+@pytest.mark.parametrize("kind", ["fixed", "gnss"])
+def test_simulated_direction_scatter_matches_filter_sigma_y(kind):
+    """The per-axis scatter of each simulated direction perpendicular to the
+    true one (y of a fixed sensor, the arriving reference of a gnss sensor)
+    is the sigma_y the filters are built with, within 10%."""
+    cfg = default_config(seed=5)
+    index = [s.kind for s in cfg.sensors].index(kind)
+    sensor = cfg.sensors[index]
+    sim = simulate_run(cfg)
+    log = sim.log.select(sensor.sensor_id)
+    r_true, _ = interpolate_truth(sim.truth, log.t)
+    if sensor.kind == "fixed":
+        true_dir = np.einsum("kji,j->ki", r_true, sensor.reference)
+        if sensor.calibrated:
+            true_dir = true_dir @ sim.truth.cal[index]
+        observed = log.y
+    else:
+        true_dir = np.einsum("kij,j->ki", r_true, sensor.body_axis)
+        observed = log.reference
+    perp = observed - np.einsum("ki,ki->k", observed, true_dir)[:, None] * true_dir
+    scatter = np.sqrt(np.mean(np.einsum("ki,ki->k", perp, perp)) / 2.0)
+    sigma_y = build_sensors(cfg)[index].sigma_y
+    assert abs(scatter / sigma_y - 1.0) < 0.10
 
 
 # The scheduling stream of the first sensor, as simulate_run draws it.
