@@ -19,7 +19,11 @@ step.  The `library` scenario replays the `cal3` log through the README's
 per-step loop instead of `drive_filter`: `eqf_init`/`iekf_init`, then at
 each gyro step `*_propagate` and `*_update` of each group that
 `runner.tick_groups` puts at that step, and compares the same four arrays
-per filter.  The `campaign` scenario is `runner.montecarlo` over 3 runs of
+per filter.  The `library-1khz` scenario does the same with n = 1 on the
+1 kHz two-sensor log of the `online_1khz` workload
+(`default_config(seed=11)`, 10 s, gyro and trajectory at 1 kHz, the
+calibrated magnetometer at 50 Hz and the GNSS baseline at 10 Hz).  The
+`campaign` scenario is `runner.montecarlo` over 3 runs of
 the default config with one worker: per run and filter, the transient and
 asymptotic report values and the attitude NEES.  `campaign-2w` is the same
 campaign on two workers, whose slices hold runs 0-1 and run 2, so a batch
@@ -176,6 +180,15 @@ def dump(src: Path, out: Path) -> None:
             if name == "cal3":
                 for field, value in library_loop(kind, data, cfg).items():
                     arrays[f"library/{kind}/{field}"] = value
+    online = config.default_config(seed=11)
+    online.duration = 10.0
+    online.gyro_rate = online.traj_rate = 1000.0
+    online.sensors[0].rate, online.sensors[1].rate = 50.0, 10.0
+    online = config.validate_config(online)
+    data = sim.simulate_run(online)
+    for kind in FILTERS:
+        for field, value in library_loop(kind, data, online).items():
+            arrays[f"library-1khz/{kind}/{field}"] = value
     for workers, scenario in ((1, "campaign"), (2, "campaign-2w")):
         campaign = runner.montecarlo(config.default_config(seed=3), runs=3, workers=workers)
         for row in campaign.per_run:

@@ -22,7 +22,8 @@ from .config import (
     validate_config,
 )
 from .eqf import InputRangeError
-from .metrics import METRIC_KEYS, EmptyWindowError, MisalignedError, RmseReport, compare_report
+from .metrics import (METRIC_KEYS, EmptyWindowError, MisalignedError, RmseReport,
+                      compare_report, truth_calibrations)
 from .runner import (NonFiniteEstimateError, drive_filter, montecarlo, resolve_workers,
                      selected_filters)
 from .sim import MeasurementLog, simulate_run
@@ -122,6 +123,7 @@ def _cmd_run(args) -> int:
     truth = None
     if (logs / "truth.csv").exists():
         truth = csvio.read_truth(logs / "truth.csv")
+        truth_calibrations(truth, cfg.n_cal)      # before any file is written
 
     with csvio.open_new(out / "config_resolved.ini") as fh:
         fh.write(config_text(cfg))

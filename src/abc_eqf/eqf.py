@@ -86,6 +86,11 @@ class NonFiniteEstimateError(ArithmeticError):
     """Raised when a filter's estimate or covariance is not finite."""
 
 
+class MeasurementAheadError(ValueError):
+    """Raised when a measurement is stamped more than MEASUREMENT_SLACK after
+    the filter time."""
+
+
 @dataclass
 class NoiseConfig:
     """Continuous-time noise densities driving the filter gains.
@@ -392,26 +397,32 @@ def _check_modes(md_mode: str = MD_ANALYTIC, residual_mode: str = RESIDUAL_SUBTR
 
 def _measured_sensors(meas: list[DirectionMeasurement], sensors: list[SensorModel],
                       t: float, n: int) -> tuple[list[tuple[int, float]], list[list[float]]]:
-    """Sensor key (:func:`_sensor_keys`) and reference direction (a float
-    triple) of each measurement, on a state with n calibration states.
+    """Sensor key (as :func:`_sensor_keys` gives it) and reference direction
+    (a float triple) of each measurement, on a state with n calibration
+    states.
 
     Sensor i of the list holds calibration state i.  A duplicate id, or a
     measured sensor whose calibrated flag differs from i < n, raises
     BadDimensionError; a measurement stamped more than MEASUREMENT_SLACK
-    after t ValueError, one from a sensor missing from sensors
+    after t MeasurementAheadError, one from a sensor missing from sensors
     UnknownSensorError, a non-unit direction or reference InputRangeError.
+    The list is read afresh on every call: its ids once, and of its sensors
+    only the measured ones.
     """
-    position = _positions(sensors)
-    keys = _sensor_keys(sensors)
+    ids = [s.sensor_id for s in sensors]
+    if len(set(ids)) < len(ids):
+        _positions(sensors)             # raises, naming the duplicate
     used, refs = [], []
     for m in meas:
         if m.t > t + MEASUREMENT_SLACK:
-            raise ValueError(f"measurement at t={m.t} is ahead of the filter time {t}")
-        i = position.get(m.sensor_id)
-        if i is None:
+            raise MeasurementAheadError(
+                f"measurement at t={m.t} is ahead of the filter time {t}")
+        try:
+            i = ids.index(m.sensor_id)
+        except ValueError:
             raise UnknownSensorError(
                 f"measurement at t={m.t} names sensor {m.sensor_id!r}, not one of the "
-                f"configured sensors {list(position)} (filter time t={t})")
+                f"configured sensors {ids} (filter time t={t})") from None
         sensor = sensors[i]
         if sensor.calibrated != (i < n):
             raise BadDimensionError(f"sensor {m.sensor_id!r} at position {i}, n={n}: "
@@ -424,7 +435,7 @@ def _measured_sensors(meas: list[DirectionMeasurement], sensors: list[SensorMode
             raise InputRangeError(
                 f"measurement at t={m.t} from sensor {m.sensor_id!r}: direction or "
                 f"reference is not a unit vector (filter time t={t})")
-        used.append(keys[i])
+        used.append((1 + i if sensor.calibrated else 0, sensor.sigma_y))
         refs.append(ref)
     return used, refs
 
@@ -482,23 +493,33 @@ def _kalman(sigma: np.ndarray, h: np.ndarray, residual: np.ndarray, var, bound: 
     accept goes through the eigenvalue rule unchanged.
 
     On 2-D inputs the products use ndarray.dot, the same BLAS call as
-    np.matmul at about half its dispatch cost on matrices this small; S's
-    entries are summed as Python floats, and K r is one matrix-vector dot.
+    np.matmul at about half its dispatch cost on matrices this small; S is
+    read once as Python floats for its sum and trace, and K r is one
+    matrix-vector dot.
     """
     single = sigma.ndim == 2
-    dot = np.ndarray.dot if single else np.matmul
-    sht = dot(sigma, h.mT)
-    s = dot(h, sht)
-    m = s.shape[-1]
-    flat = s.reshape(-1, m * m)
-    diag = flat[:, ::m + 1]
-    diag += var
+    # sums and traces as floats: one conversion costs less than numpy's
+    # reductions, and one run's S is converted once
+    if single:
+        sht = sigma.dot(h.T)
+        s = h.dot(sht)
+        m = len(s)
+        diag = s.reshape(m * m)[::m + 1]
+        diag += var
+        entries = s.ravel().tolist()
+        total, trace = sum(entries), sum(entries[::m + 1])
+    else:
+        sht = np.matmul(sigma, h.mT)
+        s = np.matmul(h, sht)
+        m = s.shape[-1]
+        diag = s.reshape(-1, m * m)[:, ::m + 1]
+        diag += var
+        total, trace = np.add.reduce(s, axis=None), max(map(sum, diag.tolist()))
     keep = None
-    # sums and traces as floats: one conversion costs less than numpy's reductions
-    total = sum(flat.tolist()[0]) if single else np.add.reduce(flat, axis=None)
-    if not (math.isfinite(total) and max(map(sum, diag.tolist())) <= bound):
+    if not (math.isfinite(total) and trace <= bound):
+        flat = s.reshape(-1, m * m)
         keep = (np.isfinite(np.add.reduce(flat, axis=1))
-                & (np.add.reduce(diag, axis=1) <= bound))
+                & (np.add.reduce(flat[:, ::m + 1], axis=1) <= bound))
         for i in np.flatnonzero(~keep).tolist():
             cond = _condition_number(flat[i].reshape(m, m))
             if math.isnan(cond):
@@ -512,26 +533,29 @@ def _kalman(sigma: np.ndarray, h: np.ndarray, residual: np.ndarray, var, bound: 
             if not keep.any():
                 return keep, None, None
             sigma, sht, s, h, residual = sigma[keep], sht[keep], s[keep], h[keep], residual[keep]
+    if single:
+        gain = np.linalg.solve(s, sht.T).T
+        sigma = sigma - gain.dot(h).dot(sigma)
+        return keep, gain.dot(residual), 0.5 * (sigma + sigma.T)
     gain = np.linalg.solve(s, sht.mT).mT
-    sigma = sigma - dot(dot(gain, h), sigma)
-    correction = gain.dot(residual) if single else dot(gain, residual[..., None])[..., 0]
-    return keep, correction, 0.5 * (sigma + sigma.mT)
+    sigma = sigma - np.matmul(np.matmul(gain, h), sigma)
+    return keep, np.matmul(gain, residual[..., None])[..., 0], 0.5 * (sigma + sigma.mT)
 
 
 # ---------------------------------------------------------------------------
 # Kernels: each step once, for the 2-D arrays of one run or a stack of runs
 
 
-@dataclass
+@dataclass(slots=True)
 class Bucket:
     """One stacked update: the runs whose group at one step and slot comes
     from the same sensors in the same order, or a library update's group."""
 
-    rows: np.ndarray | None     # (Rb,) rows of the batch, ascending; None for one run
+    rows: np.ndarray | None     # (Rb,) rows of the batch, ascending; None for a library update
     sel: np.ndarray | slice     # rows, or slice(None) when it holds every row
     names: np.ndarray | tuple   # (Rb,) the names of the runs in rows, for messages
     factor: np.ndarray          # (m,) rotation factor of each sensor: 0, or 1 + cal index
-    cal_cols: list[int]         # first column of each measured calibration block
+    cal_cols: list[tuple[int, int]]     # (sensor k, first column) of each calibration block
     var: np.ndarray             # (3m,) sigma_y^2 of each row
     bound: float                # trace certificate's bound on tr S, NaN if a var is not > 0
     y: np.ndarray               # ([Rb,] m, 3) measured directions
@@ -553,7 +577,7 @@ def _layout(keys: tuple[tuple[int, float], ...], n: int) -> tuple:
     output-noise rotation returns sigma_y^2 I unchanged and is not applied."""
     factor = np.array([f for f, _ in keys], dtype=np.intp)
     var = [sigma_y ** 2 for _, sigma_y in keys for _ in range(3)]
-    out = (factor, sorted({3 + 3 * f for f in factor.tolist() if f}), np.array(var),
+    out = (factor, [(k, 3 + 3 * f) for k, f in enumerate(factor.tolist()) if f], np.array(var),
            _trace_bound(var), _output_index(factor, n))
     for a in out[0], out[2], out[4]:
         a.flags.writeable = False
@@ -574,10 +598,15 @@ def _output_index(factor: np.ndarray, n: int) -> np.ndarray:
     return index + 7 * np.arange(len(factor))[:, None, None]
 
 
-def _output_matrix(index: np.ndarray, refs: np.ndarray) -> np.ndarray:
+def _output_matrix(index: np.ndarray, refs: np.ndarray | list) -> np.ndarray:
     """The one builder of output blocks (M, 3, 6 + 3n), for a whole log and
-    for one group alike: references refs (M, 3) gathered by their index."""
-    return np.concatenate((np.zeros((len(refs), 1)), refs, -refs), axis=1).ravel()[index]
+    for one group alike: references refs, an (M, 3) array or a list of M
+    float triples, gathered by their index."""
+    if isinstance(refs, list):      # one group: the table from its floats
+        table = np.array([v for x, y, z in refs for v in (0.0, x, y, z, -x, -y, -z)])
+    else:
+        table = np.concatenate((np.zeros((len(refs), 1)), refs, -refs), axis=1).ravel()
+    return table[index]
 
 
 def _group_bucket(meas: list[DirectionMeasurement], sensors: list[SensorModel], t: float,
@@ -585,13 +614,12 @@ def _group_bucket(meas: list[DirectionMeasurement], sensors: list[SensorModel], 
     """The Bucket of a library update of the group meas at filter time t,
     checked by :func:`_measured_sensors`, as one 2-D run."""
     used, refs = _measured_sensors(meas, sensors, t, n)
-    refs = np.array(refs)
     *layout, index = _layout(tuple(used), n)
-    return Bucket(None, slice(None), ("",), *layout, np.array([m.y for m in meas]), refs,
-                  _output_matrix(index, refs).reshape(3 * len(used), 6 + 3 * n))
+    return Bucket(None, slice(None), ("",), *layout, np.array([m.y for m in meas]),
+                  np.array(refs), _output_matrix(index, refs).reshape(3 * len(used), 6 + 3 * n))
 
 
-@dataclass
+@dataclass(slots=True)
 class _State:
     """Stacked filter state: rotation factors f ([R,] 1 + n, 3, 3), vector v
     ([R,] 3) and sigma ([R,] d, d), with no run axis R for one run.  EqF:
@@ -601,17 +629,19 @@ class _State:
     v: np.ndarray
     sigma: np.ndarray
 
+    def gather(self, b: Bucket) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """f, v and sigma of the bucket's runs: the arrays themselves for one
+        run, the rows b.sel of a batch."""
+        if self.sigma.ndim == 2:
+            return self.f, self.v, self.sigma
+        return self.f[b.sel], self.v[b.sel], self.sigma[b.sel]
+
     def put(self, sel, f: np.ndarray, v: np.ndarray, sigma: np.ndarray) -> None:
         """Store the updated rows sel; a slice (every row) rebinds the arrays."""
         if isinstance(sel, slice):
             self.f, self.v, self.sigma = f, v, sigma
         else:
             self.f[sel], self.v[sel], self.sigma[sel] = f, v, sigma
-
-
-def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a x for matrices a (..., i, j) and vectors x (..., j)."""
-    return a.dot(x) if a.ndim == 2 else np.matvec(a, x)
 
 
 def _reproject(f: np.ndarray, names=("",)) -> np.ndarray:
@@ -630,24 +660,43 @@ def _eqf_transition(omega0: np.ndarray, dt: float, noise: NoiseConfig, idx: np.n
     for origin inputs omega0 ([R,] 3): the nonzero entries as scalars from
     :func:`_phi_md_values`, gathered with _gather_index's idx."""
     if omega0.ndim == 1:
-        phi_md = np.array(_phi_md_values(*omega0.tolist(), dt, noise))[idx]
-    else:
-        phi_md = np.array([_phi_md_values(x, y, z, dt, noise)
-                           for x, y, z in omega0.tolist()]).take(idx, axis=-1)
-    phi = phi_md[..., 0, :, :]
-    return phi[..., 3:6, 3:6], phi, phi_md[..., 1, :, :]
+        values = _phi_md_values(*omega0.tolist(), dt, noise)
+        phi_md = np.fromiter(values, float, len(values))[idx]
+        phi = phi_md[0]
+        return phi[3:6, 3:6], phi, phi_md[1]
+    phi_md = np.array([_phi_md_values(x, y, z, dt, noise)
+                       for x, y, z in omega0.tolist()]).take(idx, axis=-1)
+    phi = phi_md[:, 0]
+    return phi[:, 3:6, 3:6], phi, phi_md[:, 1]
 
 
 def _eqf_propagate(st: _State, omega: np.ndarray, dt: float, noise: NoiseConfig,
                    idx: np.ndarray) -> None:
     """The EqF gyro step of every run, less the re-projection: every factor
-    and ahat move by E (see :func:`propagate_mean`), Sigma by Phi and Md."""
-    dot = np.ndarray.dot if st.sigma.ndim == 2 else np.matmul
-    e, phi, md = _eqf_transition(_matvec(st.f[..., 0, :, :], omega) + st.v, dt, noise, idx)
-    st.f = e[..., None, :, :] @ st.f
-    st.v = _matvec(e, st.v)
+    and ahat move by E (see :func:`propagate_mean`), Sigma by Phi and Md.
+    One run takes 2-D products (ndarray.dot), a batch stacked ones."""
+    if st.sigma.ndim == 2:
+        dot = matvec = np.ndarray.dot
+        e, phi, md = _eqf_transition(st.f[0].dot(omega) + st.v, dt, noise, idx)
+        st.f = e @ st.f
+    else:
+        dot, matvec = np.matmul, np.matvec
+        e, phi, md = _eqf_transition(np.matvec(st.f[:, 0], omega) + st.v, dt, noise, idx)
+        st.f = e[:, None] @ st.f
+    st.v = matvec(e, st.v)
     sigma = dot(dot(phi, st.sigma), phi.mT) + md
     st.sigma = 0.5 * (sigma + sigma.mT)
+
+
+def _eqf_delta(r: list[float]) -> list[float]:
+    """The entries of exp(Delta) for one run's correction r: the nav
+    rotation, each calibration rotation (row-major), then the nav vector."""
+    x, y, z, bx, by, bz, *cal = r
+    nav = _sdp_entries(x, y, z, -bx, -by, -bz)
+    entries = nav[:9]
+    for j in range(0, len(cal), 3):
+        entries += _exp_entries(cal[j] + x, cal[j + 1] + y, cal[j + 2] + z)
+    return entries + nav[9:]
 
 
 def _eqf_update(st: _State, b: Bucket, t: float) -> None:
@@ -656,33 +705,48 @@ def _eqf_update(st: _State, b: Bucket, t: float) -> None:
     correction r enters as Xhat+ = exp(Delta) Xhat, with Delta = (r_att,
     -r_bias; r_cal_i + r_att) from the exponential chart at the origin.
     Runs whose update _kalman skips keep their state."""
-    sel = b.sel
-    f, v, sigma = st.f[sel], st.v[sel], st.sigma[sel]
-    residual = _matvec(f[..., b.factor, :, :], b.y) - b.refs
+    f, v, sigma = st.gather(b)
+    residual = np.matvec(f.take(b.factor, axis=-3), b.y) - b.refs
     keep, r, sigma = _kalman(sigma, b.h, residual.reshape(b.h.shape[:-1]), b.var, b.bound, t,
                              b.names)
+    if r is None:
+        return
+    if r.ndim == 1:                     # one run
+        vals = _eqf_delta(r.tolist())
+        vals = np.fromiter(vals, float, len(vals))
+        g = vals[:-3].reshape(f.shape)
+        st.f, st.v, st.sigma = g @ f, vals[-3:] + g[0].dot(v), sigma
+        return
+    sel = b.sel
     if keep is not None:
-        if r is None:
-            return
         sel, f, v = b.rows[keep], f[keep], v[keep]
-    # per run, the entries of exp(Delta): nav rotation, calibrations, nav vector
-    d = r.shape[-1]
-    rows = []
-    for x, y, z, *rest in r.reshape(-1, d).tolist():
-        nav = _sdp_entries(x, y, z, -rest[0], -rest[1], -rest[2])
-        row = nav[:9]
-        for j in range(3, d - 3, 3):
-            row += _exp_entries(rest[j] + x, rest[j + 1] + y, rest[j + 2] + z)
-        rows.append(row + nav[9:])
-    vals = np.array(rows)
+    vals = np.array([_eqf_delta(row) for row in r.tolist()])
     g = vals[:, :-3].reshape(f.shape)
-    st.put(sel, g @ f, vals[:, -3:].reshape(v.shape) + _matvec(g[..., 0, :, :], v), sigma)
+    st.put(sel, g @ f, vals[:, -3:] + np.matvec(g[:, 0], v), sigma)
 
 
 # ---------------------------------------------------------------------------
-# Library steps: the kernels on one run.  A step stacks its input state's
-# rotations into a new array, so it writes no array of that state, and
-# returns a new state whose rotations are views of the kernel's stack.
+# Library steps: the kernels on one run.  A step checks and stacks its input
+# state's rotations into a new array, so it writes no array of that state,
+# and returns a new state whose rotations are views of the kernel's stack.
+
+
+def _library_state(rots: list[np.ndarray], v: np.ndarray, sigma: np.ndarray, step: str,
+                   t: float) -> _State:
+    """The kernels' state of a library step's input: its rotations rots
+    stacked into a new array, its vector v and sigma.
+
+    Raises NonFiniteEstimateError, naming the step and the filter time t,
+    when an entry of the rotations or of v is not finite, which the sum of
+    the rotations' squared entries (3 per rotation) and of v's entries
+    shows; so no kernel meets one.  Entries so large that this sum
+    overflows (above about 1e154 in a rotation or 1e307 in v) raise too.
+    A non-finite Sigma raises at the next update, whose S it makes
+    non-finite (see :func:`_kalman`)."""
+    f = np.array(rots)
+    if not math.isfinite(np.vdot(f, f) + sum(v.tolist())):
+        raise NonFiniteEstimateError(f"{step} at filter time t={t}: non-finite estimate")
+    return _State(f, v, sigma)
 
 
 def _stepped(state, st: _State, part: type, dt: float | None = None):
@@ -699,7 +763,7 @@ def _stepped(state, st: _State, part: type, dt: float | None = None):
         if steps % REPROJECT_EVERY == 0:
             st.f = _reproject(st.f)
     f = st.f
-    return type(state)(part(f[0], st.v, list(f[1:])), st.sigma, t, steps)
+    return type(state)(part(f[0], st.v, [f[i] for i in range(1, len(f))]), st.sigma, t, steps)
 
 
 def eqf_propagate(fs: FilterState, omega: np.ndarray, dt: float,
@@ -710,7 +774,7 @@ def eqf_propagate(fs: FilterState, omega: np.ndarray, dt: float,
     _check_modes(md_mode=md_mode)
     dt = _check_step(omega, dt, fs.t)
     x = fs.xhat
-    st = _State(np.array([x.A, *x.B]), x.a, fs.sigma)
+    st = _library_state([x.A, *x.B], x.a, fs.sigma, "propagation", fs.t)
     _eqf_propagate(st, omega, dt, noise, _gather_index(6 + 3 * x.n))
     return _stepped(fs, st, GroupElement, dt)
 
@@ -726,6 +790,6 @@ def eqf_update(fs: FilterState, meas: list[DirectionMeasurement],
     if not meas:
         return fs
     x = fs.xhat
-    st = _State(np.array([x.A, *x.B]), x.a, fs.sigma)
+    st = _library_state([x.A, *x.B], x.a, fs.sigma, "update", fs.t)
     _eqf_update(st, _group_bucket(meas, sensors, fs.t, x.n), fs.t)
     return _stepped(fs, st, GroupElement)

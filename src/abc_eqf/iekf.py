@@ -28,7 +28,7 @@ from .eqf import (
     _check_step,
     _group_bucket,
     _kalman,
-    _matvec,
+    _library_state,
     _State,
     _stepped,
     sigma_u,
@@ -75,48 +75,66 @@ def _iekf_propagate(st: _State, omega: np.ndarray, dt: float, s_u: np.ndarray,
     """The IEKF gyro step of every run, less the re-projection; phi is a
     ([R,] d, d) identity whose bias-to-attitude block it overwrites.  The
     step writes the attitude of the stack in place."""
-    dot = np.ndarray.dot if st.sigma.ndim == 2 else np.matmul
-    rot = st.f[..., 0, :, :]
-    phi[..., 0:3, 3:6] = -rot * dt
+    one = st.sigma.ndim == 2
+    dot = np.ndarray.dot if one else np.matmul
+    rot = st.f[0] if one else st.f[:, 0]
+    phi[..., 0:3, 3:6] = rot * -dt
     sigma = dot(dot(phi, st.sigma), phi.mT) + s_u * dt
     st.sigma = 0.5 * (sigma + sigma.mT)
-    st.f[..., 0, :, :] = dot(rot, exp_so3((omega - st.v) * dt))
+    rot[...] = dot(rot, exp_so3((omega - st.v) * dt))
 
 
 def _iekf_update(st: _State, b: Bucket, t: float) -> None:
     """The IEKF update of the bucket's runs.
 
-    The output matrix is the bucket's h with every measured calibration
-    column block right-multiplied by Rhat (the right-invariant error
-    convention), and the residual Rhat Chat_i y - d (calibrated sensor) or
-    Rhat y - d.  _kalman's correction r maps to R <- exp(r_att) Rhat,
-    b <- bhat + r_bias, C_i <- exp(r_cal_i) Chat_i; runs whose update it
-    skips keep their state.
+    The output matrix is the bucket's h with the calibration block of every
+    measured calibrated sensor right-multiplied by Rhat (the right-invariant
+    error convention), and the residual Rhat Chat_i y - d (calibrated
+    sensor) or Rhat y - d; both products are formed for the measured
+    calibrated sensors only.  _kalman's correction r maps to
+    R <- exp(r_att) Rhat, b <- bhat + r_bias, C_i <- exp(r_cal_i) Chat_i;
+    runs whose update it skips keep their state.  A library update's h is
+    its own and is written in place; a schedule's, which both filters read,
+    is copied first.
     """
-    sel = b.sel
-    f, v, sigma = st.f[sel], st.v[sel], st.sigma[sel]
-    rot = f[..., 0, :, :]
-    prods = rot[..., None, :, :] @ f      # R C_i; the first, R R, is replaced by R
-    prods[..., 0, :, :] = rot
-    residual = _matvec(prods[..., b.factor, :, :], b.y) - b.refs
-    h = b.h.copy()
-    dot = np.ndarray.dot if h.ndim == 2 else np.matmul
-    for j in b.cal_cols:
-        h[..., j:j + 3] = dot(h[..., j:j + 3], rot)
+    one = st.sigma.ndim == 2
+    f, v, sigma = st.gather(b)
+    g = f.take(b.factor, axis=-3)       # Chat_i, or Rhat for an uncalibrated sensor
+    h = b.h if b.rows is None or not b.cal_cols else b.h.copy()
+    if one:
+        rot = f[0]
+        for k, j in b.cal_cols:
+            g[k] = rot.dot(g[k])
+            h[3 * k:3 * k + 3, j:j + 3] = h[3 * k:3 * k + 3, j:j + 3].dot(rot)
+    else:
+        rot = f[:, 0]
+        for k, j in b.cal_cols:
+            g[:, k] = rot @ g[:, k]
+            h[:, 3 * k:3 * k + 3, j:j + 3] = h[:, 3 * k:3 * k + 3, j:j + 3] @ rot
+    residual = np.matvec(g, b.y) - b.refs
     keep, r, sigma = _kalman(sigma, h, residual.reshape(h.shape[:-1]), b.var, b.bound, t,
                              b.names)
+    if r is None:
+        return
+    if one:
+        vals = _iekf_delta(r.tolist())
+        st.f = np.fromiter(vals, float, len(vals)).reshape(f.shape) @ f
+        st.v, st.sigma = v + r[3:6], sigma
+        return
+    sel = b.sel
     if keep is not None:
-        if r is None:
-            return
         sel, f, v = b.rows[keep], f[keep], v[keep]
-    d = r.shape[-1]
-    rows = []                             # per run, exp(r_att) and each exp(r_cal_i)
-    for row in r.reshape(-1, d).tolist():
-        entries = _exp_entries(*row[0:3])
-        for j in range(6, d, 3):
-            entries += _exp_entries(*row[j:j + 3])
-        rows.append(entries)
-    st.put(sel, np.array(rows).reshape(f.shape) @ f, v + r[..., 3:6], sigma)
+    st.put(sel, np.array([_iekf_delta(row) for row in r.tolist()]).reshape(f.shape) @ f,
+           v + r[:, 3:6], sigma)
+
+
+def _iekf_delta(r: list[float]) -> list[float]:
+    """The entries of exp(r_att) and of each exp(r_cal_i) for one run's
+    correction r, row-major."""
+    entries = _exp_entries(*r[0:3])
+    for j in range(6, len(r), 3):
+        entries += _exp_entries(*r[j:j + 3])
+    return entries
 
 
 def iekf_propagate(s: IekfState, omega: np.ndarray, dt: float,
@@ -126,7 +144,7 @@ def iekf_propagate(s: IekfState, omega: np.ndarray, dt: float,
     dt = _check_step(omega, dt, s.t)
     xi = s.xi
     s_u, eye = _propagation_constants(noise.sigma_w, noise.sigma_bw, noise.sigma_kappa, xi.n)
-    st = _State(np.array([xi.R, *xi.C]), xi.b, s.sigma)
+    st = _library_state([xi.R, *xi.C], xi.b, s.sigma, "propagation", s.t)
     _iekf_propagate(st, omega, dt, s_u, eye.copy())
     return _stepped(s, st, SystemState, dt)
 
@@ -138,6 +156,6 @@ def iekf_update(s: IekfState, meas: list[DirectionMeasurement],
     if not meas:
         return s
     xi = s.xi
-    st = _State(np.array([xi.R, *xi.C]), xi.b, s.sigma)
+    st = _library_state([xi.R, *xi.C], xi.b, s.sigma, "update", s.t)
     _iekf_update(st, _group_bucket(meas, sensors, s.t, xi.n), s.t)
     return _stepped(s, st, SystemState)

@@ -80,15 +80,22 @@ def interpolate_truth(truth: GroundTruth, t: np.ndarray) -> tuple[np.ndarray, np
     return r_out, b_out
 
 
+def truth_calibrations(truth: GroundTruth, n: int) -> np.ndarray:
+    """The truth's calibrations (n, 3, 3); MisalignedError when it holds
+    another number of them than the n of the estimates."""
+    cal_true = np.asarray(truth.cal, dtype=float).reshape(-1, 3, 3)
+    if cal_true.shape[0] != n:
+        raise MisalignedError(f"numbers of calibration states differ: truth "
+                              f"{cal_true.shape[0]}, estimates {n}")
+    return cal_true
+
+
 def error_series(truth: GroundTruth, est: EstimateSeries) -> ErrorSeries:
     """Attitude / bias / calibration error norms at the estimate timestamps.
 
     Raises MisalignedError when the truth and the estimates hold different
     numbers of calibrations."""
-    cal_true = np.asarray(truth.cal, dtype=float).reshape(-1, 3, 3)
-    if cal_true.shape[0] != est.C.shape[1]:
-        raise MisalignedError(f"numbers of calibration states differ: truth "
-                              f"{cal_true.shape[0]}, estimates {est.C.shape[1]}")
+    cal_true = truth_calibrations(truth, est.C.shape[1])
     r_true, b_true = interpolate_truth(truth, est.t)
     att_vec = log_so3(r_true @ np.swapaxes(est.R, -1, -2))
     cal_vec = log_so3(cal_true @ np.swapaxes(est.C, -1, -2))

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from abc_eqf import cli
 from abc_eqf.cli import main
 from abc_eqf.config import (
     ConfigError,
@@ -359,10 +360,11 @@ reference = 0 0 1
 
 @pytest.mark.parametrize("n_truth, n_est", [(1, 2), (2, 1)])
 def test_cli_run_truth_with_other_calibration_count_is_data_error(tmp_path, capsys,
-                                                                  n_truth, n_est):
+                                                                  monkeypatch, n_truth, n_est):
     """A truth.csv whose calibrations the config's calibrated sensors do not
     match one to one is a data error, not an error series against the
-    wrong calibration."""
+    wrong calibration.  It is found right after the logs are read: no
+    filter runs and --out stays empty."""
     text = {1: CONFIG_TEXT, 2: TWO_CAL_TEXT}
     sim_cfg, run_cfg = tmp_path / "sim.ini", tmp_path / "run.ini"
     sim_cfg.write_text(text[n_truth])
@@ -370,12 +372,17 @@ def test_cli_run_truth_with_other_calibration_count_is_data_error(tmp_path, caps
     logs = tmp_path / "logs"
     assert main(["simulate", "--config", str(sim_cfg), "--out", str(logs)]) == 0
     capsys.readouterr()
+
+    def no_filtering(*args, **kwargs):
+        raise AssertionError("the log was filtered before the truth was checked")
+
+    monkeypatch.setattr(cli, "drive_filter", no_filtering)
     assert main(["run", "--config", str(run_cfg), "--logs", str(logs),
-                 "--out", str(tmp_path / "out"), "--filter", "eqf"]) == 2
+                 "--out", str(tmp_path / "out"), "--filter", "both"]) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"data error: numbers of calibration states differ: truth {n_truth}, "
         f"estimates {n_est}"]
-    assert not (tmp_path / "out" / "err_eqf.csv").exists()
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_cli_run_single_filter(tmp_path, config_file):
