@@ -27,9 +27,13 @@ calibrated magnetometer at 50 Hz and the GNSS baseline at 10 Hz).  The
 the default config with one worker: per run and filter, the transient and
 asymptotic report values and the attitude NEES.  `campaign-2w` is the same
 campaign on two workers, whose slices hold runs 0-1 and run 2, so a batch
-of one run that names its run is compared too.  The `cli` scenario runs
-`abc-eqf simulate` on the `cal3` config, then `abc-eqf run --filter both`
-twice into one --out, and keeps every file each command wrote as bytes:
+of one run that names its run is compared too.  `campaign-cal3` is
+`runner.montecarlo` over 3 runs of the `cal3` config on one worker: its
+jitter and dropout give ragged buckets that hold only some of the runs,
+with 15 states, which the default config's campaigns do not reach.  The
+`cli` scenario runs `abc-eqf simulate` on the `cal3` config, then
+`abc-eqf run --filter both` twice into one --out, and keeps every file
+each command wrote as bytes:
 besides comparing them with the base side's, the change's second run is
 compared with its own first run.  The base side is exported with
 `git archive` into a temporary directory; the change side is the working
@@ -189,8 +193,11 @@ def dump(src: Path, out: Path) -> None:
     for kind in FILTERS:
         for field, value in library_loop(kind, data, online).items():
             arrays[f"library-1khz/{kind}/{field}"] = value
-    for workers, scenario in ((1, "campaign"), (2, "campaign-2w")):
-        campaign = runner.montecarlo(config.default_config(seed=3), runs=3, workers=workers)
+    campaigns = (("campaign", config.default_config(seed=3), 1),
+                 ("campaign-2w", config.default_config(seed=3), 2),
+                 ("campaign-cal3", scenarios["cal3"], 1))
+    for scenario, cfg, workers in campaigns:
+        campaign = runner.montecarlo(cfg, runs=3, workers=workers)
         for row in campaign.per_run:
             for kind in FILTERS:
                 rep = row[kind]["report"]

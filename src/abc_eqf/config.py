@@ -189,7 +189,8 @@ def validate_config(cfg: RunConfig) -> RunConfig:
 
 def _divides(high: float, low: float) -> bool:
     ratio = high / low
-    return abs(ratio - round(ratio)) < 1e-9 and round(ratio) >= 1
+    # a ratio that overflows to inf has no integer to round to
+    return math.isfinite(ratio) and abs(ratio - round(ratio)) < 1e-9 and round(ratio) >= 1
 
 
 # The config schema, written once: section -> key -> (attribute, type).  It

@@ -220,13 +220,12 @@ def compute_C0(sensors: list[SensorModel], refs, n: int) -> np.ndarray:
     sensor, as rows of an array or as float triples.  For a calibrated sensor
     the reference skew wedge(d) appears in the attitude block and in its own
     calibration block; for an uncalibrated sensor only in the attitude block.
-    This is the one-group case of :func:`_output_matrix`.
+    This is the matrix the update kernels gather from a bucket's table.
     """
     if validate_layout(sensors) > n:
         raise BadDimensionError(f"more than n={n} calibrated sensors")
-    h = _output_matrix(_layout(_sensor_keys(sensors), n)[4],
-                       np.asarray(refs, dtype=float).reshape(len(sensors), 3))
-    return h.reshape(3 * len(sensors), 6 + 3 * n)
+    table = _output_table(np.asarray(refs, dtype=float).reshape(len(sensors), 3))
+    return table.ravel()[_layout(_sensor_keys(sensors), n)[4]]
 
 
 def compute_phi(omega0: np.ndarray, dt: float, n: int) -> np.ndarray:
@@ -405,7 +404,8 @@ def _measured_sensors(meas: list[DirectionMeasurement], sensors: list[SensorMode
     measured sensor whose calibrated flag differs from i < n, raises
     BadDimensionError; a measurement stamped more than MEASUREMENT_SLACK
     after t MeasurementAheadError, one from a sensor missing from sensors
-    UnknownSensorError, a non-unit direction or reference InputRangeError.
+    UnknownSensorError, a direction or reference not of shape (3,)
+    BadDimensionError, a non-unit one InputRangeError.
     The list is read afresh on every call: its ids once, and of its sensors
     only the measured ones.
     """
@@ -430,6 +430,10 @@ def _measured_sensors(meas: list[DirectionMeasurement], sensors: list[SensorMode
         ref = sensor.reference if sensor.reference is not None else m.reference
         if ref is None:
             raise BadDimensionError(f"sensor {m.sensor_id}: measurement carries no reference")
+        if m.y.shape != (3,) or ref.shape != (3,):
+            raise BadDimensionError(
+                f"measurement at t={m.t} from sensor {m.sensor_id!r}: direction and reference "
+                f"must have shape (3,), got {m.y.shape} and {ref.shape} (filter time t={t})")
         ref = ref.tolist()
         if not (_is_unit(m.y.tolist()) and _is_unit(ref)):
             raise InputRangeError(
@@ -558,9 +562,10 @@ class Bucket:
     cal_cols: list[tuple[int, int]]     # (sensor k, first column) of each calibration block
     var: np.ndarray             # (3m,) sigma_y^2 of each row
     bound: float                # trace certificate's bound on tr S, NaN if a var is not > 0
+    index: np.ndarray           # (3m, d) table.take(index, axis=-1) is compute_C0 of each run
     y: np.ndarray               # ([Rb,] m, 3) measured directions
     refs: np.ndarray            # ([Rb,] m, 3) reference directions
-    h: np.ndarray               # ([Rb,] 3m, d) compute_C0 of each run
+    table: np.ndarray           # ([Rb,] 7m) (0, x, y, z, -x, -y, -z) of each reference
 
 
 def _sensor_keys(sensors: list[SensorModel]) -> tuple[tuple[int, float], ...]:
@@ -571,14 +576,19 @@ def _sensor_keys(sensors: list[SensorModel]) -> tuple[tuple[int, float], ...]:
 
 @lru_cache(maxsize=256)
 def _layout(keys: tuple[tuple[int, float], ...], n: int) -> tuple:
-    """The Bucket fields factor, cal_cols, var and bound of a group of
-    sensors with the _sensor_keys keys, then its _output_index; cached, with
-    read-only arrays.  The direction noise is isotropic, so either filter's
-    output-noise rotation returns sigma_y^2 I unchanged and is not applied."""
+    """The Bucket fields factor, cal_cols, var, bound and index of a group of
+    sensors with the _sensor_keys keys; cached, with read-only arrays.  The
+    direction noise is isotropic, so either filter's output-noise rotation
+    returns sigma_y^2 I unchanged and is not applied.  index puts wedge of
+    reference k (table entries 7k..7k+6) in the attitude columns and in a
+    calibrated sensor's own; its other entries point at the table's first 0."""
     factor = np.array([f for f, _ in keys], dtype=np.intp)
+    cal_cols = [(k, 3 + 3 * f) for k, f in enumerate(factor.tolist()) if f]
     var = [sigma_y ** 2 for _, sigma_y in keys for _ in range(3)]
-    out = (factor, [(k, 3 + 3 * f) for k, f in enumerate(factor.tolist()) if f], np.array(var),
-           _trace_bound(var), _output_index(factor, n))
+    index = np.zeros((len(keys), 3, 6 + 3 * n), dtype=np.intp)
+    for k, j in [(k, 0) for k in range(len(keys))] + cal_cols:
+        index[k, :, j:j + 3] = _WEDGE_INDEX + 7 * k
+    out = (factor, cal_cols, np.array(var), _trace_bound(var), index.reshape(-1, 6 + 3 * n))
     for a in out[0], out[2], out[4]:
         a.flags.writeable = False
     return out
@@ -587,26 +597,10 @@ def _layout(keys: tuple[tuple[int, float], ...], n: int) -> tuple:
 _WEDGE_INDEX = np.array([[0, 6, 2], [3, 0, 4], [5, 1, 0]])   # into (0, x, y, z, -x, -y, -z)
 
 
-def _output_index(factor: np.ndarray, n: int) -> np.ndarray:
-    """The index of :func:`_output_matrix` for measurements by sensors with
-    rotation factors factor: wedge of each reference in the attitude
-    columns and, for a calibrated sensor, in its calibration columns."""
-    index = np.zeros((len(factor), 3, 6 + 3 * n), dtype=np.intp)
-    index[..., 0:3] = _WEDGE_INDEX
-    for f in np.unique(factor[factor > 0]).tolist():
-        index[factor == f, :, 3 + 3 * f:6 + 3 * f] = _WEDGE_INDEX
-    return index + 7 * np.arange(len(factor))[:, None, None]
-
-
-def _output_matrix(index: np.ndarray, refs: np.ndarray | list) -> np.ndarray:
-    """The one builder of output blocks (M, 3, 6 + 3n), for a whole log and
-    for one group alike: references refs, an (M, 3) array or a list of M
-    float triples, gathered by their index."""
-    if isinstance(refs, list):      # one group: the table from its floats
-        table = np.array([v for x, y, z in refs for v in (0.0, x, y, z, -x, -y, -z)])
-    else:
-        table = np.concatenate((np.zeros((len(refs), 1)), refs, -refs), axis=1).ravel()
-    return table[index]
+def _output_table(refs: np.ndarray) -> np.ndarray:
+    """The table (0, x, y, z, -x, -y, -z) of each reference (x, y, z) of
+    refs (..., 3), shaped (..., 7): what a Bucket's index gathers from."""
+    return np.concatenate((np.zeros(refs.shape[:-1] + (1,)), refs, -refs), axis=-1)
 
 
 def _group_bucket(meas: list[DirectionMeasurement], sensors: list[SensorModel], t: float,
@@ -614,9 +608,9 @@ def _group_bucket(meas: list[DirectionMeasurement], sensors: list[SensorModel], 
     """The Bucket of a library update of the group meas at filter time t,
     checked by :func:`_measured_sensors`, as one 2-D run."""
     used, refs = _measured_sensors(meas, sensors, t, n)
-    *layout, index = _layout(tuple(used), n)
-    return Bucket(None, slice(None), ("",), *layout, np.array([m.y for m in meas]),
-                  np.array(refs), _output_matrix(index, refs).reshape(3 * len(used), 6 + 3 * n))
+    table = np.array([v for x, y, z in refs for v in (0.0, x, y, z, -x, -y, -z)])
+    return Bucket(None, slice(None), ("",), *_layout(tuple(used), n),
+                  np.array([m.y for m in meas]), np.array(refs), table)
 
 
 @dataclass(slots=True)
@@ -706,8 +700,9 @@ def _eqf_update(st: _State, b: Bucket, t: float) -> None:
     -r_bias; r_cal_i + r_att) from the exponential chart at the origin.
     Runs whose update _kalman skips keep their state."""
     f, v, sigma = st.gather(b)
+    h = b.table.take(b.index, axis=-1)
     residual = np.matvec(f.take(b.factor, axis=-3), b.y) - b.refs
-    keep, r, sigma = _kalman(sigma, b.h, residual.reshape(b.h.shape[:-1]), b.var, b.bound, t,
+    keep, r, sigma = _kalman(sigma, h, residual.reshape(h.shape[:-1]), b.var, b.bound, t,
                              b.names)
     if r is None:
         return

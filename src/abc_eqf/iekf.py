@@ -87,20 +87,18 @@ def _iekf_propagate(st: _State, omega: np.ndarray, dt: float, s_u: np.ndarray,
 def _iekf_update(st: _State, b: Bucket, t: float) -> None:
     """The IEKF update of the bucket's runs.
 
-    The output matrix is the bucket's h with the calibration block of every
-    measured calibrated sensor right-multiplied by Rhat (the right-invariant
-    error convention), and the residual Rhat Chat_i y - d (calibrated
-    sensor) or Rhat y - d; both products are formed for the measured
-    calibrated sensors only.  _kalman's correction r maps to
-    R <- exp(r_att) Rhat, b <- bhat + r_bias, C_i <- exp(r_cal_i) Chat_i;
-    runs whose update it skips keep their state.  A library update's h is
-    its own and is written in place; a schedule's, which both filters read,
-    is copied first.
+    The output matrix is the bucket's (gathered from its table) with the
+    calibration block of every measured calibrated sensor right-multiplied
+    by Rhat (the right-invariant error convention), and the residual
+    Rhat Chat_i y - d (calibrated sensor) or Rhat y - d; both products are
+    formed for the measured calibrated sensors only.  _kalman's correction
+    r maps to R <- exp(r_att) Rhat, b <- bhat + r_bias,
+    C_i <- exp(r_cal_i) Chat_i; runs whose update it skips keep their state.
     """
     one = st.sigma.ndim == 2
     f, v, sigma = st.gather(b)
     g = f.take(b.factor, axis=-3)       # Chat_i, or Rhat for an uncalibrated sensor
-    h = b.h if b.rows is None or not b.cal_cols else b.h.copy()
+    h = b.table.take(b.index, axis=-1)
     if one:
         rot = f[0]
         for k, j in b.cal_cols:

@@ -73,8 +73,7 @@ from .eqf import (
     _layout,
     _MAX_STEP_TURN_SQ,
     _measured_sensors,
-    _output_index,
-    _output_matrix,
+    _output_table,
     _reproject,
     _sensor_keys,
     _State,
@@ -213,8 +212,9 @@ def build_schedule(cfg: RunConfig, gyro_ts: list[np.ndarray], omegas: list[np.nd
 
     The measurements of all runs are grouped at once (:func:`_groups`), laid
     out bucket by bucket, and checked and converted as whole-log arrays, so
-    that each bucket's y, refs and h are contiguous slices (views) of them.
-    The buckets have no run axis when there is one run.
+    that each bucket's y, refs and output table (:func:`eqf._output_table`)
+    are contiguous slices (views) of them, read-only since both filters read
+    one schedule.  The buckets have no run axis when there is one run.
     """
     gyro_t = np.asarray(gyro_ts[0], dtype=float)
     for r, other in enumerate(gyro_ts):
@@ -271,9 +271,10 @@ def build_schedule(cfg: RunConfig, gyro_ts: list[np.ndarray], omegas: list[np.nd
                               np.concatenate([log.y for log in logs])[meas],
                               np.concatenate([log.reference for log in logs])[meas],
                               t[m_step], names[m_run])
+    table = _output_table(refs)
+    for a in (y, refs, table):      # both filters read them: no kernel may write them
+        a.flags.writeable = False
     keys = _sensor_keys(configured)
-    factor = np.array([f for f, _ in keys], dtype=np.intp)
-    h = _output_matrix(_output_index(factor[m_sensor], n_cal), refs)
 
     updates: list = [()] * k_total
     shape = (-1,) if runs > 1 else ()
@@ -288,10 +289,10 @@ def build_schedule(cfg: RunConfig, gyro_ts: list[np.ndarray], omegas: list[np.nd
         if not updates[k]:
             updates[k] = []
         sel = slice(None) if count == runs else rows
-        updates[k].append(Bucket(rows, sel, names[sel], *layout[:4],
+        updates[k].append(Bucket(rows, sel, names[sel], *layout,
                                  y[m0:m1].reshape(shape + (width, 3)),
                                  refs[m0:m1].reshape(shape + (width, 3)),
-                                 h[m0:m1].reshape(shape + (3 * width, h.shape[-1]))))
+                                 table[m0:m1].reshape(shape + (7 * width,))))
     return Schedule(gyro_t, omega, t.tolist(), updates, first_run, names)
 
 

@@ -247,10 +247,10 @@ def test_batched_md_matches_quadrature(n):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_batched_output_matrix_matches_compute_c0(n):
-    """The one output-matrix builder, over many groups at once as the
-    schedule calls it, for one group with the index of its cached layout as
-    a library update calls it, and as compute_C0, against blocks built with
-    wedge."""
+    """The one output-matrix builder, the gather of a table by the index of
+    its group's cached layout: on a table with a run axis as a schedule's
+    bucket holds it, on one run as a library update's, and as compute_C0,
+    against blocks built with wedge."""
     rng = np.random.default_rng(n)
     sensors = [SensorModel(f"c{i}", True, 0.1, np.array(REFS[i])) for i in range(n)]
     sensors += [SensorModel("u", False, 0.1)]
@@ -260,11 +260,9 @@ def test_batched_output_matrix_matches_compute_c0(n):
     for used in (layout, layout[::-1], layout[:1]):      # positions in sensors
         refs = rng.normal(size=(5, len(used), 3))
         refs /= np.linalg.norm(refs, axis=-1, keepdims=True)
-        factor = np.array([1 + i if sensors[i].calibrated else 0 for i in used])
-        h = eqf._output_matrix(eqf._output_index(np.tile(factor, len(refs)), n),
-                               refs.reshape(-1, 3))
-        h = h.reshape(len(refs), 3 * len(used), -1)
-        group_index = eqf._layout(tuple(keys[i] for i in used), n)[4]
+        index = eqf._layout(tuple(keys[i] for i in used), n)[4]
+        table = eqf._output_table(refs).reshape(len(refs), 7 * len(used))
+        h = table[..., index]
         for r in range(len(refs)):
             want = np.zeros((3 * len(used), 6 + 3 * n))
             for k, (i, ref) in enumerate(zip(used, refs[r])):
@@ -272,8 +270,7 @@ def test_batched_output_matrix_matches_compute_c0(n):
                 if sensors[i].calibrated:
                     want[3 * k:3 * k + 3, 6 + 3 * i:9 + 3 * i] = wedge(ref)
             np.testing.assert_array_equal(h[r], want)
-            np.testing.assert_array_equal(
-                eqf._output_matrix(group_index, refs[r]).reshape(want.shape), want)
+            np.testing.assert_array_equal(table[r][..., index], want)
             if used is layout:
                 np.testing.assert_array_equal(compute_C0(sensors, refs[r], n), want)
 
@@ -302,6 +299,30 @@ def test_run_is_bit_equal_alone_and_at_every_position(kind, n):
         got = estimates(others[:pos] + [target] + others[pos:])
         for a, b in zip(got, alone):
             np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_one_schedule_serves_both_filters_in_either_order(n):
+    """A schedule's y, refs and table are read-only, and neither filter
+    changes what the other reads: each filter on a schedule the other ran
+    first gives the bits of that filter on a fresh schedule."""
+    cfg = _config(n, True, ragged=True, duration=1.0)
+    sims = _sims(cfg, 4)
+
+    def estimates(runs):
+        return [(r.est.R, r.est.b, r.est.C, r.est.sigma_diag) for r in runs]
+
+    fresh = {kind: estimates(drive_batch(kind, _schedule(cfg, sims), cfg))
+             for kind in ("eqf", "iekf")}
+    for order in (("iekf", "eqf"), ("eqf", "iekf")):
+        schedule = _schedule(cfg, sims)
+        buckets = [b for step in schedule.updates for b in step]
+        assert any(b.cal_cols and not isinstance(b.sel, slice) for b in buckets)
+        assert not any(a.flags.writeable for b in buckets for a in (b.y, b.refs, b.table))
+        for kind in order:
+            for got, want in zip(estimates(drive_batch(kind, schedule, cfg)), fresh[kind]):
+                for a, b in zip(got, want):
+                    np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +377,15 @@ def test_ill_conditioned_s_skips_only_its_run(four_runs, caplog):
     sigma = np.tile(np.diag([0.01] * 3 + [1e-4] * 3 + [0.02] * 3), (4, 1, 1))
     sigma[1] = 1e12 * np.eye(9)       # S = 2e12 (d^ d^T) + 0.01 I: cond 2e14
     residual = np.full((4, 3), 1e-3)
+    h = bucket.table[..., bucket.index]
     with caplog.at_level(logging.WARNING, logger="abc_eqf.eqf"):
-        keep, corr, sigma_new = _kalman(sigma, bucket.h, residual, bucket.var, bucket.bound,
+        keep, corr, sigma_new = _kalman(sigma, h, residual, bucket.var, bucket.bound,
                                         0.25, bucket.names)
     assert keep.tolist() == [True, False, True, True]
     assert [rec.getMessage() for rec in caplog.records] == [
         "run 1: update at t=0.250000 skipped: S condition number 2.000e+14"]
     for i, r in enumerate([0, 2, 3]):
-        _, want_corr, want_sigma = _kalman(sigma[r], bucket.h[r], residual[r], bucket.var,
+        _, want_corr, want_sigma = _kalman(sigma[r], h[r], residual[r], bucket.var,
                                            bucket.bound, 0.25)
         np.testing.assert_allclose(corr[i], want_corr, rtol=RTOL)
         np.testing.assert_allclose(sigma_new[i], want_sigma, rtol=RTOL, atol=1e-18)

@@ -175,11 +175,28 @@ rate = 100
         load_config(path)
 
 
-def test_config_rejects_bad_rate(tmp_path):
+def test_config_rejects_bad_rate(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text("[sensor.a]\ncalibrated = false\nrate = 130\n")
     with pytest.raises(ConfigError, match="rate"):
         load_config(path)
+    # finite rates whose ratio overflows to inf: one config error line, no file
+    for edits, message in [
+            ([("rate = 100.0", "rate = 1e-320")],
+             "[sensor.mag] rate must positively divide the trajectory rate"),
+            ([("duration = 1.0", "duration = 1.0\ngyro_rate = 1e-300"),
+              ("rate = 200.0", "rate = 1e300")],
+             "[trajectory] rate must be an integer multiple of the gyro rate")]:
+        text = CONFIG_TEXT
+        for old, new in edits:
+            text = text.replace(old, new)
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("section, old, new", [

@@ -1,7 +1,8 @@
 """The library steps' own checks, for both filters: a non-finite estimate
 is rejected, a measurement stamped ahead of the filter time raises its own
-type, and each update reads the sensor list it is given afresh, so that a
-list changed in place between two updates is seen by the second."""
+type, a misshaped direction or reference raises BadDimensionError, and each
+update reads the sensor list it is given afresh, so that a list changed in
+place between two updates is seen by the second."""
 
 import math
 
@@ -122,6 +123,28 @@ def test_schedule_check_names_the_run_of_a_measurement_ahead():
         _checked_arrays(sensors, 2, ["a", "c", "g"], np.array([0]), np.array([0.5]),
                         Y[None, :], np.full((1, 3), np.nan), np.array([0.25]),
                         np.array(["run 4: "]))
+
+
+# ---------------------------------------------------------------------------
+# Misshaped directions
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("shape", [(1, 3), (4,), (2,)])
+@pytest.mark.parametrize("field", ["y", "reference"])
+def test_misshaped_direction_raises_bad_dimension(kind, shape, field):
+    """A measured direction, or the reference a GNSS measurement carries,
+    of unit norm but not of shape (3,) raises BadDimensionError naming the
+    sensor and the time, not an error from math or numpy."""
+    _, update = _steps(kind)
+    bad = np.zeros(shape)
+    bad.flat[:2] = 0.6, 0.8
+    meas = (DirectionMeasurement(0.01, "g", bad, Y) if field == "y"
+            else DirectionMeasurement(0.01, "g", Y, bad))
+    with pytest.raises(BadDimensionError,
+                       match=r"^measurement at t=0\.01 from sensor 'g': .* must have shape "
+                             r"\(3,\), got .*\(filter time t=0\.0\)$"):
+        update(_state(kind), [meas], _sensors())
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ def test_schedules_from_arrays_objects_and_csv_are_identical(tmp_path):
         assert [k for k, _ in got] == [k for k, _ in want]
         for (_, a), (_, b) in zip(got, want):
             assert a.cal_cols == b.cal_cols and a.bound == b.bound
-            for field in ("rows", "names", "factor", "var", "y", "refs", "h"):
+            for field in ("rows", "names", "factor", "var", "y", "refs", "table", "index"):
                 np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
 
